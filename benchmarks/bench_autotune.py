@@ -14,9 +14,9 @@ Three findings, all asserted:
 - **The decisions stay near the I/O lower bound.**  The joint run's
   optimality ratio (measured transfers over the :mod:`repro.bounds`
   static bound) is pinned in the payload per workload, tying the
-  autotuner's output to the bound telemetry.  The ratio may dip a
-  hair below 1: the tile cache serves *cross-nest* reuse that the
-  per-nest-summed bound does not credit.
+  autotuner's output to the bound telemetry, and asserted ``>= 1``:
+  a decision that runs a tile cache is argued against the
+  warm-discounted bound, which stays sound under resident reuse.
 - **The loop recovers from injected drift.**  Against a machine 3x
   slower in latency and 2x slower in bandwidth than believed, one
   ``observe()`` round recalibrates: the refitted parameters equal the
@@ -127,10 +127,9 @@ def test_joint_vs_baselines(benchmark, smoke, json_out):
             f"{wl}: joint ({r['joint_time_s']:.4f}s) did not strictly "
             f"beat both baselines (best {fixed_best:.4f}s)"
         )
-        # the ratio is pinned (not asserted >= 1): the tile cache
-        # serves cross-nest reuse, which the per-nest-summed bound
-        # does not credit, so a cached run can dip slightly below 1
-        assert r["optimality_ratio"] > 0.5
+        # a bound is only useful if sound: cached decisions are argued
+        # against the warm-discounted bound, so measured >= bound holds
+        assert r["optimality_ratio"] >= 1.0
     if not smoke:
         _SECTIONS["joint"] = {"n": n, "nodes": N_NODES, "rows": rows}
         _write_artifact()

@@ -29,6 +29,23 @@ from .model import (
     NestBound,
 )
 
+
+def run_bounds(program, binding, budget, peak, n_nodes, warm):
+    """Per-nest bounds for an executed run, as both entry points pair
+    them with measured transfers: argued against the run's *effective*
+    per-node capacity — the nominal ``budget``, or the worst ``peak``
+    when pathological tiles overran it (a bound argued against less
+    memory than the run used is wrong) — and ``warm``-discounted
+    whenever a tile cache kept data resident across repetitions."""
+    return program_bounds(
+        program,
+        binding=binding,
+        memory_elements=max(budget, peak),
+        n_nodes=n_nodes,
+        warm=warm,
+    )
+
+
 __all__ = [
     "NestBound",
     "RULES",
@@ -45,4 +62,5 @@ __all__ = [
     "nest_lower_bound",
     "program_bounds",
     "ref_image_size",
+    "run_bounds",
 ]

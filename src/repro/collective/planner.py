@@ -36,12 +36,12 @@ the redistribution phase is pure overhead — the plan reports
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..runtime.params import MachineParams
-from ..runtime.stats import plan_runs
+from ..runtime.stats import io_node_loads, plan_runs
 
 #: one traced I/O call: (file_base_elem, offset_elem, n_elems, is_write)
 TraceEntry = tuple[int, int, int, bool]
@@ -206,35 +206,6 @@ def conforming_partition(
     return out
 
 
-def io_node_loads(
-    params: MachineParams, offsets: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Per-I/O-node service seconds of a batch of final calls (global
-    element offsets) — the same striping arithmetic as
-    :meth:`IOContext.record_runs`: latency at the first servicing node,
-    transfer spread over the stripes each call covers."""
-    load = np.zeros(params.n_io_nodes, dtype=np.float64)
-    if offsets.size == 0:
-        return load
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    se = params.stripe_elements
-    start, end = offsets, offsets + lengths
-    first, last = start // se, (end - 1) // se
-    np.add.at(load, first % params.n_io_nodes, params.io_latency_s)
-    per_el = params.element_size / params.io_bandwidth_bps
-    span = int((last - first).max()) + 1
-    for k in range(span):
-        stripe = first + k
-        mask = stripe <= last
-        if not mask.any():
-            break
-        s0 = np.maximum(start[mask], stripe[mask] * se)
-        s1 = np.minimum(end[mask], (stripe[mask] + 1) * se)
-        np.add.at(load, stripe[mask] % params.n_io_nodes, (s1 - s0) * per_el)
-    return load
-
-
 def choose_aggregators(n_nodes: int, cb_nodes: int) -> tuple[int, ...]:
     """Evenly spaced aggregator ranks (ROMIO spreads ``cb_nodes`` over
     the communicator for the same reason: balanced memory and links)."""
@@ -292,9 +263,7 @@ def plan_nest_collective(
             groups.setdefault(key, []).append((rank, off, ln))
             ind_calls += off.size
             ind_elements += int(ln.sum())
-            ind_time[rank] += off.size * params.io_latency_s + (
-                int(ln.sum()) * params.element_size / params.io_bandwidth_bps
-            )
+            ind_time[rank] += params.batch_time(off.size, int(ln.sum()))
             all_off.append(off)
             all_len.append(ln)
     ind_loads = io_node_loads(
@@ -329,9 +298,7 @@ def plan_nest_collective(
             p_off, p_len = plan_runs(params, u_off, u_len)
             d_offsets.append(p_off)
             d_lengths.append(p_len)
-            agg_time[a] += p_off.size * params.io_latency_s + (
-                int(p_len.sum()) * params.element_size / params.io_bandwidth_bps
-            )
+            agg_time[a] += params.batch_time(p_off.size, int(p_len.sum()))
             agg_all_off.append(p_off)
             agg_all_len.append(p_len)
             tp_calls += int(p_off.size)

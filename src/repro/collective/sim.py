@@ -279,12 +279,17 @@ def io_node_of(params: MachineParams, global_elem: int) -> int:
     return (global_elem // params.stripe_elements) % params.n_io_nodes
 
 
-def nest_ops(params: MachineParams, nest_run) -> list[SimOp]:
+def nest_ops(params: MachineParams, nest_run, keep=None) -> list[SimOp]:
     """Timeline ops of one :class:`~repro.engine.executor.NestRun` under
     independent execution: the traced calls in issue order, with the
     nest's compute spread evenly around them (the executor does not
     timestamp compute between calls, so an even spread is the
-    deterministic choice — exact in total)."""
+    deterministic choice — exact in total).
+
+    ``keep(rep, entry, op)`` is consulted once per traced call, in issue
+    order; returning false drops that call's I/O op from the timeline
+    (the compute around it stays).  The serving layer's shared tile
+    cache is such a filter: a hit costs no I/O-node service."""
     if nest_run.trace is None:
         raise ValueError(
             f"nest {nest_run.nest_name!r} carries no trace; build the "
@@ -294,25 +299,20 @@ def nest_ops(params: MachineParams, nest_run) -> list[SimOp]:
     reps = max(1, nest_run.trace_weight)
     n_calls = len(nest_run.trace)
     compute_rep = nest_run.stats.compute_time_s / reps
-    if n_calls == 0:
-        if compute_rep > 0.0:
-            ops.extend(
-                SimOp("compute", duration_s=compute_rep) for _ in range(reps)
-            )
-        return ops
     chunk = compute_rep / (n_calls + 1)
-    for _ in range(reps):
-        for base, off, ln, is_write in nest_run.trace:
+    for rep in range(reps):
+        for entry in nest_run.trace:
+            base, off, ln, is_write = entry
             if chunk > 0.0:
                 ops.append(SimOp("compute", duration_s=chunk))
-            ops.append(
-                SimOp(
-                    "io",
-                    resource=io_node_of(params, base + off),
-                    service_s=params.call_time(ln * params.element_size),
-                    is_write=is_write,
-                )
+            op = SimOp(
+                "io",
+                resource=io_node_of(params, base + off),
+                service_s=params.call_time(ln * params.element_size),
+                is_write=is_write,
             )
+            if keep is None or keep(rep, entry, op):
+                ops.append(op)
         if chunk > 0.0:
             ops.append(SimOp("compute", duration_s=chunk))
     return ops

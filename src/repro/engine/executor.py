@@ -8,6 +8,7 @@ single-node experiments; :mod:`repro.parallel` wraps it per SPMD node.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from ..faults import FaultConfig, FaultInjector
 from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..layout import Layout, row_major
-from ..obs import NestIORecord, Observability, active as obs_active
+from ..obs import Observability, active as obs_active, nest_records
 from ..obs import profile as _prof
 from ..obs.profile import ProfileConfig, ProfileResult, ProfileSession
 from ..runtime import (
@@ -39,7 +40,7 @@ from ..runtime import (
     OutOfCoreArray,
     ParallelFileSystem,
 )
-from ..runtime.ooc_array import Region, region_size, runs_of
+from ..runtime.ooc_array import LinearStore, Region, region_size, runs_of
 from ..runtime.stats import plan_runs
 from ..transforms.tiling import TilingSpec, ooc_tiling
 from .interpreter import (
@@ -114,61 +115,269 @@ class RunResult:
         return self.stats.total_time_s - saved
 
 
-class _LinearStore:
-    """Adapter giving plain arrays the combined read/write protocol."""
-
-    def __init__(self, arrays: dict[str, OutOfCoreArray]):
-        self.arrays = arrays
-
-    def read_many(self, requests, ctx):
-        return {
-            name: self.arrays[name].read_tile(region, ctx)
-            for name, region in requests
-        }
-
-    def write_many(self, requests, ctx):
-        for name, region, data in requests:
-            self.arrays[name].write_tile(region, data, ctx)
-
-    def to_ndarray(self, name):
-        return self.arrays[name].to_ndarray()
-
-    def load_ndarray(self, name, values):
-        self.arrays[name].load_ndarray(values)
-
-    def estimate_read(self, name, region, params) -> tuple[int, int]:
-        """(calls, elements) a read of the region would cost — the exact
-        sieve/split planning of ``record_runs``, without recording."""
-        offsets, lengths = runs_of(self.arrays[name].addresses(region))
-        offsets, lengths = plan_runs(params, offsets, lengths)
-        return int(offsets.size), int(lengths.sum())
+def _by_store(stores: Mapping[str, object], requests):
+    """Group per-array requests (tuples led by the array name) by the
+    store that serves them, in first-seen order: ``(store, requests)``
+    pairs, one combined transfer each."""
+    groups: dict[int, tuple[object, list]] = {}
+    for req in requests:
+        store = stores[req[0]]
+        groups.setdefault(id(store), (store, []))[1].append(req)
+    return groups.values()
 
 
-class _InterleavedStore:
-    def __init__(self, store: InterleavedChunkedStore):
-        self.store = store
+class _DirectTileIO:
+    """The tile walk's I/O collaborator when no cache is configured:
+    every tile moves straight between memory and the stores.
+    :class:`_CachedTileIO` overrides each hook, so "cache off" is the
+    absence of that subclass, not a second walker."""
 
-    def read_many(self, requests, ctx):
-        return self.store.read_tiles(list(requests), ctx)
+    cache: TileCache | None = None
 
-    def write_many(self, requests, ctx):
-        self.store.write_tiles(list(requests), ctx)
+    def __init__(self, stores: Mapping[str, object]):
+        self._stores = stores
 
-    def to_ndarray(self, name):
-        return self.store.to_ndarray(name)
+    def begin_nest(self, tiles):
+        return tiles
 
-    def load_ndarray(self, name, values):
-        self.store.load_ndarray(name, values)
+    def read(self, requests, ctx: IOContext) -> dict[str, np.ndarray | None]:
+        """Read ``(name, region)`` tiles, one combined transfer per
+        store; data per array name (``None`` in simulate mode)."""
+        tiles_data: dict[str, np.ndarray | None] = {}
+        for store, reqs in _by_store(self._stores, requests):
+            tiles_data.update(store.read_tiles(reqs, ctx))
+        return tiles_data
 
-    def estimate_read(self, name, region, params) -> tuple[int, int]:
-        """(calls, elements) for a standalone whole-chunk read of the
-        region.  Upper bound for combined multi-array requests — a hit
-        cannot participate in another request's merged super-run."""
-        ids = np.unique(self.store.chunk_ids(name, region))
-        offsets, lengths = runs_of(ids)
-        bs = self.store._block_slots
-        offsets, lengths = plan_runs(params, offsets * bs, lengths * bs)
-        return int(offsets.size), int(lengths.sum())
+    def write(self, requests, ctx: IOContext) -> None:
+        """Write ``(name, region, data)`` tiles back, one combined
+        transfer per store."""
+        for store, reqs in _by_store(self._stores, requests):
+            store.write_tiles(reqs, ctx)
+
+    def after_tile(self, t: int, compute_s: float, ctx: IOContext) -> None:
+        pass
+
+    def end_nest(self, ctx: IOContext) -> None:
+        pass
+
+
+class _CachedTileIO(_DirectTileIO):
+    """Tile I/O with the tile cache (:mod:`repro.cache`) between the
+    walk and the stores.
+
+    Reads consult the cache first (hits skip the file and record saved
+    calls/volume), writes go write-back or write-through per the config,
+    the prefetcher fetches upcoming tiles of the statically known walk,
+    and all dirty tiles are flushed at the nest boundary — clean data
+    stays resident, which is what enables cross-nest reuse.
+    """
+
+    def __init__(
+        self,
+        stores: Mapping[str, object],
+        params: MachineParams,
+        cfg: CacheConfig,
+        cache: TileCache,
+    ):
+        super().__init__(stores)
+        self.params = params
+        self.cache = cache
+        self._write_back = cfg.write_back
+        self._prefetcher: PrefetchScheduler | None = None
+        self._overlap: DoubleBufferModel | None = None
+        if cfg.prefetch:
+            self._prefetcher = PrefetchScheduler(cfg.prefetch_depth)
+            self._overlap = DoubleBufferModel(cache.metrics)
+
+    def begin_nest(self, tiles):
+        # the tile-space walk is static: enumerate it up front so the
+        # prefetcher knows every upcoming read set
+        tiles = list(tiles)
+        if self._prefetcher is not None:
+            self._prefetcher.begin_nest([reads for _, _, reads in tiles])
+        return tiles
+
+    def after_tile(self, t: int, compute_s: float, ctx: IOContext) -> None:
+        if self._prefetcher is not None:
+            prefetch_io = self._prefetch_tiles(
+                self._prefetcher.requests_after(t), ctx
+            )
+            self._overlap.note_tile(compute_s, prefetch_io)
+
+    def end_nest(self, ctx: IOContext) -> None:
+        # nest boundary: dirty tiles land on disk; clean data stays
+        # resident for the next nest (or weight repetition)
+        self._write_entries(self.cache.flush_all(), ctx)
+
+    def read(self, requests, ctx: IOContext) -> dict[str, np.ndarray | None]:
+        cache = self.cache
+        tiles_data: dict[str, np.ndarray | None] = {}
+        misses: list[tuple[str, Region]] = []
+        for name, region in requests:
+            resident = cache.peek(name, region)
+            prefetch_first_use = resident is not None and resident.prefetched
+            entry = cache.lookup(name, region)
+            if entry is not None:
+                tiles_data[name] = (
+                    None if entry.data is None else entry.data.copy()
+                )
+                # a prefetched tile's first use is prepaid I/O, not
+                # avoided I/O — only genuine reuse counts as savings
+                if not prefetch_first_use:
+                    calls, elems = self._stores[name].estimate_read(
+                        name, region, self.params
+                    )
+                    cache.metrics.read_calls_saved += calls
+                    cache.metrics.elements_saved += elems
+            else:
+                store = self._stores[name]
+                if isinstance(store, LinearStore):
+                    # linear stores can read partial regions: serve
+                    # whatever overlapping resident tiles cover and
+                    # fetch only the remainder
+                    tiles_data[name] = self._fetch_linear(
+                        store, name, region, ctx
+                    )
+                    continue
+                # interleaved stores transfer whole chunks — exact hits
+                # only; overlapping dirty data must reach the file
+                # before we read the region from it
+                self._write_entries(
+                    cache.flush_overlapping(name, region), ctx
+                )
+                misses.append((name, region))
+        for store, reqs in _by_store(self._stores, misses):
+            got = store.read_tiles(reqs, ctx)
+            for name, region in reqs:
+                tiles_data[name] = got[name]
+                self._cache_insert(name, region, got[name], ctx)
+        return tiles_data
+
+    def _fetch_linear(
+        self,
+        store: LinearStore,
+        name: str,
+        region: Region,
+        ctx: IOContext,
+        *,
+        prefetched: bool = False,
+    ) -> np.ndarray | None:
+        """Read one linear-store region through the cache's coverage map.
+
+        Consecutive tiles of the walk overlap (stencil halos, growing
+        bounding-box hulls), so the dominant reuse is *partial*: resident
+        tiles cover part of the region and only the uncovered remainder
+        needs the file.  Punching holes in a contiguous run can increase
+        the call count, so the remainder is priced against the full read
+        with the exact run planning and only taken when cheaper."""
+        cache = self.cache
+        arr = store.arrays[name]
+        p = self.params
+        cov = cache.coverage(name, region)
+        if cov is not None:
+            mask, entries = cov
+            addrs = arr.addresses(region)
+            f_off, f_len = plan_runs(p, *runs_of(addrs))
+            need = addrs[~mask.ravel()]
+            r_off, r_len = plan_runs(p, *runs_of(need))
+            t_full = p.batch_time(f_off.size, int(f_len.sum()))
+            t_rem = p.batch_time(r_off.size, int(r_len.sum()))
+            if t_rem < t_full:
+                data = arr.read_tile_partial(region, mask, ctx)
+                if data is not None:
+                    cache.fill_from(data, region, entries)
+                m = cache.metrics
+                if not prefetched:
+                    m.partial_hits += 1
+                m.read_calls_saved += int(f_off.size) - int(r_off.size)
+                m.elements_saved += int(f_len.sum()) - int(r_len.sum())
+                self._cache_insert(name, region, data, ctx, prefetched=prefetched)
+                return data
+            # not worth splitting the runs: read the whole region — the
+            # dirty overlaps must land on the file first
+            self._write_entries(cache.flush_overlapping(name, region), ctx)
+        data = arr.read_tile(region, ctx)
+        self._cache_insert(name, region, data, ctx, prefetched=prefetched)
+        return data
+
+    def write(self, writes, ctx: IOContext) -> None:
+        cache = self.cache
+        for name, region, _ in writes:
+            # older dirty overlaps must land first (they own cells outside
+            # this region); then drop now-stale overlapping entries
+            self._write_entries(
+                cache.flush_overlapping(name, region, exclude_exact=True), ctx
+            )
+            cache.invalidate_overlapping(name, region, exclude_exact=True)
+        if self._write_back:
+            direct: list[tuple[str, Region, np.ndarray | None]] = []
+            for name, region, data in writes:
+                if not self._cache_insert(name, region, data, ctx, dirty=True):
+                    direct.append((name, region, data))
+            super().write(direct, ctx)
+        else:
+            super().write(writes, ctx)
+            for name, region, data in writes:
+                self._cache_insert(name, region, data, ctx)
+
+    def _prefetch_tiles(
+        self, requests: list[tuple[str, Region]], ctx: IOContext
+    ) -> float:
+        """Fetch upcoming tiles into the cache; returns the serial I/O
+        seconds spent (the overlap model decides how much of that a
+        second buffer would hide)."""
+        cache = self.cache
+        io_before = ctx.stats.io_time_s
+        misses: list[tuple[str, Region]] = []
+        for name, region in requests:
+            if cache.peek(name, region) is not None or not cache.fits(region):
+                continue
+            store = self._stores[name]
+            if isinstance(store, LinearStore):
+                self._fetch_linear(store, name, region, ctx, prefetched=True)
+                cache.metrics.prefetch_issued += 1
+                continue
+            self._write_entries(cache.flush_overlapping(name, region), ctx)
+            misses.append((name, region))
+        for store, reqs in _by_store(self._stores, misses):
+            got = store.read_tiles(reqs, ctx)
+            for name, region in reqs:
+                self._cache_insert(name, region, got[name], ctx, prefetched=True)
+                cache.metrics.prefetch_issued += 1
+        return ctx.stats.io_time_s - io_before
+
+    def _cache_insert(
+        self,
+        name: str,
+        region: Region,
+        data: np.ndarray | None,
+        ctx: IOContext,
+        *,
+        dirty: bool = False,
+        prefetched: bool = False,
+    ) -> bool:
+        """Offer a tile to the cache; returns whether it became resident
+        (a declined *dirty* tile must be written directly by the caller)."""
+        cache = self.cache
+        if not cache.fits(region):
+            return False
+        cost_s = 0.0
+        if cache.policy.uses_cost:
+            cost_s = self.params.batch_time(
+                *self._stores[name].estimate_read(name, region, self.params)
+            )
+        accepted, evicted = cache.insert(
+            name, region, data,
+            dirty=dirty, prefetched=prefetched, cost_s=cost_s,
+        )
+        # evicted dirty tiles must be written back through the stores
+        self._write_entries(evicted, ctx)
+        return accepted
+
+    def _write_entries(
+        self, entries: list[CacheEntry], ctx: IOContext
+    ) -> None:
+        super().write([(e.name, e.region, e.data) for e in entries], ctx)
 
 
 class OOCExecutor:
@@ -187,7 +396,9 @@ class OOCExecutor:
     real:
         move actual data and interpret element loops (small sizes /
         verification) vs. accounting only.  Alias for the two default
-        backends; ignored when ``backend`` is given.
+        backends (``None``, the default, means in-memory); given together
+        with a ``backend`` it must agree with it
+        (:class:`~repro.backends.BackendError` otherwise).
     backend:
         where array bytes live (:mod:`repro.backends`): a
         :class:`~repro.backends.StorageBackend` instance or a kind
@@ -208,7 +419,7 @@ class OOCExecutor:
         params: MachineParams | None = None,
         binding: Mapping[str, int] | None = None,
         memory_budget: int | None = None,
-        real: bool = True,
+        real: bool | None = None,
         backend: StorageBackend | str | None = None,
         dtype=None,
         tiling: Callable[[LoopNest], TilingSpec] | Mapping[str, TilingSpec] = ooc_tiling,
@@ -244,8 +455,6 @@ class OOCExecutor:
         # RunResult.profile); a ProfileSession is driver-owned — the
         # executor only activates it around the run, and the driver
         # finishes it.  None (the default) never touches the clock.
-        if isinstance(profile, ProfileConfig) and not profile.enabled:
-            profile = None
         self._profile = profile
         # precomputed static I/O lower bounds (repro.bounds); None means
         # derive them at obs-finish time against the effective memory
@@ -253,7 +462,6 @@ class OOCExecutor:
         # fault injection (repro.faults): one injector per executor, its
         # RNG stream seeded by plan.seed + rank.  With faults=None (the
         # default) every IOContext takes its vectorized path untouched.
-        self._faults_cfg = faults
         self._injector: FaultInjector | None = None
         if faults is not None:
             self._injector = faults.injector(
@@ -263,12 +471,10 @@ class OOCExecutor:
         self.params = params or MachineParams()
         self.binding = program.binding(binding)
         # storage backend: the boolean `real` is an alias for the two
-        # default backends; an explicit backend decides for itself
-        # whether data moves (real) or only accounting runs
-        self.backend = (
-            resolve_backend(None, real) if backend is None
-            else resolve_backend(backend)
-        )
+        # default backends (None ⇒ in-memory); an explicit backend
+        # decides for itself whether data moves (real) or only
+        # accounting runs, and a contradicting `real` is a BackendError
+        self.backend = resolve_backend(backend, real)
         self.real = self.backend.real
         self._dtype = dtype
         self.shapes = {
@@ -308,7 +514,7 @@ class OOCExecutor:
                 )
             else:
                 groups.setdefault(spec.group, []).append((name, spec))
-        linear_store = _LinearStore(linear_arrays)
+        linear_store = LinearStore(linear_arrays)
         for name in linear_arrays:
             self._stores[name] = linear_store
         # concrete linear layouts, kept for the cost-model drift
@@ -326,12 +532,10 @@ class OOCExecutor:
                     f"interleaved group {group} mixes shapes {shapes}"
                 )
             block = members[0][1].block
-            store = _InterleavedStore(
-                InterleavedChunkedStore(
-                    names, next(iter(shapes)), block, self.pfs,
-                    backend=self.backend, dtype=self._dtype,
-                    file_name=f"group:{group}", origin=members[0][1].origin,
-                )
+            store = InterleavedChunkedStore(
+                names, next(iter(shapes)), block, self.pfs,
+                backend=self.backend, dtype=self._dtype,
+                file_name=f"group:{group}", origin=members[0][1].origin,
             )
             for n in names:
                 self._stores[n] = store
@@ -347,26 +551,23 @@ class OOCExecutor:
         # out of the memory budget, so resident cache tiles plus in-flight
         # compute tiles together stay under the per-node budget and the
         # planner sizes tiles against the remainder only
-        self._cache_cfg = cache if cache is not None and cache.enabled else None
         self._plan_budget = self.memory_budget
-        self._cache: TileCache | None = None
-        self._prefetcher: PrefetchScheduler | None = None
-        self._overlap: DoubleBufferModel | None = None
-        if self._cache_cfg is not None:
-            cfg = self._cache_cfg
-            cache_budget = cfg.resolve_budget(self.memory_budget)
+        self._io = _DirectTileIO(self._stores)
+        if cache is not None and cache.enabled:
+            cache_budget = cache.resolve_budget(self.memory_budget)
             if cache_budget >= self.memory_budget:
                 raise ValueError(
                     f"cache budget {cache_budget} must leave memory for "
                     f"compute tiles (budget {self.memory_budget})"
                 )
             self._plan_budget = self.memory_budget - cache_budget
-            self._cache = TileCache(
-                cache_budget, make_policy(cfg.policy), memory=self.memory
+            self._io = _CachedTileIO(
+                self._stores, self.params, cache,
+                TileCache(
+                    cache_budget, make_policy(cache.policy), memory=self.memory
+                ),
             )
-            if cfg.prefetch:
-                self._prefetcher = PrefetchScheduler(cfg.prefetch_depth)
-                self._overlap = DoubleBufferModel(self._cache.metrics)
+        self._cache = self._io.cache
         # real-mode fast path: vectorize the innermost loop when no
         # dependence is carried by it (scalar fallback otherwise)
         self._vectorizable: dict[str, bool] = {}
@@ -413,28 +614,11 @@ class OOCExecutor:
         return predict_program_elements(self.program, self.binding)
 
     def run(self) -> RunResult:
-        prof = self._profile
-        if prof is None:
-            return self._run()
-        # executor-owned capture (ProfileConfig) finishes into the
+        # an executor-owned capture (ProfileConfig) finishes into the
         # result; a driver-owned ProfileSession is only activated here
-        owned = ProfileSession(prof) if isinstance(prof, ProfileConfig) \
-            else None
-        session = owned if owned is not None else prof
-        session.activate()
-        try:
+        with _prof.capture(self._profile, self._obs) as cap:
             result = self._run()
-        finally:
-            session.deactivate()
-        if owned is not None:
-            obs = self._obs
-            result.profile = owned.finish(
-                tracer=obs.tracer if obs is not None else None
-            )
-            if obs is not None:
-                obs.note_profile(result.profile)
-                if obs.config.metrics:
-                    _prof.publish_work(obs.metrics, result.profile.work)
+        result.profile = cap.result
         return result
 
     def _run(self) -> RunResult:
@@ -465,44 +649,42 @@ class OOCExecutor:
             # stats are not multiples of the first pass.  A fault
             # injector likewise draws per attempt — scaling one pass by
             # the weight would multiply fault counts that never fired.
+            # Otherwise one pass is run and scaled by the weight; both
+            # are the same loop (×1 and merging into zero are exact).
             if self.real or self._cache is not None or self._injector is not None:
-                total = IOStats()
-                tiles = 0
-                nest_trace: list | None = [] if self._trace else None
-                for _ in range(nest.weight):
-                    local = IOContext(
-                        self.params, trace=self._trace, metrics=reg,
-                        faults=self._injector,
-                    )
-                    tiles = self._run_nest(nest, plan, local)
-                    total = total.merge(local.stats)
-                    ctx.stats = ctx.stats.merge(local.stats)
-                    ctx.io_node_load += local.io_node_load
-                    if nest_trace is not None:
-                        nest_trace.extend(local.trace)
-                nest_runs.append(
-                    NestRun(nest.name, plan, total, tiles, nest_trace)
-                )
+                reps, scale = nest.weight, 1
             else:
-                local = IOContext(self.params, trace=self._trace, metrics=reg)
+                reps, scale = 1, nest.weight
+            total = IOStats()
+            tiles = 0
+            nest_trace: list | None = [] if self._trace else None
+            for _ in range(reps):
+                local = IOContext(
+                    self.params, trace=self._trace, metrics=reg,
+                    faults=self._injector,
+                )
                 tiles = self._run_nest(nest, plan, local)
-                w = nest.weight
-                scaled = IOStats(
-                    local.stats.read_calls * w,
-                    local.stats.write_calls * w,
-                    local.stats.elements_read * w,
-                    local.stats.elements_written * w,
-                    local.stats.io_time_s * w,
-                    local.stats.compute_time_s * w,
+                s = local.stats
+                scaled = dc_replace(
+                    s,
+                    read_calls=s.read_calls * scale,
+                    write_calls=s.write_calls * scale,
+                    elements_read=s.elements_read * scale,
+                    elements_written=s.elements_written * scale,
+                    io_time_s=s.io_time_s * scale,
+                    compute_time_s=s.compute_time_s * scale,
                 )
+                total = total.merge(scaled)
                 ctx.stats = ctx.stats.merge(scaled)
-                ctx.io_node_load += local.io_node_load * w
-                nest_runs.append(
-                    NestRun(
-                        nest.name, plan, scaled, tiles, local.trace,
-                        trace_weight=w,
-                    )
+                ctx.io_node_load += local.io_node_load * scale
+                if nest_trace is not None:
+                    nest_trace.extend(local.trace)
+            nest_runs.append(
+                NestRun(
+                    nest.name, plan, total, tiles, nest_trace,
+                    trace_weight=scale,
                 )
+            )
             if nest_span is not None:
                 nr = nest_runs[-1]
                 obs.tracer.end(
@@ -562,18 +744,11 @@ class OOCExecutor:
             if self.node_slice is None:
                 bounds = self._bounds
                 if bounds is None:
-                    from ..bounds import program_bounds
+                    from ..bounds import run_bounds
 
-                    bounds = program_bounds(
-                        self.program,
-                        binding=self.binding,
-                        # effective capacity: pathological tiles may
-                        # overrun the nominal budget, and a bound argued
-                        # against less memory than the run used is wrong
-                        memory_elements=max(
-                            self.memory_budget, self.memory.peak
-                        ),
-                        warm=self._cache is not None,
+                    bounds = run_bounds(
+                        self.program, self.binding, self.memory_budget,
+                        self.memory.peak, 1, self._cache is not None,
                     )
                 obs.note_bounds(bounds)
                 obs.note_modeled_elements(self.predicted_elements())
@@ -647,35 +822,25 @@ class OOCExecutor:
             if self.node_slice is not None and self.node_slice[0] != 0:
                 return []  # untiled nests run on node 0 only
             return [{}]
-        windows: list[dict[str, tuple[int, int]]] = []
-
-        def rec(idx: int, acc: dict[str, tuple[int, int]]):
-            if idx == len(levels):
-                windows.append(dict(acc))
-                return
-            loop = nest.loops[levels[idx]]
-            lo, hi = full[loop.var]
+        # windows per tiled level are independent of the other levels,
+        # so the walk is their product, outermost level slowest
+        b = max(1, plan.tile_size)
+        per_level: list[list[tuple[str, tuple[int, int]]]] = []
+        for idx, level in enumerate(levels):
+            var = nest.loops[level].var
+            lo, hi = full[var]
             if idx == 0 and self.node_slice is not None:
                 # SPMD block distribution of the outermost tile loop: node
                 # r owns a contiguous slab (no inter-node communication —
                 # the paper's parallelization)
                 rank, n_nodes = self.node_slice
-                extent = hi - lo + 1
-                share = -(-extent // n_nodes)
+                share = -(-(hi - lo + 1) // n_nodes)
                 lo, hi = lo + rank * share, min(hi, lo + (rank + 1) * share - 1)
-                if lo > hi:
-                    return
-            b = max(1, plan.tile_size)
-            start = lo
-            while start <= hi:
-                end = min(hi, start + b - 1)
-                acc[loop.var] = (start, end)
-                rec(idx + 1, acc)
-                del acc[loop.var]
-                start = end + 1
-
-        rec(0, {})
-        return windows
+            per_level.append(
+                [(var, (start, min(hi, start + b - 1)))
+                 for start in range(lo, hi + 1, b)]
+            )
+        return [dict(combo) for combo in product(*per_level)]
 
     def _tile_var_ranges(
         self, nest: LoopNest, windows: Mapping[str, tuple[int, int]]
@@ -722,15 +887,15 @@ class OOCExecutor:
             env[loop.var] = (lo + hi) // 2
         return total
 
-    def _run_nest(self, nest: LoopNest, plan: NestPlan, ctx: IOContext) -> int:
-        if self._cache is not None:
-            return self._run_nest_cached(nest, plan, ctx)
-        return self._run_nest_plain(nest, plan, ctx)
-
-    def _run_nest_plain(self, nest: LoopNest, plan: NestPlan, ctx: IOContext) -> int:
+    def _tiles(self, nest: LoopNest, plan: NestPlan):
+        """The nest's non-empty tiles in walk order, lazily:
+        ``(windows, footprints, reads)`` with empty regions dropped;
+        ``reads`` is the tile's ``(name, region)`` read set — every
+        accessed array's tile (the paper's generated code reads tiles
+        for all arrays, including write-only ones — read-modify-write
+        of the bounding box)."""
         from .footprint import nest_footprints
 
-        tiles_executed = 0
         for windows in self._tile_windows(nest, plan):
             var_ranges = self._tile_var_ranges(nest, windows)
             if var_ranges is None:
@@ -744,8 +909,19 @@ class OOCExecutor:
                 for name, (region, r, w) in fps.items()
                 if region_size(region) > 0
             }
-            if not fps:
-                continue
+            if fps:
+                yield windows, fps, [
+                    (name, region) for name, (region, _, _) in fps.items()
+                ]
+
+    def _run_nest(self, nest: LoopNest, plan: NestPlan, ctx: IOContext) -> int:
+        """The one tile walk: enumerate tiles → reserve memory → read →
+        compute → write → per-tile hook → release → end-of-nest hook.
+        How data moves (direct or through the tile cache) is the
+        tile-I/O collaborator's business, not the walk's."""
+        io = self._io
+        tiles_executed = 0
+        for windows, fps, reads in io.begin_nest(self._tiles(nest, plan)):
             total_fp = sum(region_size(region) for region, _, _ in fps.values())
             allocated = False
             if not plan.over_budget:
@@ -766,21 +942,10 @@ class OOCExecutor:
             # with the retry budget exhausted) releases the allocation on
             # the way out, so memory accounting never leaks
             try:
-                # group by store and read every accessed array's tile (the
-                # paper's generated code reads tiles for all arrays, including
-                # write-only ones — read-modify-write of the bounding box)
-                by_store: dict[int, list[tuple[str, Region]]] = {}
-                for name, (region, _, _) in fps.items():
-                    by_store.setdefault(id(self._stores[name]), []).append(
-                        (name, region)
-                    )
-                tiles_data: dict[str, np.ndarray | None] = {}
-                for sid, requests in by_store.items():
-                    store = self._stores[requests[0][0]]
-                    tiles_data.update(store.read_many(requests, ctx))
+                tiles_data = io.read(reads, ctx)
 
+                compute_before = ctx.stats.compute_time_s
                 if self.real:
-                    regions = {name: region for name, (region, _, _) in fps.items()}
                     runner = (
                         run_element_loops_vectorized
                         if self._vectorizable.get(nest.name)
@@ -789,378 +954,30 @@ class OOCExecutor:
                     count = _prof.timed(
                         "interp.element_loops",
                         runner, nest, self.binding, windows, tiles_data,
-                        regions,
+                        dict(reads),
                     )
-                    ctx.record_compute(count, len(nest.body))
                 else:
                     count = self._estimate_iterations(nest, windows)
-                    ctx.record_compute(count, len(nest.body))
+                ctx.record_compute(count, len(nest.body))
 
                 # write back modified arrays
-                by_store_w: dict[int, list[tuple[str, Region, np.ndarray | None]]] = {}
-                for name, (region, _, written) in fps.items():
-                    if written:
-                        by_store_w.setdefault(id(self._stores[name]), []).append(
-                            (name, region, tiles_data.get(name))
-                        )
-                for sid, requests in by_store_w.items():
-                    store = self._stores[requests[0][0]]
-                    store.write_many(requests, ctx)
+                io.write(
+                    [
+                        (name, region, tiles_data.get(name))
+                        for name, (region, _, written) in fps.items()
+                        if written
+                    ],
+                    ctx,
+                )
+                io.after_tile(
+                    tiles_executed,
+                    ctx.stats.compute_time_s - compute_before,
+                    ctx,
+                )
             finally:
                 if allocated:
                     self.memory.free(total_fp)
             tiles_executed += 1
             _prof.WORK.add_loop_iters("tile", 1)
+        io.end_nest(ctx)
         return tiles_executed
-
-    # -- cached execution (repro.cache) -----------------------------------
-
-    def _run_nest_cached(
-        self, nest: LoopNest, plan: NestPlan, ctx: IOContext
-    ) -> int:
-        """Tile loop with the tile cache between executor and stores.
-
-        Differences from the plain path: reads consult the cache first
-        (hits skip the file and record saved calls/volume), writes go
-        write-back or write-through per the config, the prefetcher
-        fetches upcoming tiles of the statically known walk, and all
-        dirty tiles are flushed at the nest boundary — clean data stays
-        resident, which is what enables cross-nest reuse.
-        """
-        from .footprint import nest_footprints
-
-        cache = self._cache
-        assert cache is not None
-        # the tile-space walk is static: enumerate it up front so the
-        # prefetcher knows every upcoming read set
-        tiles: list[tuple[dict[str, tuple[int, int]], dict]] = []
-        for windows in self._tile_windows(nest, plan):
-            var_ranges = self._tile_var_ranges(nest, windows)
-            if var_ranges is None:
-                continue
-            fps = _prof.timed(
-                "engine.footprints",
-                nest_footprints, nest, var_ranges, self.binding, self.shapes,
-            )
-            fps = {
-                name: (region, r, w)
-                for name, (region, r, w) in fps.items()
-                if region_size(region) > 0
-            }
-            if fps:
-                tiles.append((windows, fps))
-        if self._prefetcher is not None:
-            self._prefetcher.begin_nest(
-                [
-                    [(name, region) for name, (region, _, _) in fps.items()]
-                    for _, fps in tiles
-                ]
-            )
-
-        for t, (windows, fps) in enumerate(tiles):
-            total_fp = sum(region_size(region) for region, _, _ in fps.values())
-            allocated = False
-            if not plan.over_budget:
-                try:
-                    self.memory.allocate(total_fp)
-                    allocated = True
-                except MemoryBudgetExceeded:
-                    self.memory.peak = max(
-                        self.memory.peak, self.memory.in_use + total_fp
-                    )
-                    self._over_budget_tiles += 1
-
-            # as in the plain path: a read that raises mid-tile (injected
-            # fault with retries exhausted) must release the reservation
-            try:
-                tiles_data = self._read_tiles_cached(fps, ctx)
-
-                compute_before = ctx.stats.compute_time_s
-                if self.real:
-                    regions = {name: region for name, (region, _, _) in fps.items()}
-                    runner = (
-                        run_element_loops_vectorized
-                        if self._vectorizable.get(nest.name)
-                        else run_element_loops
-                    )
-                    count = _prof.timed(
-                        "interp.element_loops",
-                        runner, nest, self.binding, windows, tiles_data,
-                        regions,
-                    )
-                    ctx.record_compute(count, len(nest.body))
-                else:
-                    count = self._estimate_iterations(nest, windows)
-                    ctx.record_compute(count, len(nest.body))
-                compute_s = ctx.stats.compute_time_s - compute_before
-
-                self._write_tiles_cached(fps, tiles_data, ctx)
-
-                if self._prefetcher is not None:
-                    prefetch_io = self._prefetch_tiles(
-                        self._prefetcher.requests_after(t), ctx
-                    )
-                    self._overlap.note_tile(compute_s, prefetch_io)
-            finally:
-                if allocated:
-                    self.memory.free(total_fp)
-            _prof.WORK.add_loop_iters("tile", 1)
-        # nest boundary: dirty tiles land on disk; clean data stays
-        # resident for the next nest (or weight repetition)
-        self._write_entries(cache.flush_all(), ctx)
-        return len(tiles)
-
-    def _read_tiles_cached(
-        self, fps: Mapping[str, tuple], ctx: IOContext
-    ) -> dict[str, np.ndarray | None]:
-        cache = self._cache
-        tiles_data: dict[str, np.ndarray | None] = {}
-        miss_by_store: dict[int, list[tuple[str, Region]]] = {}
-        for name, (region, _, _) in fps.items():
-            resident = cache.peek(name, region)
-            prefetch_first_use = resident is not None and resident.prefetched
-            entry = cache.lookup(name, region)
-            if entry is not None:
-                tiles_data[name] = (
-                    None if entry.data is None else entry.data.copy()
-                )
-                # a prefetched tile's first use is prepaid I/O, not
-                # avoided I/O — only genuine reuse counts as savings
-                if not prefetch_first_use:
-                    calls, elems = self._stores[name].estimate_read(
-                        name, region, self.params
-                    )
-                    cache.metrics.read_calls_saved += calls
-                    cache.metrics.elements_saved += elems
-            else:
-                store = self._stores[name]
-                if isinstance(store, _LinearStore):
-                    # linear stores can read partial regions: serve
-                    # whatever overlapping resident tiles cover and
-                    # fetch only the remainder
-                    tiles_data[name] = self._fetch_linear(
-                        store, name, region, ctx
-                    )
-                    continue
-                # interleaved stores transfer whole chunks — exact hits
-                # only; overlapping dirty data must reach the file
-                # before we read the region from it
-                self._write_entries(
-                    cache.flush_overlapping(name, region), ctx
-                )
-                miss_by_store.setdefault(id(store), []).append(
-                    (name, region)
-                )
-        for requests in miss_by_store.values():
-            store = self._stores[requests[0][0]]
-            got = store.read_many(requests, ctx)
-            for name, region in requests:
-                tiles_data[name] = got[name]
-                self._cache_insert(name, region, got[name], ctx)
-        return tiles_data
-
-    def _fetch_linear(
-        self,
-        store: _LinearStore,
-        name: str,
-        region: Region,
-        ctx: IOContext,
-        *,
-        prefetched: bool = False,
-    ) -> np.ndarray | None:
-        """Read one linear-store region through the cache's coverage map.
-
-        Consecutive tiles of the walk overlap (stencil halos, growing
-        bounding-box hulls), so the dominant reuse is *partial*: resident
-        tiles cover part of the region and only the uncovered remainder
-        needs the file.  Punching holes in a contiguous run can increase
-        the call count, so the remainder is priced against the full read
-        with the exact run planning and only taken when cheaper."""
-        cache = self._cache
-        arr = store.arrays[name]
-        p = self.params
-        cov = cache.coverage(name, region)
-        if cov is not None:
-            mask, entries = cov
-            addrs = arr.addresses(region)
-            f_off, f_len = plan_runs(p, *runs_of(addrs))
-            need = addrs[~mask.ravel()]
-            r_off, r_len = plan_runs(p, *runs_of(need))
-            per_el = p.element_size / p.io_bandwidth_bps
-            t_full = f_off.size * p.io_latency_s + int(f_len.sum()) * per_el
-            t_rem = r_off.size * p.io_latency_s + int(r_len.sum()) * per_el
-            if t_rem < t_full:
-                data = arr.read_tile_partial(region, mask, ctx)
-                if data is not None:
-                    cache.fill_from(data, region, entries)
-                m = cache.metrics
-                if not prefetched:
-                    m.partial_hits += 1
-                m.read_calls_saved += int(f_off.size) - int(r_off.size)
-                m.elements_saved += int(f_len.sum()) - int(r_len.sum())
-                self._cache_insert(name, region, data, ctx, prefetched=prefetched)
-                return data
-            # not worth splitting the runs: read the whole region — the
-            # dirty overlaps must land on the file first
-            self._write_entries(cache.flush_overlapping(name, region), ctx)
-        data = arr.read_tile(region, ctx)
-        self._cache_insert(name, region, data, ctx, prefetched=prefetched)
-        return data
-
-    def _write_tiles_cached(
-        self,
-        fps: Mapping[str, tuple],
-        tiles_data: Mapping[str, np.ndarray | None],
-        ctx: IOContext,
-    ) -> None:
-        cache = self._cache
-        writes = [
-            (name, region, tiles_data.get(name))
-            for name, (region, _, written) in fps.items()
-            if written
-        ]
-        if not writes:
-            return
-        for name, region, _ in writes:
-            # older dirty overlaps must land first (they own cells outside
-            # this region); then drop now-stale overlapping entries
-            self._write_entries(
-                cache.flush_overlapping(name, region, exclude_exact=True), ctx
-            )
-            cache.invalidate_overlapping(name, region, exclude_exact=True)
-        if self._cache_cfg.write_back:
-            direct: list[tuple[str, Region, np.ndarray | None]] = []
-            for name, region, data in writes:
-                if not self._cache_insert(name, region, data, ctx, dirty=True):
-                    direct.append((name, region, data))
-            self._write_requests(direct, ctx)
-        else:
-            self._write_requests(writes, ctx)
-            for name, region, data in writes:
-                self._cache_insert(name, region, data, ctx)
-
-    def _prefetch_tiles(
-        self, requests: list[tuple[str, Region]], ctx: IOContext
-    ) -> float:
-        """Fetch upcoming tiles into the cache; returns the serial I/O
-        seconds spent (the overlap model decides how much of that a
-        second buffer would hide)."""
-        cache = self._cache
-        io_before = ctx.stats.io_time_s
-        miss_by_store: dict[int, list[tuple[str, Region]]] = {}
-        for name, region in requests:
-            if cache.peek(name, region) is not None or not cache.fits(region):
-                continue
-            store = self._stores[name]
-            if isinstance(store, _LinearStore):
-                self._fetch_linear(store, name, region, ctx, prefetched=True)
-                cache.metrics.prefetch_issued += 1
-                continue
-            self._write_entries(cache.flush_overlapping(name, region), ctx)
-            miss_by_store.setdefault(id(store), []).append((name, region))
-        for reqs in miss_by_store.values():
-            store = self._stores[reqs[0][0]]
-            got = store.read_many(reqs, ctx)
-            for name, region in reqs:
-                self._cache_insert(name, region, got[name], ctx, prefetched=True)
-                cache.metrics.prefetch_issued += 1
-        return ctx.stats.io_time_s - io_before
-
-    def _cache_insert(
-        self,
-        name: str,
-        region: Region,
-        data: np.ndarray | None,
-        ctx: IOContext,
-        *,
-        dirty: bool = False,
-        prefetched: bool = False,
-    ) -> bool:
-        """Offer a tile to the cache; returns whether it became resident
-        (a declined *dirty* tile must be written directly by the caller)."""
-        cache = self._cache
-        if not cache.fits(region):
-            return False
-        cost_s = 0.0
-        if cache.policy.uses_cost:
-            calls, elems = self._stores[name].estimate_read(
-                name, region, self.params
-            )
-            p = self.params
-            cost_s = calls * p.io_latency_s + (
-                elems * p.element_size / p.io_bandwidth_bps
-            )
-        accepted, evicted = cache.insert(
-            name, region, data,
-            dirty=dirty, prefetched=prefetched, cost_s=cost_s,
-        )
-        # evicted dirty tiles must be written back through the stores
-        self._write_entries(evicted, ctx)
-        return accepted
-
-    def _write_entries(
-        self, entries: list[CacheEntry], ctx: IOContext
-    ) -> None:
-        self._write_requests(
-            [(e.name, e.region, e.data) for e in entries], ctx
-        )
-
-    def _write_requests(
-        self, requests: list[tuple[str, Region, np.ndarray | None]], ctx: IOContext
-    ) -> None:
-        if not requests:
-            return
-        by_store: dict[int, list[tuple[str, Region, np.ndarray | None]]] = {}
-        for name, region, data in requests:
-            by_store.setdefault(id(self._stores[name]), []).append(
-                (name, region, data)
-            )
-        for reqs in by_store.values():
-            store = self._stores[reqs[0][0]]
-            store.write_many(reqs, ctx)
-
-
-def nest_records(
-    params: MachineParams,
-    nest_runs: list[NestRun],
-    file_names: Mapping[int, str],
-    *,
-    node: int = 0,
-    path: str = "direct",
-) -> list[NestIORecord]:
-    """Per-nest × per-array I/O records from recorded call traces.
-
-    Each trace entry is one accounted I/O call, so grouping by
-    ``(file_base, direction)`` and scaling by ``trace_weight``
-    reproduces the nest's :class:`IOStats` call/element counters
-    *exactly* — the invariant the obs report's cross-check relies on.
-    ``io_time_s`` is recomputed from the cost model (informational)."""
-    out: list[NestIORecord] = []
-    for nr in nest_runs:
-        if nr.trace is None:
-            continue
-        w = max(1, nr.trace_weight)
-        by_file: dict[int, NestIORecord] = {}
-        for base, _off, ln, is_write in nr.trace:
-            rec = by_file.get(base)
-            if rec is None:
-                rec = by_file[base] = NestIORecord(
-                    nr.nest_name,
-                    file_names.get(base, f"file@{base}"),
-                    node=node,
-                    path=path,
-                )
-            if is_write:
-                rec.write_calls += w
-                rec.elements_written += ln * w
-            else:
-                rec.read_calls += w
-                rec.elements_read += ln * w
-        for rec in by_file.values():
-            rec.io_time_s = (
-                rec.read_calls + rec.write_calls
-            ) * params.io_latency_s + (
-                rec.elements_read + rec.elements_written
-            ) * params.element_size / params.io_bandwidth_bps
-            out.append(rec)
-    return out

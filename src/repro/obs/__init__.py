@@ -89,6 +89,8 @@ from .report import (
     build_drift,
     build_optimality,
     drift_totals,
+    io_record,
+    nest_records,
     optimality_totals,
     render_report,
     report_totals,
@@ -439,7 +441,9 @@ __all__ = [
     "doc_from_journal",
     "drift_totals",
     "encode_key",
+    "io_record",
     "load_trace",
+    "nest_records",
     "optimality_totals",
     "parse_openmetrics",
     "payload_from_journal",

@@ -34,7 +34,9 @@ when off — the same contract as ``obs=None``.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping
 
 #: the four unlabeled work counters, in publication order
@@ -407,6 +409,37 @@ class ProfileSession:
             pstats=stats,
             top=self.config.top,
         )
+
+
+@contextmanager
+def capture(profile: "ProfileConfig | ProfileSession | None", obs=None):
+    """Run a block under ``profile``, whoever owns it; yields a holder
+    whose ``result`` is set on exit.
+
+    A :class:`ProfileConfig` is *owned*: a fresh session spans the
+    block, is finished after it (with ``obs``'s tracer spans) and
+    published into ``obs``; ``result`` is the :class:`ProfileResult`.
+    A live :class:`ProfileSession` is *borrowed*: only activated around
+    the block — its creator finishes it — and ``result`` stays ``None``,
+    as it does for ``None`` or a disabled config, which never touch the
+    clock.  A block that raises is deactivated, not finished."""
+    cap = SimpleNamespace(result=None)
+    owned = isinstance(profile, ProfileConfig)
+    if owned:
+        profile = ProfileSession(profile) if profile.enabled else None
+    if profile is None:
+        yield cap
+        return
+    with profile:
+        yield cap
+    if owned:
+        cap.result = profile.finish(
+            tracer=obs.tracer if obs is not None else None
+        )
+        if obs is not None:
+            obs.note_profile(cap.result)
+            if obs.config.metrics:
+                publish_work(obs.metrics, cap.result.work)
 
 
 # -- collapsed stacks (flamegraph folded format) ----------------------------

@@ -182,6 +182,65 @@ class IOReport:
         )
 
 
+def io_record(
+    params,
+    nest: str,
+    array: str,
+    node: int,
+    path: str,
+    counts: Sequence[int],
+    weight: int = 1,
+) -> NestIORecord:
+    """The one constructor of per-array records: exact ``counts`` —
+    ``(read_calls, write_calls, elements_read, elements_written)`` of
+    accounted calls, repeated ``weight`` times — plus ``io_time_s``
+    re-priced from them by the cost model ``params``
+    (:class:`~repro.runtime.params.MachineParams`; informational)."""
+    rc, wc, er, ew = counts
+    return NestIORecord(
+        nest, array, rc * weight, wc * weight, er * weight, ew * weight,
+        params.batch_time(rc + wc, er + ew) * weight, node, path,
+    )
+
+
+def nest_records(
+    params,
+    nest_runs: Iterable[object],
+    file_names: Mapping[int, str],
+    *,
+    node: int = 0,
+    path: str = "direct",
+) -> list[NestIORecord]:
+    """Per-nest × per-array I/O records from the recorded call traces of
+    executed nests (:class:`~repro.engine.executor.NestRun`).
+
+    Each trace entry is one accounted I/O call, so grouping by
+    ``(file_base, direction)`` and scaling by ``trace_weight``
+    reproduces the nest's :class:`IOStats` call/element counters
+    *exactly* — the invariant the obs report's cross-check relies on."""
+    out: list[NestIORecord] = []
+    for nr in nest_runs:
+        if nr.trace is None:
+            continue
+        w = max(1, nr.trace_weight)
+        by_file: dict[int, list[int]] = {}
+        for base, _off, ln, is_write in nr.trace:
+            counts = by_file.get(base)
+            if counts is None:
+                counts = by_file[base] = [0, 0, 0, 0]
+            k = 1 if is_write else 0  # io_record order: reads 0/2, writes 1/3
+            counts[k] += w
+            counts[2 + k] += ln * w
+        out.extend(
+            io_record(
+                params, nr.nest_name, file_names.get(base, f"file@{base}"),
+                node, path, counts,
+            )
+            for base, counts in by_file.items()
+        )
+    return out
+
+
 def report_totals(records: Iterable[object]) -> dict[str, int]:
     """Exact call/element totals over the records — must equal the run's
     folded :class:`IOStats` counters.

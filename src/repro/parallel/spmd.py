@@ -25,13 +25,14 @@ from ..collective.sim import (
 )
 from ..backends import BackendMetrics, StorageBackend, resolve_backend
 from ..cache import CacheConfig
-from ..engine.executor import NestRun, OOCExecutor, RunResult, nest_records
+from ..engine.executor import NestRun, OOCExecutor, RunResult
 from ..faults import FaultConfig, FaultInjector
 from ..obs import (
-    NestIORecord,
     Observability,
     RedistRecord,
     active as obs_active,
+    io_record,
+    nest_records,
 )
 from ..obs import profile as _prof
 from ..obs.profile import ProfileConfig, ProfileResult, ProfileSession
@@ -85,7 +86,7 @@ def run_version_parallel(
     bounds: Sequence[object] | None = None,
     faults: FaultConfig | None = None,
     trace: bool = False,
-    real: bool = False,
+    real: bool | None = None,
     backend: StorageBackend | str | None = None,
     profile: ProfileConfig | ProfileSession | None = None,
     cache: CacheConfig | None = None,
@@ -130,14 +131,15 @@ def run_version_parallel(
     stats are bit-identical either way.
 
     ``real``/``backend`` pick the storage backend every rank executes
-    against (:mod:`repro.backends`): the default stays simulate-only
-    accounting, ``real=True`` moves actual data per rank, and
-    ``backend`` (an instance or a kind string) selects a concrete
+    against (:mod:`repro.backends`): the default (``real=None``) stays
+    simulate-only accounting, ``real=True`` moves actual data per rank,
+    and ``backend`` (an instance or a kind string) selects a concrete
     byte-moving backend — each rank gets its own clone, so per-rank
     file namespaces and measured metrics stay independent, and
     :attr:`ParallelRun.backend_metrics` folds the measured side across
-    ranks.  Accounted stats are identical for every data-carrying
-    backend.
+    ranks.  A ``real`` that contradicts the ``backend`` is a
+    :class:`~repro.backends.BackendError`.  Accounted stats are
+    identical for every data-carrying backend.
 
     ``profile`` (a :class:`repro.obs.ProfileConfig`) turns on hotspot
     attribution and deterministic work counting for the *whole driver*:
@@ -172,29 +174,15 @@ def run_version_parallel(
         obs is not None and obs.config.per_array
     )
     stagger = max(1, total_elements // max(1, n_nodes))
-    # one backend per rank: clones of a given instance (or fresh
-    # resolutions of a kind string / the real flag), so rank-private
-    # file namespaces never collide and metrics attribute per rank
-    if backend is None:
-        rank_backends = [resolve_backend(None, real) for _ in range(n_nodes)]
-    elif isinstance(backend, StorageBackend):
-        rank_backends = [backend] + [
-            backend.clone() for _ in range(n_nodes - 1)
-        ]
-    else:
-        rank_backends = [resolve_backend(backend) for _ in range(n_nodes)]
+    # one backend per rank: the resolved one plus clones of it, so
+    # rank-private file namespaces never collide and metrics attribute
+    # per rank.  With neither knob given the driver stays simulate-only
+    first = resolve_backend(backend, bool(real) if backend is None else real)
+    rank_backends = [first] + [first.clone() for _ in range(n_nodes - 1)]
     # one profile session spans every rank plus the collective
     # re-pricing: a config here is driver-owned (activated, finished,
     # published); a live session is a caller's capture we nest inside
-    owned: ProfileSession | None = None
-    if isinstance(profile, ProfileConfig):
-        owned = ProfileSession(profile) if profile.enabled else None
-        session: ProfileSession | None = owned
-    else:
-        session = profile
-    if session is not None:
-        session.activate()
-    try:
+    with _prof.capture(profile, obs) as cap:
         for rank in range(n_nodes):
             pfs = ParallelFileSystem(params)
             pfs.advance(rank * stagger)
@@ -243,48 +231,34 @@ def run_version_parallel(
                 ex.close()
         if obs is not None and obs.config.per_array:
             if bounds is None:
-                from ..bounds import program_bounds
+                from ..bounds import run_bounds
 
-                # the bound argues against the run's effective per-node
-                # capacity: the nominal budget, or the worst rank's peak
-                # when pathological tiles overran it
-                peak = max((r.peak_memory for r in results), default=0)
-                bounds = program_bounds(
-                    cfg.program,
-                    binding=b,
-                    memory_elements=max(budget, peak),
-                    n_nodes=n_nodes,
+                bounds = run_bounds(
+                    cfg.program, b, budget,
+                    max((r.peak_memory for r in results), default=0),
+                    n_nodes, cache is not None and cache.enabled,
                 )
             obs.note_bounds(bounds)
         if collective is None:
             run = ParallelRun(cfg.name, n_nodes, makespan(results), results)
-            if obs is not None:
-                if obs.config.per_array:
-                    for rank, r in enumerate(results):
-                        for rec in nest_records(
-                            params, r.nest_runs, file_maps[rank],
-                            node=rank, path="independent",
-                        ):
-                            obs.record_nest_io(rec)
-                    obs.finalize_drift()
-                    obs.finalize_optimality()
-                obs.note_stats(run.total_stats)
+            if obs is not None and obs.config.per_array:
+                for rank, r in enumerate(results):
+                    for rec in nest_records(
+                        params, r.nest_runs, file_maps[rank],
+                        node=rank, path="independent",
+                    ):
+                        obs.record_nest_io(rec)
         else:
             run = _collective_run(
                 cfg.name, n_nodes, params, results, collective,
                 obs=obs, file_maps=file_maps, faults=faults,
             )
-    finally:
-        if session is not None:
-            session.deactivate()
-    if owned is not None:
-        run.profile = owned.finish(
-            tracer=obs.tracer if obs is not None else None
-        )
         if obs is not None:
-            obs.note_profile(run.profile)
-            if obs.config.metrics:
-                _prof.publish_work(obs.metrics, run.profile.work)
+            if obs.config.per_array:
+                obs.finalize_drift()
+                obs.finalize_optimality()
+            obs.note_stats(run.total_stats)
+    run.profile = cap.result
     return run
 
 
@@ -393,9 +367,31 @@ def _collective_run(
                 **extra,
             )
         if two_phase:
-            _account_two_phase(params, plan, nrs, stats, loads, timelines)
+            totals = _account_two_phase(
+                params, plan, nrs, stats, loads, timelines
+            )
             if obs is not None and obs.config.per_array:
-                _emit_two_phase_records(obs, params, nest_name, plan, names)
+                for rank, base, counts in totals:
+                    obs.record_nest_io(
+                        io_record(
+                            params, nest_name,
+                            names.get(base, f"file@{base}"),
+                            rank, "two-phase", counts, plan.weight,
+                        )
+                    )
+                vols = [v for a in plan.accesses for _, _, v in a.messages]
+                if vols:
+                    obs.record_redist(
+                        RedistRecord(
+                            nest=nest_name,
+                            messages=len(vols) * plan.weight,
+                            elements=sum(vols) * plan.weight,
+                            time_s=sum(
+                                params.net_time(v * params.element_size)
+                                for v in vols
+                            ) * plan.weight,
+                        )
+                    )
         else:
             _account_independent(params, nrs, stats, loads, timelines)
             if obs is not None and obs.config.per_array:
@@ -456,64 +452,7 @@ def _collective_run(
             }
     else:
         time_s = makespan(node_results)
-    run = ParallelRun(name, n_nodes, time_s, node_results, collective=report)
-    if obs is not None:
-        if obs.config.per_array:
-            obs.finalize_drift()
-            obs.finalize_optimality()
-        obs.note_stats(run.total_stats)
-    return run
-
-
-def _emit_two_phase_records(
-    obs: Observability,
-    params: MachineParams,
-    nest_name: str,
-    plan: NestCollectivePlan,
-    names: dict[int, str],
-) -> None:
-    """Per-array records for a two-phase nest, mirroring
-    :func:`_account_two_phase`'s arithmetic exactly: every aggregator's
-    planned calls × weight, attributed to the aggregator's rank."""
-    w = plan.weight
-    esz = params.element_size
-    for access in plan.accesses:
-        array = names.get(access.file_base, f"file@{access.file_base}")
-        for a_idx, (off, ln) in enumerate(
-            zip(access.agg_offsets, access.agg_lengths)
-        ):
-            n_calls = int(off.size)
-            if n_calls == 0:
-                continue
-            elems = int(ln.sum())
-            io_t = (
-                n_calls * params.io_latency_s
-                + elems * esz / params.io_bandwidth_bps
-            ) * w
-            obs.record_nest_io(
-                NestIORecord(
-                    nest=nest_name,
-                    array=array,
-                    read_calls=0 if access.is_write else n_calls * w,
-                    write_calls=n_calls * w if access.is_write else 0,
-                    elements_read=0 if access.is_write else elems * w,
-                    elements_written=elems * w if access.is_write else 0,
-                    io_time_s=io_t,
-                    node=plan.aggregators[a_idx],
-                    path="two-phase",
-                )
-            )
-    n_msgs = sum(len(a.messages) for a in plan.accesses)
-    if n_msgs:
-        vols = [v for a in plan.accesses for _, _, v in a.messages]
-        obs.record_redist(
-            RedistRecord(
-                nest=nest_name,
-                messages=n_msgs * w,
-                elements=sum(vols) * w,
-                time_s=sum(params.net_time(v * esz) for v in vols) * w,
-            )
-        )
+    return ParallelRun(name, n_nodes, time_s, node_results, collective=report)
 
 
 def _account_independent(
@@ -539,13 +478,18 @@ def _account_two_phase(
     stats: list[IOStats],
     loads: list[np.ndarray],
     timelines: list[NodeTimeline],
-) -> None:
+) -> list[tuple[int, int, tuple[int, int, int, int]]]:
     """Substitute the plan's phases for the recorded independent I/O.
 
     Per repetition each rank's timeline is: read-phase aggregator calls,
     incoming read-redistribution messages, compute, outgoing
     write-redistribution messages, write-phase aggregator calls.
     Compute itself is untouched — only the data movement changes.
+
+    Returns what was accounted, split per (aggregator rank, file,
+    direction): ``(rank, file_base, counts)`` with per-repetition
+    ``counts`` in :func:`~repro.obs.io_record` order — the per-array
+    records are built from exactly the calls the stats were.
     """
     w = plan.weight
     esz = params.element_size
@@ -553,6 +497,7 @@ def _account_two_phase(
     # pre-split plan content per rank
     agg_io: dict[int, dict[bool, list[tuple[int, int]]]] = {}
     msgs: dict[int, dict[bool, list[int]]] = {}
+    totals: list[tuple[int, int, tuple[int, int, int, int]]] = []
     for access in plan.accesses:
         for a_idx, (off, ln) in enumerate(
             zip(access.agg_offsets, access.agg_lengths)
@@ -561,6 +506,12 @@ def _account_two_phase(
             agg_io.setdefault(rank, {}).setdefault(access.is_write, []).extend(
                 (int(o), int(l)) for o, l in zip(off, ln)
             )
+            if off.size:
+                c, e = int(off.size), int(ln.sum())
+                totals.append((
+                    rank, access.file_base,
+                    (0, c, 0, e) if access.is_write else (c, 0, e, 0),
+                ))
         for rank, _a_idx, vol in access.messages:
             msgs.setdefault(rank, {}).setdefault(access.is_write, []).append(vol)
 
@@ -570,9 +521,7 @@ def _account_two_phase(
         for is_write, runs in calls.items():
             n_calls = len(runs)
             elems = sum(l for _, l in runs)
-            io_t = n_calls * params.io_latency_s + (
-                elems * esz / params.io_bandwidth_bps
-            )
+            io_t = params.batch_time(n_calls, elems)
             if is_write:
                 add.write_calls += n_calls * w
                 add.elements_written += elems * w
@@ -629,3 +578,4 @@ def _account_two_phase(
                 )
             timelines[rank].ops.extend(write_net)
             timelines[rank].ops.extend(write_io)
+    return totals

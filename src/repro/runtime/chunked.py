@@ -20,7 +20,7 @@ import numpy as np
 from .file import OOCFile
 from .ooc_array import Region, runs_of, _region_indices
 from .pfs import ParallelFileSystem
-from .stats import IOContext
+from .stats import IOContext, plan_runs
 
 
 class InterleavedChunkedStore:
@@ -170,6 +170,16 @@ class InterleavedChunkedStore:
                     self.addresses(name, region),
                     np.asarray(data, dtype=self.file.dtype).ravel(),
                 )
+
+    def estimate_read(self, name: str, region: Region, params) -> tuple[int, int]:
+        """(calls, elements) for a standalone whole-chunk read of the
+        region, without recording.  Upper bound for combined multi-array
+        requests — a region served elsewhere (a cache hit) cannot
+        participate in another request's merged super-run."""
+        offsets, lengths = runs_of(np.unique(self.chunk_ids(name, region)))
+        bs = self._block_slots
+        offsets, lengths = plan_runs(params, offsets * bs, lengths * bs)
+        return int(offsets.size), int(lengths.sum())
 
     # -- verification helpers ---------------------------------------------------
 

@@ -18,7 +18,7 @@ import numpy as np
 from ..layout import Layout
 from .file import OOCFile
 from .pfs import ParallelFileSystem
-from .stats import IOContext
+from .stats import IOContext, plan_runs
 
 #: A rectangular index region: inclusive ``(lo, hi)`` per dimension.
 Region = tuple[tuple[int, int], ...]
@@ -193,3 +193,35 @@ class OutOfCoreArray:
         region = tuple((0, s - 1) for s in self.shape)
         addrs = self.addresses(region)
         self.file.scatter(addrs, values.astype(self.file.dtype).ravel())
+
+
+class LinearStore:
+    """Adapter giving plain arrays the combined read/write protocol of
+    :class:`~repro.runtime.InterleavedChunkedStore` (the executor's tile
+    walk talks to either through it)."""
+
+    def __init__(self, arrays: dict[str, OutOfCoreArray]):
+        self.arrays = arrays
+
+    def read_tiles(self, requests, ctx):
+        return {
+            name: self.arrays[name].read_tile(region, ctx)
+            for name, region in requests
+        }
+
+    def write_tiles(self, requests, ctx):
+        for name, region, data in requests:
+            self.arrays[name].write_tile(region, data, ctx)
+
+    def to_ndarray(self, name):
+        return self.arrays[name].to_ndarray()
+
+    def load_ndarray(self, name, values):
+        self.arrays[name].load_ndarray(values)
+
+    def estimate_read(self, name, region, params) -> tuple[int, int]:
+        """(calls, elements) a read of the region would cost — the exact
+        sieve/split planning of ``record_runs``, without recording."""
+        offsets, lengths = runs_of(self.arrays[name].addresses(region))
+        offsets, lengths = plan_runs(params, offsets, lengths)
+        return int(offsets.size), int(lengths.sum())

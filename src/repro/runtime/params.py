@@ -85,6 +85,15 @@ class MachineParams:
     def call_time(self, nbytes: int) -> float:
         return self.io_latency_s + self.transfer_time(nbytes)
 
+    def batch_time(self, n_calls: int, n_elems: int) -> float:
+        """Serial seconds of ``n_calls`` I/O calls moving ``n_elems``
+        elements in total — the one formula every layer that prices a
+        batch of calls shares (accounting, cache credit, collective
+        planner, per-array records), so their floats agree bit for bit."""
+        return n_calls * self.io_latency_s + (
+            n_elems * self.element_size / self.io_bandwidth_bps
+        )
+
     def net_time(self, nbytes: int) -> float:
         """Cost of one interconnect message (redistribution phase)."""
         return self.net_latency_s + nbytes / self.net_bandwidth_bps

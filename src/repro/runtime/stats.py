@@ -53,15 +53,9 @@ def plan_runs(
     than the maximum request size.  Pure — no accounting is recorded —
     so the tile cache can price *avoided* transfers identically."""
     _prof.WORK.plan_runs_calls += 1
-    rec = _prof.ACTIVE
-    if rec is not None:
-        rec.begin("pricing.plan_runs")
-        try:
-            out = _plan_runs_impl(params, offsets, lengths)
-        finally:
-            rec.end()
-    else:
-        out = _plan_runs_impl(params, offsets, lengths)
+    out = _prof.timed(
+        "pricing.plan_runs", _plan_runs_impl, params, offsets, lengths
+    )
     _prof.WORK.priced_runs += int(out[0].size)
     return out
 
@@ -93,6 +87,40 @@ def _plan_runs_impl(
         offsets = np.concatenate(pieces_off)
         lengths = np.concatenate(pieces_len)
     return offsets, lengths
+
+
+def io_node_loads(
+    params: MachineParams,
+    offsets: np.ndarray,
+    lengths: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-I/O-node service seconds of a batch of final calls (global
+    element offsets): latency at the first servicing node, transfer
+    spread over the stripes each call covers (vectorized over calls,
+    looped over the bounded stripe span of a single call).  Accumulates
+    into ``out`` — a fresh zero vector by default — so a recorder adds
+    to its running load in the same order a per-call loop would."""
+    load = np.zeros(params.n_io_nodes, dtype=np.float64) if out is None else out
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if offsets.size == 0:
+        return load
+    se = params.stripe_elements
+    start, end = offsets, offsets + lengths
+    first, last = start // se, (end - 1) // se
+    np.add.at(load, first % params.n_io_nodes, params.io_latency_s)
+    per_el = params.element_size / params.io_bandwidth_bps
+    span = int((last - first).max()) + 1
+    for k in range(span):
+        stripe = first + k
+        mask = stripe <= last
+        if not mask.any():
+            break
+        s0 = np.maximum(start[mask], stripe[mask] * se)
+        s1 = np.minimum(end[mask], (stripe[mask] + 1) * se)
+        np.add.at(load, stripe[mask] % params.n_io_nodes, (s1 - s0) * per_el)
+    return load
 
 
 @dataclass
@@ -150,27 +178,7 @@ class IOStats:
         )
 
     def merge(self, other: "IOStats") -> "IOStats":
-        if self.cache is not None and other.cache is not None:
-            cache = self.cache.merge(other.cache)
-        else:
-            cache = self.cache if self.cache is not None else other.cache
-        return IOStats(
-            self.read_calls + other.read_calls,
-            self.write_calls + other.write_calls,
-            self.elements_read + other.elements_read,
-            self.elements_written + other.elements_written,
-            self.io_time_s + other.io_time_s,
-            self.compute_time_s + other.compute_time_s,
-            cache,
-            self.redist_messages + other.redist_messages,
-            self.redist_elements + other.redist_elements,
-            self.redist_time_s + other.redist_time_s,
-            self.retries + other.retries,
-            self.failed_calls + other.failed_calls,
-            self.hedged_calls + other.hedged_calls,
-            self.degraded_nests + other.degraded_nests,
-            self.retry_delay_s + other.retry_delay_s,
-        )
+        return IOStats.fold((self, other))
 
     @classmethod
     def fold(cls, items: "Iterable[IOStats]") -> "IOStats":
@@ -324,18 +332,10 @@ class IOContext:
         """Account one I/O call for ``n_elems`` contiguous elements starting
         at ``offset_elem`` within a file whose stripe-0 begins at
         ``file_base_elem`` (element units)."""
-        rec = _prof.ACTIVE
-        if rec is None:
-            return self._record_call(
-                file_base_elem, offset_elem, n_elems, is_write
-            )
-        rec.begin("io.record_call")
-        try:
-            return self._record_call(
-                file_base_elem, offset_elem, n_elems, is_write
-            )
-        finally:
-            rec.end()
+        return _prof.timed(
+            "io.record_call", self._record_call,
+            file_base_elem, offset_elem, n_elems, is_write,
+        )
 
     def _record_call(self, file_base_elem: int, offset_elem: int, n_elems: int, is_write: bool) -> None:
         p = self.params
@@ -377,18 +377,10 @@ class IOContext:
         """Vectorized accounting for a batch of contiguous runs (element
         units).  Runs longer than the maximum request size are split into
         multiple calls.  Returns the number of I/O calls recorded."""
-        rec = _prof.ACTIVE
-        if rec is None:
-            return self._record_runs(
-                file_base_elem, offsets, lengths, is_write
-            )
-        rec.begin("io.record_runs")
-        try:
-            return self._record_runs(
-                file_base_elem, offsets, lengths, is_write
-            )
-        finally:
-            rec.end()
+        return _prof.timed(
+            "io.record_runs", self._record_runs,
+            file_base_elem, offsets, lengths, is_write,
+        )
 
     def _record_runs(
         self,
@@ -408,16 +400,13 @@ class IOContext:
 
         n_calls = int(offsets.size)
         n_elems = int(lengths.sum())
-        nbytes = lengths * p.element_size
         if is_write:
             self.stats.write_calls += n_calls
             self.stats.elements_written += n_elems
         else:
             self.stats.read_calls += n_calls
             self.stats.elements_read += n_elems
-        self.stats.io_time_s += n_calls * p.io_latency_s + float(
-            nbytes.sum()
-        ) / p.io_bandwidth_bps
+        self.stats.io_time_s += p.batch_time(n_calls, n_elems)
         if self.metrics is not None:
             self._publish_calls(n_calls, n_elems, is_write)
             self.metrics.histogram("io.call_elements").observe_many(lengths)
@@ -426,30 +415,7 @@ class IOContext:
                 (file_base_elem, int(o), int(l), is_write)
                 for o, l in zip(offsets, lengths)
             )
-
-        # distribute across stripes (vectorized over runs, looped over the
-        # bounded stripe span of a single call)
-        se = p.stripe_elements
-        start = file_base_elem + offsets
-        end = start + lengths
-        first = start // se
-        last = (end - 1) // se
-        np.add.at(
-            self.io_node_load, (first % p.n_io_nodes), p.io_latency_s
-        )
-        span = int((last - first).max()) + 1
-        for k in range(span):
-            stripe = first + k
-            mask = stripe <= last
-            if not mask.any():
-                break
-            s0 = np.maximum(start[mask], stripe[mask] * se)
-            s1 = np.minimum(end[mask], (stripe[mask] + 1) * se)
-            np.add.at(
-                self.io_node_load,
-                (stripe[mask] % p.n_io_nodes),
-                (s1 - s0) * (p.element_size / p.io_bandwidth_bps),
-            )
+        io_node_loads(p, file_base_elem + offsets, lengths, self.io_node_load)
         return n_calls
 
     def _record_runs_faulty(

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from ..collective.sim import SimOp, io_node_of, nest_ops
+from ..collective.sim import SimOp, nest_ops
 from ..faults import FaultConfig, TransientIOError
 from ..obs import Observability, active as obs_active
 from ..optimizer import build_version
@@ -737,21 +737,14 @@ class JobScheduler:
         *time*, not the paper's I/O counters.
         """
         params = self.profile.params
-        cache = self.cache
-        spec = job.spec
-        out: list[list[SimOp]] = []
-        for rr in run.node_results:
-            ops: list[SimOp] = []
-            for nr in rr.nest_runs:
-                if cache is None:
-                    ops.extend(nest_ops(params, nr))
-                    continue
-                ops.extend(self._cached_nest_ops(spec, job, nr))
-            out.append(ops)
-        return out
+        keep = None if self.cache is None else self._cache_filter(job)
+        return [
+            [op for nr in rr.nest_runs for op in nest_ops(params, nr, keep)]
+            for rr in run.node_results
+        ]
 
-    def _cached_nest_ops(self, spec: JobSpec, job: Job, nr) -> list[SimOp]:
-        """`nest_ops` with the shared tile cache in the read path.
+    def _cache_filter(self, job: Job):
+        """The shared tile cache as a ``nest_ops`` per-call filter.
 
         Tile keys are ``workload:n:file_base`` + (repetition, run)
         regions: repetitions of a weighted trace model *different* rows
@@ -760,48 +753,24 @@ class JobScheduler:
         same keys — cross-job (and cross-tenant-namespace) reuse, which
         is the shared cache's whole purpose.
         """
-        params = self.profile.params
         cache = self.cache
-        esz = params.element_size
-        ops: list[SimOp] = []
-        reps = max(1, nr.trace_weight)
-        trace = nr.trace or []
-        compute_rep = nr.stats.compute_time_s / reps
-        n_calls = len(trace)
-        if n_calls == 0:
-            if compute_rep > 0.0:
-                ops.extend(
-                    SimOp("compute", duration_s=compute_rep)
-                    for _ in range(reps)
-                )
-            return ops
-        chunk = compute_rep / (n_calls + 1)
-        for rep in range(reps):
-            for base, off, ln, is_write in trace:
-                if chunk > 0.0:
-                    ops.append(SimOp("compute", duration_s=chunk))
-                svc = params.call_time(int(ln) * esz)
-                op = SimOp(
-                    "io",
-                    resource=io_node_of(params, int(base) + int(off)),
-                    service_s=svc,
-                    is_write=bool(is_write),
-                )
-                name = f"{spec.workload}:{spec.n}:{int(base)}"
-                region = ((rep, rep), (int(off), int(off) + int(ln) - 1))
-                if is_write:
-                    ops.append(op)
-                    cache.invalidate(spec.tenant, name, region)
-                    continue
-                if cache.lookup(spec.tenant, name, region) is not None:
-                    job.cache_hits += 1
-                    job.cache_saved_s += svc
-                    continue
-                ops.append(op)
-                cache.insert(spec.tenant, name, region, cost_s=svc)
-            if chunk > 0.0:
-                ops.append(SimOp("compute", duration_s=chunk))
-        return ops
+        spec = job.spec
+
+        def keep(rep: int, entry: tuple, op: SimOp) -> bool:
+            base, off, ln, is_write = entry
+            name = f"{spec.workload}:{spec.n}:{int(base)}"
+            region = ((rep, rep), (int(off), int(off) + int(ln) - 1))
+            if is_write:
+                cache.invalidate(spec.tenant, name, region)
+                return True
+            if cache.lookup(spec.tenant, name, region) is not None:
+                job.cache_hits += 1
+                job.cache_saved_s += op.service_s
+                return False
+            cache.insert(spec.tenant, name, region, cost_s=op.service_s)
+            return True
+
+        return keep
 
 
 def serve_script(

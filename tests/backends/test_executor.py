@@ -17,6 +17,7 @@ from repro.engine import OOCExecutor
 from repro.experiments.harness import _scaled_params
 from repro.obs import Observability
 from repro.optimizer import build_version
+from repro.parallel import run_version_parallel
 from repro.runtime import ParallelFileSystem, layout_chunk_elements
 from repro.runtime.file import OOCFile
 from repro.layout import BlockedLayout, LinearLayout
@@ -67,6 +68,24 @@ class TestBackendSelection:
         assert str(legacy.stats) == str(default.stats) == str(explicit.stats)
         sim = _make(cfg, real=False).run()
         assert str(sim.stats) == str(default.stats)
+
+    def test_executor_real_contradicting_backend_errors(self):
+        with pytest.raises(BackendError, match="contradicts"):
+            _make(_cfg(), real=False, backend="memory")
+        # an agreeing pair stays accepted
+        assert _make(_cfg(), real=True, backend="memory").real is True
+
+    def test_driver_real_contradicting_backend_errors(self):
+        with pytest.raises(BackendError, match="contradicts"):
+            run_version_parallel(
+                _cfg(), 2, params=PARAMS, real=True, backend="simulate"
+            )
+        # the driver's default stays simulate-only, the executor's in-memory
+        run = run_version_parallel(_cfg(), 2, params=PARAMS)
+        explicit = run_version_parallel(
+            _cfg(), 2, params=PARAMS, real=False, backend="simulate"
+        )
+        assert str(run.total_stats) == str(explicit.total_stats)
 
     def test_run_result_backend_metrics(self):
         with _make(_cfg(), backend="chunked") as ex:

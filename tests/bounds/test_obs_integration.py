@@ -94,6 +94,28 @@ class TestOptimalityView:
             assert by_nest[nb.nest].bound_elements == nb.bound_elements
             assert by_nest[nb.nest].rule == nb.rule
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_both_entry_points_derive_the_same_bounds(self, cached):
+        # one derivation (repro.bounds.run_bounds): a lone executor and
+        # the one-node driver argue the same run against the same
+        # bounds, warm-discounted exactly when a cache is configured
+        from repro.cache import CacheConfig
+
+        cfg = _cfg("adi")
+        kw = {"cache": CacheConfig(budget_fraction=0.5)} if cached else {}
+        lone, driven = Observability(), Observability()
+        OOCExecutor(
+            cfg.program, cfg.layouts, params=PARAMS, tiling=cfg.tiling,
+            storage_spec=cfg.storage_spec, real=False, obs=lone, **kw,
+        ).run()
+        run_version_parallel(cfg, 1, params=PARAMS, obs=driven, **kw)
+        assert lone.bounds == driven.bounds
+        assert all(b["warm"] is cached for b in lone.bounds.values())
+        # same rows up to the path label (direct vs independent)
+        assert [
+            replace(r, path="") for r in lone.report.optimality
+        ] == [replace(r, path="") for r in driven.report.optimality]
+
     def test_gauges_published(self):
         cfg = _cfg("mxm")
         obs = Observability()

@@ -19,6 +19,9 @@ from repro.workloads.registry import analytics_names, workload_names
 N = 16
 N_NODES = 4
 PARAMS = replace(_scaled_params(N), n_io_nodes=4)
+#: per-node memory (elements) for the cached SPMD property: roomy
+#: enough that weight repetitions find their tiles still resident
+CACHED_MEMORY = 4 * N * N
 
 ALL_WORKLOADS = tuple(workload_names()) + tuple(analytics_names())
 
@@ -84,3 +87,28 @@ def test_bound_le_measured_with_warm_cache(workload):
     _check(obs.report.optimality, result.stats)
     for b in obs.bounds.values():
         assert b["warm"] is True
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 4])
+@pytest.mark.parametrize("version", ["c-opt", "col"])
+@pytest.mark.parametrize("workload", ALL_WORKLOADS)
+def test_bound_le_measured_cached_spmd(workload, version, n_nodes):
+    # the SPMD driver must argue a cached run against the same
+    # warm-discounted bound the lone executor uses: with most of a
+    # generous per-node budget given to the tile cache, repetitions of
+    # a weighted nest hit resident tiles, and a cold bound would sit
+    # *above* the measured transfers
+    from repro.cache import CacheConfig
+
+    cfg = build_version(version, _program(workload), params=PARAMS)
+    obs = Observability()
+    run = run_version_parallel(
+        cfg, n_nodes, params=PARAMS, obs=obs,
+        memory_per_node=CACHED_MEMORY,
+        cache=CacheConfig(budget_fraction=0.8),
+    )
+    _check(obs.report.optimality, run.total_stats)
+    assert all(b["warm"] is True for b in obs.bounds.values())
+    hits = sum(r.cache_metrics.hits for r in run.node_results)
+    if any(nest.weight > 1 for nest in cfg.program.nests):
+        assert hits > 0, "budget too small for repetitions to hit"

@@ -103,6 +103,41 @@ class TestIONodeLoads:
             io_node_loads(PARAMS, offsets, lengths), ctx.io_node_load
         )
 
+    def test_is_the_recorders_function(self):
+        """One stripe-load function: the collective package re-exports
+        the one ``IOContext.record_runs`` calls, not a copy of it."""
+        import repro.collective
+        from repro.runtime import stats
+
+        assert io_node_loads is stats.io_node_loads
+        assert repro.collective.io_node_loads is stats.io_node_loads
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scalar_record_call_on_random_runs(self, seed):
+        """Pinned against the scalar reference: random final calls, most
+        spanning several 16-element stripes, loaded one ``record_call``
+        at a time vs the vectorized batch (fresh and accumulating)."""
+        rng = np.random.default_rng(seed)
+        offsets = rng.integers(0, 2000, size=60).astype(np.int64)
+        lengths = rng.integers(
+            1, PARAMS.max_request_elements + 1, size=60
+        ).astype(np.int64)
+        assert (lengths > 3 * PARAMS.stripe_elements).any()
+        base = int(rng.integers(0, 100))
+        ref = IOContext(PARAMS)
+        for o, ln in zip(offsets, lengths):
+            ref.record_call(base, int(o), int(ln), is_write=False)
+        got = io_node_loads(PARAMS, base + offsets, lengths)
+        np.testing.assert_allclose(got, ref.io_node_load, rtol=1e-12)
+        # accumulating into a running vector adds to it, in place
+        out = got.copy()
+        assert io_node_loads(PARAMS, base + offsets, lengths, out) is out
+        np.testing.assert_allclose(out, 2 * ref.io_node_load, rtol=1e-12)
+        # and the batched recorder is that same arithmetic, bit for bit
+        ctx = IOContext(PARAMS)
+        ctx.record_runs(base, offsets, lengths, is_write=False)
+        assert ctx.io_node_load.tolist() == got.tolist()
+
 
 def _trace(runs, base=0, write=False):
     return [(base, off, ln, write) for off, ln in runs]

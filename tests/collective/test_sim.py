@@ -175,6 +175,39 @@ class TestNestOps:
         )
         assert sum(1 for o in ops if o.kind == "io") == 6
 
+    @pytest.mark.parametrize("trace", [
+        [(0, 0, 8, False), (0, 16, 8, True), (64, 3, 5, False)],
+        [],  # compute-only nest: one compute op per repetition
+    ])
+    def test_keep_everything_hook_equals_no_hook(self, trace):
+        nr = NestRun(
+            "n", None, IOStats(compute_time_s=3.0), 0,
+            trace=trace, trace_weight=3,
+        )
+        seen = []
+
+        def keep(rep, entry, op):
+            seen.append((rep, entry, op))
+            return True
+
+        assert nest_ops(PARAMS, nr, keep) == nest_ops(PARAMS, nr)
+        # consulted once per traced call, in issue order, with its op
+        assert [(r, e) for r, e, _ in seen] == [
+            (rep, entry) for rep in range(3) for entry in trace
+        ]
+        assert all(op.kind == "io" for _, _, op in seen)
+
+    def test_dropping_hook_removes_only_io(self):
+        nr = NestRun(
+            "n", None, IOStats(compute_time_s=3.0), 0,
+            trace=[(0, 0, 8, False), (0, 16, 8, True)], trace_weight=2,
+        )
+        full = nest_ops(PARAMS, nr)
+        reads_dropped = nest_ops(PARAMS, nr, lambda rep, e, op: e[3])
+        assert reads_dropped == [
+            o for o in full if o.kind == "compute" or o.is_write
+        ]
+
     def test_io_routed_to_first_stripe_node(self):
         se = PARAMS.stripe_elements
         nr = NestRun(

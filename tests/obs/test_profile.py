@@ -27,7 +27,7 @@ from repro.obs import (
     validate_collapsed,
 )
 from repro.obs import profile as prof_mod
-from repro.obs.profile import HotspotRecorder, HotspotTable, timed
+from repro.obs.profile import HotspotRecorder, HotspotTable, capture, timed
 from repro.optimizer import build_version
 from repro.parallel import CollectiveConfig, run_version_parallel
 from repro.workloads import build_workload
@@ -172,6 +172,43 @@ class TestProfileSession:
         lines = result.collapsed()
         assert lines
         validate_collapsed(lines)
+
+
+class TestCapture:
+    """The one ownership rule both entry points share."""
+
+    def test_none_and_disabled_never_activate(self):
+        for profile in (None, ProfileConfig(enabled=False)):
+            with capture(profile) as cap:
+                assert prof_mod.ACTIVE is None
+            assert cap.result is None
+
+    def test_config_is_owned_finished_and_published(self):
+        obs = Observability()
+        with capture(ProfileConfig(), obs) as cap:
+            assert prof_mod.ACTIVE is not None
+            assert cap.result is None
+            prof_mod.WORK.sim_events += 4
+        assert prof_mod.ACTIVE is None
+        assert cap.result.work["sim_events"] == 4
+        assert obs.metrics.to_dict()["work.sim_events"]["value"] == 4
+        assert obs.to_payload()["profile"]["work"]["sim_events"] == 4
+
+    def test_session_is_borrowed_not_finished(self):
+        s = ProfileSession(ProfileConfig())
+        with s:
+            with capture(s) as cap:
+                assert prof_mod.ACTIVE is s.recorder
+            assert prof_mod.ACTIVE is s.recorder  # caller still holds it
+        assert cap.result is None
+        assert prof_mod.ACTIVE is None
+
+    def test_raising_block_deactivates(self):
+        with pytest.raises(RuntimeError):
+            with capture(ProfileConfig()) as cap:
+                raise RuntimeError("boom")
+        assert prof_mod.ACTIVE is None
+        assert cap.result is None
 
 
 class TestCollapsedValidation:

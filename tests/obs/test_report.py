@@ -4,9 +4,12 @@ from repro.obs import (
     IOReport,
     NestIORecord,
     RedistRecord,
+    io_record,
+    nest_records,
     render_report,
     report_totals,
 )
+from repro.runtime import IOStats, MachineParams
 
 
 def _records():
@@ -40,6 +43,36 @@ class TestTotals:
             "elements_read": 0,
             "elements_written": 0,
         }
+
+
+class TestRecordConstructor:
+    """``io_record`` is the only way per-array records are built: from
+    traces (``nest_records``) and from the two-phase accounting."""
+
+    def test_weight_repeats_counts_and_time(self):
+        p = MachineParams()
+        one = io_record(p, "n", "A", 2, "two-phase", (3, 1, 30, 8))
+        rep = io_record(p, "n", "A", 2, "two-phase", (3, 1, 30, 8), 5)
+        assert (one.read_calls, one.write_calls) == (3, 1)
+        assert (one.elements_read, one.elements_written) == (30, 8)
+        assert one.io_time_s == p.batch_time(4, 38)
+        assert (rep.read_calls, rep.write_calls) == (15, 5)
+        assert (rep.elements_read, rep.elements_written) == (150, 40)
+        assert rep.io_time_s == one.io_time_s * 5
+        assert (rep.node, rep.path) == (2, "two-phase")
+
+    def test_nest_records_totals_equal_trace(self):
+        from repro.engine.executor import NestRun
+
+        trace = [(0, 0, 8, False), (0, 16, 4, True), (100, 0, 6, False)]
+        nr = NestRun("n", None, IOStats(), 1, trace=trace, trace_weight=3)
+        recs = nest_records(MachineParams(), [nr], {0: "A"}, node=1)
+        assert [r.array for r in recs] == ["A", "file@100"]
+        assert report_totals(recs) == {
+            "read_calls": 6, "write_calls": 3,
+            "elements_read": 42, "elements_written": 12,
+        }
+        assert all(r.node == 1 and r.path == "direct" for r in recs)
 
 
 class TestRender:

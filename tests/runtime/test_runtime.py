@@ -58,6 +58,18 @@ class TestParams:
         p = MachineParams(io_latency_s=0.01, io_bandwidth_bps=1e6)
         assert p.call_time(1e6) == pytest.approx(1.01)
 
+    def test_batch_time_is_the_recorders_formula(self):
+        # the one batch formula: what record_runs charges for a batch is
+        # batch_time of its (calls, elements), bit for bit
+        p = MachineParams(io_latency_s=0.013, io_bandwidth_bps=3e6)
+        assert p.batch_time(0, 0) == 0.0
+        assert p.batch_time(3, 700) == (
+            3 * p.io_latency_s + 700 * p.element_size / p.io_bandwidth_bps
+        )
+        ctx = IOContext(p)
+        ctx.record_runs(0, np.array([0, 1000, 5000]), np.array([100, 250, 350]), False)
+        assert ctx.stats.io_time_s == p.batch_time(3, 700)
+
 
 class TestPFS:
     def test_allocation_stripe_aligned(self):
