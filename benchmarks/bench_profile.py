@@ -1,12 +1,18 @@
 """Hotspot profiler + deterministic work counters (repro.obs.profile).
 
-Three findings, all asserted:
+Two findings asserted, one column printed:
 
-- **The pricing stack is where the time goes.**  On the instrumented
-  table sweep the hotspot table attributes at least half of the
-  recorded self time to the pricing sites (``pricing.plan_runs``, the
-  ``IOContext`` record paths, the event-sim loop) — the measurement the
-  ROADMAP's batched-pricing-kernel item starts from.
+- **Pricing share of the instrumented sites (printed, not asserted).**
+  ``pricing_share`` is the pricing sites' part (``pricing.plan_runs``,
+  the ``IOContext`` record paths, the event-sim loop) of the self time
+  recorded *at the hand-placed hotspot sites* — not of the run.  The
+  sites cover a few milliseconds of a run whose wall time sits mostly
+  outside them, so the figure says nothing about where a run's time
+  goes; ``perfbench``'s layer table (``python3 perfbench/run.py
+  --workload W --traced-only``) is the whole-run attribution.  The
+  deterministic work counters of the same sweep *are* gated, including
+  ``plan_nest_calls`` / ``dependence_pairs``, which stay at one nest's
+  worth however many ranks run.
 - **Work counters are bit-identical across repeat runs**, on the
   direct-executor, independent-parallel and two-phase-collective paths
   — integers end to end, so the regression gate holds them to exact
@@ -21,7 +27,7 @@ Three findings, all asserted:
   scoped to strategies that move data, not loops.
 
 Only the deterministic integer counters enter the regression-gated
-``--json`` payload; the wall-derived hotspot shares are asserted here
+``--json`` payload; the wall-derived hotspot shares are printed here
 and recorded (outside ``--smoke``) in ``BENCH_profile.json`` at the
 repo root.
 """
@@ -67,8 +73,9 @@ def _flat_work(work):
 
 
 def test_pricing_stack_is_the_hotspot(benchmark, smoke, json_out):
-    """On the profiled table sweep the pricing sites hold >= 50% of the
-    instrumented self time, on every workload x version cell."""
+    """The profiled table sweep: gated work counters per workload x
+    version cell, and the pricing sites' share of the *instrumented*
+    self time as a printed column."""
     n = SMOKE_N if smoke else SWEEP_N
     workloads = ("mxm", "adi") if smoke else ("mxm", "adi", "syr2k")
     versions = ("col", "c-opt") if smoke else ("col", "row", "c-opt")
@@ -78,12 +85,13 @@ def test_pricing_stack_is_the_hotspot(benchmark, smoke, json_out):
         for wl in workloads:
             prog = build_workload(wl, n)
             for ver in versions:
+                cfg = build_version(ver, prog)
                 run = run_version_parallel(
-                    build_version(ver, prog), N_NODES, params=_params(n),
-                    profile=ProfileConfig(),
+                    cfg, N_NODES, params=_params(n), profile=ProfileConfig(),
                 )
                 table = run.profile.hotspots
                 rows[f"{wl}/{ver}"] = {
+                    "nests": len(cfg.program.nests),
                     "pricing_share": table.pricing_share(),
                     "total_self_s": table.total_self_s,
                     "top_site": table.sites[0].name if table.sites else None,
@@ -106,11 +114,11 @@ def test_pricing_stack_is_the_hotspot(benchmark, smoke, json_out):
             f"priced_runs={r['work']['priced_runs']}"
         )
     for cell, r in rows.items():
-        assert r["pricing_share"] >= 0.5, (
-            f"{cell}: pricing stack held only {r['pricing_share']:.1%} "
-            "of instrumented self time"
-        )
         assert r["top_site"] is not None
+        # planned once per run, not once per rank; edges came with the
+        # version, so the run analysed nothing
+        assert r["work"]["plan_nest_calls"] == r["nests"], (cell, r["work"])
+        assert r["work"]["dependence_pairs"] == 0, (cell, r["work"])
     if not smoke:
         _SECTIONS["hotspots"] = {"n": n, "nodes": N_NODES, "rows": rows}
         _write_artifact()

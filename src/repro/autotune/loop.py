@@ -327,7 +327,7 @@ class Autotuner:
             directions=d.decision.directions, n_nodes=d.n_nodes,
             memory_budget=d.memory_budget,
             cache_budget=d.cache_budget,
-            tile_sizes=d.tile_sizes, cb_nodes=d.cb_nodes,
+            tile_sizes=d.tile_sizes, cb_nodes=d.cb_nodes, edges=d.edges,
         )
         return c.io_s + c.net_s
 

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ..dependence import DependenceEdge
 from ..engine.footprint import nest_footprints
 from ..engine.plan import NestPlan, _whole_ranges, plan_nest
 from ..ir.nest import LoopNest
@@ -129,12 +130,15 @@ def plan_for(
     shapes: Mapping[str, tuple[int, ...]],
     plan_budget: int,
     tile_size: int | None = None,
+    edges: list[DependenceEdge] | None = None,
 ) -> NestPlan:
     """The plan the executor would build: same spec rule, same budget,
-    same forced-block clamping."""
+    same forced-block clamping.  ``edges`` are the nest's dependences
+    when the caller has them — a search prices many budgets and tile
+    sizes of one nest, whose edges never change."""
     return plan_nest(
         nest, ooc_tiling(nest), plan_budget, binding, shapes,
-        force_block=tile_size,
+        edges=edges, force_block=tile_size,
     )
 
 
@@ -194,16 +198,18 @@ def nest_config_cost(
     tile_size: int | None,
     cb_nodes: int | None,
     seen_arrays: set[str] | None = None,
+    edges: list[DependenceEdge] | None = None,
 ) -> NestConfigCost:
     """Modeled per-node seconds for one nest under the given knobs.
 
     ``seen_arrays`` carries cross-nest state: arrays already touched by
     earlier nests of the same configuration get the cache-retention
-    discount on their first repetition here too.
+    discount on their first repetition here too.  ``edges`` are the
+    nest's dependence edges, when known (see :func:`plan_for`).
     """
     p = max(1, n_nodes)
     cap = max(1, params.max_request_elements)
-    plan = plan_for(nest, binding, shapes, plan_budget, tile_size)
+    plan = plan_for(nest, binding, shapes, plan_budget, tile_size, edges)
     n_tiles = _n_tiles_per_node(nest, plan, binding, p)
     fps = nest_footprints(
         nest, _mid_tile_ranges(nest, plan, binding), binding, shapes
@@ -324,8 +330,10 @@ def config_cost(
     cache_budget: int = 0,
     tile_sizes: Mapping[str, int] | None = None,
     cb_nodes: int | None = None,
+    edges: Mapping[str, list[DependenceEdge]] | None = None,
 ) -> ConfigCost:
-    """Modeled per-node seconds for the whole program configuration."""
+    """Modeled per-node seconds for the whole program configuration.
+    ``edges`` are known dependence edges per nest name."""
     plan_budget = max(1, memory_budget - cache_budget)
     seen: set[str] = set()
     per_nest = []
@@ -342,6 +350,7 @@ def config_cost(
             tile_size=(tile_sizes or {}).get(nest.name),
             cb_nodes=cb_nodes,
             seen_arrays=seen,
+            edges=(edges or {}).get(nest.name),
         ))
     return ConfigCost(tuple(per_nest))
 

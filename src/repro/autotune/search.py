@@ -26,6 +26,8 @@ import numpy as np
 
 from ..cache import CacheConfig
 from ..collective.planner import CollectiveConfig
+from ..dependence import DependenceEdge
+from ..engine.plan import program_edges
 from ..ir.program import Program
 from ..layout import Layout
 from ..optimizer.global_opt import GlobalDecision, ReportEvent
@@ -81,6 +83,11 @@ class TuneDecision:
     predicted: ConfigCost
     knobs: list[KnobChoice] = field(default_factory=list)
     report: list[ReportEvent] = field(default_factory=list)
+    #: dependence edges of the decided program's nests, analysed once
+    #: by the solve and handed on to the run through `version_config`
+    edges: dict[str, list[DependenceEdge]] | None = field(
+        default=None, repr=False
+    )
 
     @property
     def predicted_cost_s(self) -> float:
@@ -95,7 +102,8 @@ class TuneDecision:
 
     def version_config(self, name: str = "autotune") -> VersionConfig:
         return VersionConfig(
-            name, self.program, self.layout_objects(), ooc_tiling
+            name, self.program, self.layout_objects(), ooc_tiling,
+            edges=self.edges,
         )
 
     def cache_config(self) -> CacheConfig | None:
@@ -194,6 +202,9 @@ def solve_joint(
     shapes = {a.name: a.shape(b) for a in prog.arrays}
     budget = memory_budget or _default_budget(prog, b, params)
     directions = dict(gd.directions)
+    # every candidate below re-plans the same nests under another budget
+    # or tile size; their dependence edges are analysed once, here
+    edges = program_edges(prog)
 
     # -- stage B: tiles x cache x cb_nodes on the machine model --------
     def cache_candidates() -> list[int]:
@@ -217,7 +228,9 @@ def solve_joint(
         plan_budget = max(1, budget - cache_budget)
         tiles: dict[str, int] = {}
         for nest in prog.nests:
-            base = plan_for(nest, b, shapes, plan_budget)
+            base = plan_for(
+                nest, b, shapes, plan_budget, edges=edges[nest.name]
+            )
             cands = space.tile_candidates(nest.name, max(1, base.tile_size))
             best_b, best_c = None, None
             for blk in cands:
@@ -226,6 +239,7 @@ def solve_joint(
                     directions=directions, n_nodes=n_nodes,
                     memory_budget=budget, cache_budget=cache_budget,
                     tile_sizes={**tiles, nest.name: blk}, cb_nodes=cb,
+                    edges=edges,
                 )
                 c = cost.total_s
                 if best_c is None or c < best_c - 1e-12:
@@ -236,7 +250,7 @@ def solve_joint(
             prog, binding=b, shapes=shapes, params=params,
             directions=directions, n_nodes=n_nodes,
             memory_budget=budget, cache_budget=cache_budget,
-            tile_sizes=tiles, cb_nodes=cb,
+            tile_sizes=tiles, cb_nodes=cb, edges=edges,
         )
         return final.total_s, tiles, final
 
@@ -250,7 +264,7 @@ def solve_joint(
         min_tile = min(
             plan_for(nest, b, shapes, max(
                 1, budget - space.cache_budget_elements
-            ), 1).footprint_elements
+            ), 1, edges[nest.name]).footprint_elements
             for nest in prog.nests
         )
         if space.cache_budget_elements < min_tile:
@@ -280,6 +294,7 @@ def solve_joint(
             cache_budget=cache if cache is not None else cache_budget,
             tile_sizes=tiles if tile_sizes == "keep" else tile_sizes,
             cb_nodes=cb if cb_nodes == "keep" else cb_nodes,
+            edges=edges,
         ).total_s
 
     knobs = [
@@ -339,6 +354,7 @@ def solve_joint(
         predicted=cost,
         knobs=knobs,
         report=report,
+        edges=edges,
     )
 
 

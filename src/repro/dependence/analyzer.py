@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 from ..ir.arrays import ArrayRef
 from ..ir.nest import LoopNest
+from ..obs import profile as _prof
 from .banerjee import banerjee_independent
 from .dio_test import diophantine_independent
 from .gcd_test import gcd_independent
@@ -51,6 +52,7 @@ def analyze_pairwise(
     points: Sequence[tuple[dict[str, int], tuple[int, ...]]],
 ) -> list[DependenceEdge]:
     """Dependences between one ordered reference pair (both orientations)."""
+    _prof.WORK.dependence_pairs += 1
     loop_vars = nest.loop_vars
     if gcd_independent(r1, r2, loop_vars):
         return []

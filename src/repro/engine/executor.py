@@ -23,6 +23,7 @@ from ..cache import (
     make_policy,
 )
 from ..cache.tile_cache import CacheEntry
+from ..dependence import DependenceEdge
 from ..faults import FaultConfig, FaultInjector
 from ..ir.nest import LoopNest
 from ..ir.program import Program
@@ -49,7 +50,7 @@ from .interpreter import (
     run_element_loops,
     run_element_loops_vectorized,
 )
-from .plan import NestPlan, plan_nest
+from .plan import NestPlan, _whole_ranges, plan_nest, program_edges
 
 
 @dataclass(frozen=True)
@@ -380,6 +381,52 @@ class _CachedTileIO(_DirectTileIO):
         super().write([(e.name, e.region, e.data) for e in entries], ctx)
 
 
+def plan_program(
+    program: Program,
+    tiling: Callable[[LoopNest], TilingSpec] | Mapping[str, TilingSpec],
+    budget: int,
+    binding: Mapping[str, int],
+    shapes: Mapping[str, tuple[int, ...]],
+    *,
+    tile_sizes: Mapping[str, int] | None = None,
+    edges: Mapping[str, list[DependenceEdge]] | None = None,
+) -> dict[str, NestPlan]:
+    """A run's one planning step: every nest's :class:`NestPlan` by name.
+
+    Nothing here depends on the SPMD rank, so the first executor of a
+    run plans and the others are handed its ``plans``.  ``tile_sizes``
+    forces block sizes (a nest left out keeps the planner's
+    binary-search choice); ``edges`` are known dependence edges per
+    nest.  A ``tile_sizes`` key naming no nest, a ``tiling`` mapping
+    lacking a nest and a spec of the wrong depth are ``ValueError``s.
+    """
+    names = [nest.name for nest in program.nests]
+    tile_sizes, edges = tile_sizes or {}, edges or {}
+    for key in tile_sizes:
+        if key not in names:
+            raise ValueError(
+                f"tile_sizes names nest {key!r}, but program "
+                f"{program.name!r} has nests {names}"
+            )
+    plans: dict[str, NestPlan] = {}
+    for nest in program.nests:
+        if callable(tiling):
+            spec = tiling(nest)
+        elif nest.name in tiling:
+            spec = tiling[nest.name]
+        else:
+            raise ValueError(
+                f"tiling has no spec for nest {nest.name!r} "
+                f"(specs given for {sorted(tiling)})"
+            )
+        plans[nest.name] = plan_nest(
+            nest, spec, budget, binding, shapes,
+            edges=edges.get(nest.name),
+            force_block=tile_sizes.get(nest.name),
+        )
+    return plans
+
+
 class OOCExecutor:
     """Runs a program out of core under given file layouts and tiling.
 
@@ -409,6 +456,13 @@ class OOCExecutor:
         :class:`~repro.backends.BackendMetrics`.
     dtype:
         element dtype carried by the backend files (default float64).
+    plans:
+        another executor's :attr:`plans` (the SPMD driver hands rank
+        0's to every other rank), used instead of planning from
+        ``tiling``/``tile_sizes``.  ``None`` plans here, at construction.
+    edges:
+        known dependence edges per nest name (``VersionConfig.edges``);
+        a nest left out is analysed when first needed.
     """
 
     def __init__(
@@ -435,6 +489,8 @@ class OOCExecutor:
         bounds: Sequence[object] | None = None,
         faults: FaultConfig | None = None,
         profile: ProfileConfig | ProfileSession | None = None,
+        plans: Mapping[str, NestPlan] | None = None,
+        edges: Mapping[str, list[DependenceEdge]] | None = None,
     ):
         if node_slice is not None:
             rank, n_nodes = node_slice
@@ -484,14 +540,44 @@ class OOCExecutor:
         self.memory_budget = memory_budget or max(
             64, total_elements // self.params.memory_fraction
         )
-        if callable(tiling):
-            self._tiling_for = tiling
-        else:
-            specs = dict(tiling)
-            self._tiling_for = lambda nest: specs[nest.name]
-        # forced per-nest block sizes (the autotuner's tile knob); None
-        # or a missing nest keeps the planner's binary-search choice
-        self._tile_sizes = dict(tile_sizes) if tile_sizes else {}
+        # tile cache + prefetch (repro.cache); the cache budget is carved
+        # out of the memory budget, so resident cache tiles plus in-flight
+        # compute tiles together stay under the per-node budget and the
+        # planner sizes tiles against the remainder only
+        cache_budget = 0
+        if cache is not None and cache.enabled:
+            cache_budget = cache.resolve_budget(self.memory_budget)
+            if cache_budget >= self.memory_budget:
+                raise ValueError(
+                    f"cache budget {cache_budget} must leave memory for "
+                    f"compute tiles (budget {self.memory_budget})"
+                )
+        # real-mode fast path: vectorize the innermost loop when no
+        # dependence is carried by it (scalar fallback otherwise); the
+        # check needs every nest's edges, which the planner then shares
+        self._vectorizable: dict[str, bool] = {}
+        if self.real and vectorize:
+            edges = program_edges(program, edges)
+            for nest in program.nests:
+                self._vectorizable[nest.name] = innermost_vectorizable(
+                    nest, edges[nest.name]
+                )
+        # planned once, here, before any store or file exists
+        if plans is None:
+            plans = plan_program(
+                program, tiling, self.memory_budget - cache_budget,
+                self.binding, self.shapes,
+                tile_sizes=tile_sizes, edges=edges,
+            )
+        elif set(plans) != {nest.name for nest in program.nests}:
+            raise ValueError(
+                f"plans cover nests {sorted(plans)}, but program "
+                f"{program.name!r} has nests "
+                f"{[nest.name for nest in program.nests]}"
+            )
+        #: every nest's plan by name: the same for every run() and
+        #: for every rank of an SPMD run
+        self.plans: Mapping[str, NestPlan] = plans
 
         # build storage
         self.pfs = pfs or ParallelFileSystem(self.params)
@@ -547,20 +633,8 @@ class OOCExecutor:
 
         self.memory = MemoryManager(self.memory_budget)
         self._over_budget_tiles = 0
-        # tile cache + prefetch (repro.cache); the cache budget is carved
-        # out of the memory budget, so resident cache tiles plus in-flight
-        # compute tiles together stay under the per-node budget and the
-        # planner sizes tiles against the remainder only
-        self._plan_budget = self.memory_budget
         self._io = _DirectTileIO(self._stores)
         if cache is not None and cache.enabled:
-            cache_budget = cache.resolve_budget(self.memory_budget)
-            if cache_budget >= self.memory_budget:
-                raise ValueError(
-                    f"cache budget {cache_budget} must leave memory for "
-                    f"compute tiles (budget {self.memory_budget})"
-                )
-            self._plan_budget = self.memory_budget - cache_budget
             self._io = _CachedTileIO(
                 self._stores, self.params, cache,
                 TileCache(
@@ -568,12 +642,6 @@ class OOCExecutor:
                 ),
             )
         self._cache = self._io.cache
-        # real-mode fast path: vectorize the innermost loop when no
-        # dependence is carried by it (scalar fallback otherwise)
-        self._vectorizable: dict[str, bool] = {}
-        if self.real and vectorize:
-            for nest in program.nests:
-                self._vectorizable[nest.name] = innermost_vectorizable(nest)
 
     # -- public API -------------------------------------------------------
 
@@ -639,11 +707,7 @@ class OOCExecutor:
                 if obs is not None and obs.config.wall_time
                 else None
             )
-            spec = self._tiling_for(nest)
-            plan = plan_nest(
-                nest, spec, self._plan_budget, self.binding, self.shapes,
-                force_block=self._tile_sizes.get(nest.name),
-            )
+            plan = self.plans[nest.name]
             # with a live cache, weight repetitions are executed (not
             # scaled): the cache warms across repetitions, so repetition
             # stats are not multiples of the first pass.  A fault
@@ -814,8 +878,6 @@ class OOCExecutor:
         self, nest: LoopNest, plan: NestPlan
     ) -> list[dict[str, tuple[int, int]]]:
         """Enumerate tile windows (per tiled variable) in loop order."""
-        from .plan import _whole_ranges
-
         full = _whole_ranges(nest, self.binding)
         levels = plan.tiled_levels
         if not levels:

@@ -108,20 +108,20 @@ def iterate_tile(
     return rec(0)
 
 
-def innermost_vectorizable(nest: LoopNest) -> bool:
+def innermost_vectorizable(nest: LoopNest, edges=None) -> bool:
     """True when the innermost loop can be executed as one numpy strip:
     no guards, and no dependence carried by the innermost level (checked
-    with the exact analyzer).  Elementwise float semantics are identical
+    with the exact analyzer, or against the nest's ``edges`` when the
+    caller already has them).  Elementwise float semantics are identical
     to the scalar interpreter."""
     if any(stmt.guards for stmt in nest.body):
         return False
-    from ..dependence import analyze_nest
+    if edges is None:
+        from ..dependence import analyze_nest
 
+        edges = analyze_nest(nest)
     level = nest.depth - 1
-    for edge in analyze_nest(nest):
-        if edge.carried_at_level(level):
-            return False
-    return True
+    return not any(edge.carried_at_level(level) for edge in edges)
 
 
 def _eval_vec(expr, env, vec_var, vec, load):

@@ -20,6 +20,8 @@ from typing import Mapping
 
 from ..dependence import DependenceEdge, Direction, analyze_nest
 from ..ir.nest import LoopNest
+from ..ir.program import Program
+from ..obs import profile as _prof
 from ..runtime.ooc_array import region_size
 from ..transforms.tiling import TilingSpec
 from .footprint import nest_footprints
@@ -79,21 +81,37 @@ def _whole_ranges(nest: LoopNest, binding: Mapping[str, int]) -> dict[str, tuple
     return ranges
 
 
+def program_edges(
+    program: Program,
+    known: Mapping[str, list[DependenceEdge]] | None = None,
+) -> dict[str, list[DependenceEdge]]:
+    """Dependence edges per nest name, analysing only the nests ``known``
+    lacks.  The result travels with whoever built it (a
+    ``VersionConfig``, a ``solve_joint`` call, an executor) into every
+    ``plan_nest(edges=...)`` of that run, so a nest is analysed once."""
+    known = known or {}
+    return {
+        nest.name: known[nest.name] if nest.name in known
+        else analyze_nest(nest)
+        for nest in program.nests
+    }
+
+
 def _footprint_for_block(
     nest: LoopNest,
     binding: Mapping[str, int],
     shapes: Mapping[str, tuple[int, ...]],
     spec: TilingSpec,
     block: int,
+    full: Mapping[str, tuple[int, int]],
 ) -> int:
     """Worst-case resident elements if every tiled level is clipped to
-    ``block`` iterations.
+    ``block`` iterations; ``full`` is ``_whole_ranges(nest, binding)``.
 
     With affine (e.g. triangular) bounds the untiled levels' ranges vary
     with the tile anchor, so the window is evaluated at the start, middle
     and end anchors and the maximum footprint taken.
     """
-    full = _whole_ranges(nest, binding)
     worst = 0
     for frac in (0.0, 0.5, 1.0):
         var_ranges = {}
@@ -124,6 +142,12 @@ def plan_nest(
 ) -> NestPlan:
     """Choose a legal tiling and the largest block size fitting memory.
 
+    The plan depends on nothing but these arguments — in particular not
+    on the SPMD rank — so a run builds it once and every rank shares it.
+    ``edges`` are the nest's dependences when the caller already has
+    them (:func:`program_edges`); otherwise they are analysed here, and
+    only if the spec tiles anything.
+
     ``force_block`` caps the block size at a caller-chosen value (the
     autotuner's tile-size knob).  The cap can only shrink the block the
     binary search would pick, so a forced plan is never less
@@ -131,6 +155,42 @@ def plan_nest(
     """
     if force_block is not None and force_block < 1:
         raise ValueError(f"force_block must be >= 1, got {force_block}")
+    if spec.depth != nest.depth:
+        raise ValueError(
+            f"nest {nest.name!r} has depth {nest.depth} but its tiling "
+            f"spec {spec.describe()!r} has {spec.depth} levels"
+        )
+    _prof.WORK.plan_nest_calls += 1
+    full = _whole_ranges(nest, binding)
+
+    def footprint(spec: TilingSpec, block: int) -> int:
+        return _footprint_for_block(nest, binding, shapes, spec, block, full)
+
+    def best_block(spec: TilingSpec) -> tuple[int, int]:
+        """The largest block fitting the budget (capped at
+        ``force_block``; 1 if none fits) and its footprint."""
+        max_block = max(
+            hi - lo + 1
+            for level, loop in enumerate(nest.loops)
+            if spec.tiled[level]
+            for lo, hi in [full[loop.var]]
+        )
+        lo_b, hi_b = 1, max(1, max_block)
+        if footprint(spec, hi_b) <= memory_budget:
+            best = hi_b
+        else:
+            best = 1
+            while lo_b <= hi_b:
+                mid = (lo_b + hi_b) // 2
+                if footprint(spec, mid) <= memory_budget:
+                    best = mid
+                    lo_b = mid + 1
+                else:
+                    hi_b = mid - 1
+        if force_block is not None:
+            best = min(best, force_block)
+        return best, footprint(spec, best)
+
     degraded = False
     if spec.any_tiled:
         if edges is None:
@@ -140,45 +200,21 @@ def plan_nest(
             degraded = True
 
     if not spec.any_tiled:
-        fp = _footprint_for_block(nest, binding, shapes, spec, 1)
+        fp = footprint(spec, 1)
         return NestPlan(
             nest, spec, 0, fp, degraded, over_budget=fp > memory_budget
         )
 
-    full = _whole_ranges(nest, binding)
-    max_block = max(
-        hi - lo + 1
-        for level, loop in enumerate(nest.loops)
-        if spec.tiled[level]
-        for lo, hi in [full[loop.var]]
-    )
-    lo_b, hi_b = 1, max(1, max_block)
-    if _footprint_for_block(nest, binding, shapes, spec, hi_b) <= memory_budget:
-        best = hi_b
-    else:
-        best = 1
-        while lo_b <= hi_b:
-            mid = (lo_b + hi_b) // 2
-            if _footprint_for_block(nest, binding, shapes, spec, mid) <= memory_budget:
-                best = mid
-                lo_b = mid + 1
-            else:
-                hi_b = mid - 1
-    if force_block is not None:
-        best = min(best, force_block)
-    fp = _footprint_for_block(nest, binding, shapes, spec, best)
+    best, fp = best_block(spec)
     if fp > memory_budget:
         # Even B=1 does not fit: the untiled inner levels span too much
         # data.  Try tiling every level (when legal); otherwise run over
         # budget and say so — the real constraint the paper's Section 3.3
         # navigates.
         all_spec = TilingSpec((True,) * nest.depth)
-        if spec.tiled != all_spec.tiled and tiling_band_legal(
-            edges if edges is not None else analyze_nest(nest), all_spec
-        ):
-            return plan_nest(
-                nest, all_spec, memory_budget, binding, shapes, edges=edges,
-                force_block=force_block,
-            )
-        return NestPlan(nest, spec, best, fp, degraded, over_budget=True)
-    return NestPlan(nest, spec, best, fp, degraded)
+        if spec.tiled != all_spec.tiled and tiling_band_legal(edges, all_spec):
+            spec, degraded = all_spec, False
+            best, fp = best_block(spec)
+    return NestPlan(
+        nest, spec, best, fp, degraded, over_budget=fp > memory_budget
+    )

@@ -8,7 +8,9 @@ instruments, each with a different determinism contract:
 - **Work counters** (:data:`WORK`) — always-on integer counts of the
   pricing stack's actual work: ``plan_runs`` invocations, priced runs
   coming out of the sieve/split planner, event-simulator events, cache
-  probes, and interpreted Python loop iterations per phase.  Plain int
+  probes, tile plans built and dependence reference pairs examined (the
+  rank-invariant planning work), and interpreted Python loop iterations
+  per phase.  Plain int
   increments, bit-identical across repeat runs, published per run as
   *deltas* into the :class:`~repro.obs.metrics.MetricsRegistry` (keys
   ``work.*``) — integers, so the PR-4 regression gate holds them to
@@ -39,8 +41,11 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping
 
-#: the four unlabeled work counters, in publication order
-WORK_KEYS = ("plan_runs_calls", "priced_runs", "sim_events", "cache_probes")
+#: the unlabeled work counters, in publication order
+WORK_KEYS = (
+    "plan_runs_calls", "priced_runs", "sim_events", "cache_probes",
+    "plan_nest_calls", "dependence_pairs",
+)
 
 #: hotspot-site name fragments counted as the *pricing stack* (the
 #: ISSUE-9 acceptance share: plan_runs + IOContext record paths + the
@@ -61,10 +66,11 @@ class WorkCounters:
     __slots__ = WORK_KEYS + ("python_loop_iters",)
 
     def __init__(self) -> None:
-        self.plan_runs_calls = 0
-        self.priced_runs = 0
-        self.sim_events = 0
-        self.cache_probes = 0
+        # plan_nest_calls / dependence_pairs count rank-invariant work:
+        # tile plans built and reference pairs the dependence analyzer
+        # examined stay at one nest's worth however many ranks run
+        for key in WORK_KEYS:
+            setattr(self, key, 0)
         #: interpreted Python loop iterations per phase ("element" for
         #: the element loops / iteration estimate, "tile" for tile-space
         #: steps)
@@ -76,10 +82,7 @@ class WorkCounters:
 
     def snapshot(self) -> dict[str, object]:
         return {
-            "plan_runs_calls": self.plan_runs_calls,
-            "priced_runs": self.priced_runs,
-            "sim_events": self.sim_events,
-            "cache_probes": self.cache_probes,
+            **{k: getattr(self, k) for k in WORK_KEYS},
             "python_loop_iters": dict(self.python_loop_iters),
         }
 

@@ -21,7 +21,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..engine.executor import InterleavedStoreSpec, LinearStoreSpec, StoreSpec
-from ..engine.plan import _whole_ranges, plan_nest
+from ..dependence import DependenceEdge
+from ..engine.plan import _whole_ranges, plan_nest, program_edges
 from ..engine.footprint import nest_footprints
 from ..ir.nest import LoopNest
 from ..ir.program import Program
@@ -43,6 +44,11 @@ class VersionConfig:
     tiling: Callable[[LoopNest], TilingSpec]
     storage_spec: dict[str, StoreSpec] | None = None
     decision: GlobalDecision | None = None
+    #: dependence edges of ``program``'s nests by nest name, analysed
+    #: once when the version was built; every ``plan_nest`` of a run of
+    #: this version takes them instead of analysing again (``None``:
+    #: the planner analyses on demand)
+    edges: dict[str, list[DependenceEdge]] | None = None
 
     def describe(self) -> str:
         lay = ", ".join(
@@ -108,7 +114,8 @@ def build_version(
     # layout/loop-transformation effects.
     if name in ("col", "row"):
         return VersionConfig(
-            name, program, _fixed_layouts(program, name), ooc_tiling
+            name, program, _fixed_layouts(program, name), ooc_tiling,
+            edges=program_edges(program),
         )
 
     if name == "l-opt":
@@ -125,6 +132,7 @@ def build_version(
             _fixed_layouts(program, "col"),
             ooc_tiling,
             decision=decision,
+            edges=program_edges(decision.program),
         )
 
     if name == "d-opt":
@@ -137,6 +145,7 @@ def build_version(
             decision.layout_objects(default="col"),
             ooc_tiling,
             decision=decision,
+            edges=program_edges(decision.program),
         )
 
     # c-opt / h-opt share the integrated optimization
@@ -144,9 +153,13 @@ def build_version(
         program, binding=b, allow_loop=True, allow_data=True
     )
     layouts = decision.layout_objects(default="col")
+    # analysed once per final nest: h-opt's chunk sizing below and every
+    # plan of a later run take the edges from here
+    edges = program_edges(decision.program)
     if name == "c-opt":
         return VersionConfig(
-            name, decision.program, layouts, ooc_tiling, decision=decision
+            name, decision.program, layouts, ooc_tiling, decision=decision,
+            edges=edges,
         )
 
     # h-opt: chunk each array into its data-tile shape and interleave the
@@ -159,7 +172,9 @@ def build_version(
     # Per nest: the representative tile footprint of each array it touches.
     per_nest_fp: dict[str, dict[str, tuple[tuple[int, int], ...]]] = {}
     for nest in decision.program.nests:
-        plan = plan_nest(nest, ooc_tiling(nest), budget, b, shapes)
+        plan = plan_nest(
+            nest, ooc_tiling(nest), budget, b, shapes, edges=edges[nest.name]
+        )
         full = _whole_ranges(nest, b)
         outermost_tiled = plan.tiled_levels[0] if plan.tiled_levels else None
         var_ranges = {}
@@ -229,4 +244,5 @@ def build_version(
         ooc_tiling,
         storage_spec=storage_spec,
         decision=decision,
+        edges=edges,
     )

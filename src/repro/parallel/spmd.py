@@ -183,6 +183,9 @@ def run_version_parallel(
     # re-pricing: a config here is driver-owned (activated, finished,
     # published); a live session is a caller's capture we nest inside
     with _prof.capture(profile, obs) as cap:
+        # plans do not depend on the rank: rank 0's executor builds
+        # them and every later rank is handed the same mapping
+        plans = None
         for rank in range(n_nodes):
             pfs = ParallelFileSystem(params)
             pfs.advance(rank * stagger)
@@ -206,7 +209,10 @@ def run_version_parallel(
                 tile_sizes=tile_sizes,
                 cache=cache,
                 faults=faults,
+                plans=plans,
+                edges=cfg.edges,
             )
+            plans = ex.plans
             results.append(ex.run())
             if span is not None:
                 obs.tracer.end(span, calls=results[-1].stats.calls)

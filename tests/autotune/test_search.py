@@ -38,6 +38,40 @@ class TestSolveJoint:
         a, b = _solve(), _solve()
         assert a.to_dict() == b.to_dict()
 
+    @pytest.mark.parametrize(
+        "workload,analytics",
+        [("adi", False), ("mxm", False), ("pipeline", True)],
+    )
+    def test_edges_once_per_solve_changes_no_decision(
+        self, workload, analytics, monkeypatch
+    ):
+        """The solve analyses each nest once and threads the edges down
+        to ``plan_nest``; a planner that ignores them and analyses on
+        every call (the pre-hoist behaviour) decides the same."""
+        import repro.autotune.model as model
+        import repro.engine.plan as plan_mod
+
+        analyses = []
+        analyze = plan_mod.analyze_nest
+        monkeypatch.setattr(
+            plan_mod, "analyze_nest",
+            lambda nest: analyses.append(nest.name) or analyze(nest),
+        )
+        threaded = _solve(workload, analytics=analytics)
+        assert sorted(analyses) == sorted(
+            n.name for n in threaded.program.nests
+        )
+        assert sorted(threaded.edges) == sorted(analyses)
+        assert threaded.version_config().edges is threaded.edges
+
+        plan_nest = model.plan_nest
+        monkeypatch.setattr(
+            model, "plan_nest",
+            lambda *a, edges=None, **kw: plan_nest(*a, **kw),
+        )
+        assert _solve(workload, analytics=analytics).to_dict() \
+            == threaded.to_dict()
+
     def test_solver_provenance_milp(self):
         d = _solve(solver="auto")
         # scipy ships in the test environment, so auto resolves to milp

@@ -93,12 +93,12 @@ class TestTilingCallableOrMapping:
         from repro.transforms.tiling import TilingSpec
 
         p = big_inner_program(8)
-        ex = OOCExecutor(
-            p, params=SMALL, real=False, memory_budget=10**6,
-            tiling={"other": TilingSpec((True, True))},
-        )
-        with pytest.raises(KeyError):
-            ex.run()
+        # named, and at construction — not a bare KeyError mid-run
+        with pytest.raises(ValueError, match="no spec for nest 'n'"):
+            OOCExecutor(
+                p, params=SMALL, real=False, memory_budget=10**6,
+                tiling={"other": TilingSpec((True, True))},
+            )
 
 
 class TestGlobalOptOrder:
