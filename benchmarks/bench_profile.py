@@ -12,7 +12,9 @@ Two findings asserted, one column printed:
   --workload W --traced-only``) is the whole-run attribution.  The
   deterministic work counters of the same sweep *are* gated, including
   ``plan_nest_calls`` / ``dependence_pairs``, which stay at one nest's
-  worth however many ranks run.
+  worth however many ranks run, and ``addresses_enumerated``, which is
+  0 wherever no data moves (simulate mode prices a tile from its box
+  and layout; only data-carrying runs compute element addresses).
 - **Work counters are bit-identical across repeat runs**, on the
   direct-executor, independent-parallel and two-phase-collective paths
   — integers end to end, so the regression gate holds them to exact
@@ -119,6 +121,8 @@ def test_pricing_stack_is_the_hotspot(benchmark, smoke, json_out):
         # version, so the run analysed nothing
         assert r["work"]["plan_nest_calls"] == r["nests"], (cell, r["work"])
         assert r["work"]["dependence_pairs"] == 0, (cell, r["work"])
+        # simulate mode: runs come from the box and the layout
+        assert r["work"]["addresses_enumerated"] == 0, (cell, r["work"])
     if not smoke:
         _SECTIONS["hotspots"] = {"n": n, "nodes": N_NODES, "rows": rows}
         _write_artifact()
@@ -169,6 +173,11 @@ def test_work_counters_repeat_bit_identical(benchmark, smoke, json_out):
             f"{sorted(first)} paths: direct/independent/two_phase"
         )
         assert first["two_phase"]["sim_events"] > 0
+        # the direct executor moves data (in-memory backend); the two
+        # parallel paths only account
+        assert first["direct"]["addresses_enumerated"] > 0
+        assert first["independent"]["addresses_enumerated"] == 0
+        assert first["two_phase"]["addresses_enumerated"] == 0
     json_out(
         "profile_work_repeatable", rows,
         n=n, nodes=N_NODES, workloads=workloads,

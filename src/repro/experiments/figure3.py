@@ -65,10 +65,7 @@ def render_tile_access(
     are untouched elements."""
     import numpy as np
 
-    from ..runtime.ooc_array import runs_of
-
-    addrs = arr.addresses(region)
-    offsets, lengths = runs_of(addrs)
+    offsets, lengths = arr.runs(region)
     maxe = params.max_request_elements
     call_of_addr: dict[int, int] = {}
     call = 0

@@ -6,13 +6,17 @@ index domain — exactly the paper's non-singular data transformations.
 ``BlockedLayout`` stores the array as contiguous rectangular chunks (the
 "blocked layout" of Figure 2, used by the hand-optimized ``h-opt``).
 
-Address computation is vectorized over numpy index arrays because the
-out-of-core runtime calls it for every tile transfer.
+Address computation is vectorized over numpy index arrays: data-carrying
+runs call it for every tile transfer.  Pricing a transfer needs only the
+region's maximal contiguous file runs, which :meth:`AddressMap.runs`
+derives from the region's box and the layout in O(runs) — the paper's
+Figure 3, where a tile's call count follows from its shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,23 +42,98 @@ class Layout:
         return None
 
 
-class AddressMap:
-    """Exact element-index → file-slot mapping for one concrete shape."""
+_NO_LIMIT = np.int64(np.iinfo(np.int64).max)
 
-    def __init__(self, t_rows: np.ndarray, t_min: np.ndarray, strides: np.ndarray, total: int):
-        self._t_rows = t_rows  # (m, m) int64: the rows of D
-        self._t_min = t_min  # (m,)
-        self._strides = strides  # (m,)
+
+def _outer_runs(terms) -> tuple[np.ndarray, np.ndarray]:
+    """One run per combination of per-dimension entry coordinates.  A term
+    is one dimension's 1-D (file-offset contribution, steps a run may take
+    there — ``None``: no limit): offsets add and steps take the minimum,
+    so both are outer combinations and no point is ever evaluated."""
+    offsets, lengths = np.int64(0), _NO_LIMIT
+    for contribution, steps in terms:
+        offsets = np.add.outer(offsets, contribution)
+        lengths = (
+            lengths[..., None] if steps is None
+            else np.minimum.outer(lengths, steps)
+        )
+    lengths = lengths + np.zeros(offsets.shape, dtype=np.int64)  # broadcast
+    return offsets.ravel(), lengths.ravel()
+
+
+class AddressMap:
+    """Exact element-index → file-slot mapping for one concrete shape:
+    ``address(x) = weights·x + origin``, and ``x + unit_step`` is the
+    element stored right after ``x``."""
+
+    def __init__(self, weights: np.ndarray, origin: int, total: int,
+                 unit_step: Sequence[int]):
+        self._weights = weights  # (m,) int64: strides · D
+        self._origin = int(origin)
         self.total_slots = int(total)
+        self._step = [int(s) for s in unit_step]
+        # heaviest dimension outermost, so that a dimension-permutation
+        # layout lists its entry points in file order (no sort)
+        self._order = sorted(
+            range(len(self._step)), key=lambda d: -abs(int(weights[d]))
+        )
 
     def address(self, indices: np.ndarray) -> np.ndarray:
         """File slots for indices of shape ``(..., m)`` → ``(...,)`` int64."""
         idx = np.asarray(indices, dtype=np.int64)
-        t = idx @ self._t_rows.T - self._t_min
-        return t @ self._strides
+        return idx @ self._weights + self._origin
 
     def address_one(self, index: Sequence[int]) -> int:
         return int(self.address(np.asarray(index, dtype=np.int64)[None, :])[0])
+
+    def runs(
+        self, region: Sequence[tuple[int, int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The maximal contiguous file runs ``(offsets, lengths)`` of an
+        inclusive ``(lo, hi)``-per-dimension region, sorted by offset:
+        exactly what sorting the address of every element and splitting
+        at the gaps gives, in O(runs) instead of O(elements)."""
+        if any(hi < lo for lo, hi in region):
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        offsets, lengths = self._entry_runs(region)
+        if offsets.size > 1:
+            gaps = offsets[1:] - offsets[:-1] - lengths[:-1]
+            if gaps.min() < 0:  # disjoint runs overlap only when out of order
+                order = np.argsort(offsets, kind="stable")
+                offsets, lengths = offsets[order], lengths[order]
+                gaps = offsets[1:] - offsets[:-1] - lengths[:-1]
+            if not gaps.all():  # a line ends where the next begins: one run
+                heads = np.flatnonzero(np.concatenate(([True], gaps != 0)))
+                offsets, lengths = offsets[heads], np.add.reduceat(lengths, heads)
+        return offsets, lengths
+
+    def _entry_runs(self, region) -> tuple[np.ndarray, np.ndarray]:
+        """A run from each point where one enters the box.  File-consecutive
+        elements differ by the unit step ``δ``, so these are the ``x`` with
+        ``x − δ`` outside: a slab behind every face ``δ`` crosses, a point
+        counted at the first face it lies behind; the run then takes the
+        ``δ``-steps that every dimension allows."""
+        box, parts = list(region), []
+        for d, s in enumerate(self._step):
+            if not s:
+                continue
+            lo, hi = region[d]
+            box[d], rest = (
+                ((lo, min(hi, lo + s - 1)), (lo + s, hi)) if s > 0
+                else ((max(lo, hi + s + 1), hi), (lo, hi + s))
+            )
+            parts.append(_outer_runs(self._terms(region, box)))
+            box[d] = rest
+            if rest[0] > rest[1]:
+                break  # every point lies behind this face
+        offsets, lengths = (np.concatenate(p) for p in zip(*parts))
+        return offsets + self._origin, lengths
+
+    def _terms(self, region, box):
+        for d in self._order:
+            x, s = np.arange(box[d][0], box[d][1] + 1), self._step[d]
+            far = region[d][1] if s > 0 else region[d][0]
+            yield self._weights[d] * x, (far - x) // s + 1 if s else None
 
 
 @dataclass(frozen=True)
@@ -100,6 +179,12 @@ class LinearLayout(Layout):
     def unit_step(self) -> tuple[int, ...]:
         """The index-space step between file-consecutive elements: the last
         column of ``D^-1`` (integral since ``D`` is unimodular)."""
+        return self._unit_step
+
+    @cached_property
+    def _unit_step(self) -> tuple[int, ...]:
+        # the exact inverse costs more than the rest of `address_map`,
+        # which every rank calls for every array of a shared layout
         inv = self.d.inverse_unimodular()
         return inv.col(inv.ncols - 1)
 
@@ -117,7 +202,9 @@ class LinearLayout(Layout):
         for r in range(m - 2, -1, -1):
             strides[r] = strides[r + 1] * extents[r + 1]
         total = int(np.prod(extents))
-        return AddressMap(rows, t_min, strides, total)
+        return AddressMap(
+            strides @ rows, -(strides @ t_min), total, self.unit_step()
+        )
 
     def describe(self) -> str:
         return f"linear layout g={self.hyperplane.name}, D={self.d!r}"
@@ -142,8 +229,26 @@ class _BlockedAddressMap(AddressMap):
         w = idx - b * self._block
         return (b @ self._grid_strides) * self._block_slots + w @ self._in_strides
 
-    def address_one(self, index: Sequence[int]) -> int:
-        return int(self.address(np.asarray(index, dtype=np.int64)[None, :])[0])
+    def _entry_runs(self, region) -> tuple[np.ndarray, np.ndarray]:
+        """Inside a block the last dimension is file-consecutive: runs
+        enter at the region's low face and at every block boundary along
+        the last dimension, and end with the region or the block."""
+        terms = []
+        for d, (lo, hi) in enumerate(region):
+            size, steps = int(self._block[d]), None
+            if d < len(region) - 1:
+                x = np.arange(lo, hi + 1)
+            else:
+                boundaries = np.arange((lo // size + 1) * size, hi + 1, size)
+                x = np.concatenate(([lo], boundaries))
+                steps = np.minimum(hi, (x // size + 1) * size - 1) - x + 1
+            b = x // size
+            terms.append((
+                b * (self._grid_strides[d] * self._block_slots)
+                + (x - b * size) * self._in_strides[d],
+                steps,
+            ))
+        return _outer_runs(terms)
 
 
 @dataclass(frozen=True)

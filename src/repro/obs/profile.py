@@ -9,8 +9,8 @@ instruments, each with a different determinism contract:
   pricing stack's actual work: ``plan_runs`` invocations, priced runs
   coming out of the sieve/split planner, event-simulator events, cache
   probes, tile plans built and dependence reference pairs examined (the
-  rank-invariant planning work), and interpreted Python loop iterations
-  per phase.  Plain int
+  rank-invariant planning work), element addresses the stores
+  enumerated, and interpreted Python loop iterations per phase.  Plain int
   increments, bit-identical across repeat runs, published per run as
   *deltas* into the :class:`~repro.obs.metrics.MetricsRegistry` (keys
   ``work.*``) — integers, so the PR-4 regression gate holds them to
@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Mapping
 #: the unlabeled work counters, in publication order
 WORK_KEYS = (
     "plan_runs_calls", "priced_runs", "sim_events", "cache_probes",
-    "plan_nest_calls", "dependence_pairs",
+    "plan_nest_calls", "dependence_pairs", "addresses_enumerated",
 )
 
 #: hotspot-site name fragments counted as the *pricing stack* (the
@@ -68,7 +68,10 @@ class WorkCounters:
     def __init__(self) -> None:
         # plan_nest_calls / dependence_pairs count rank-invariant work:
         # tile plans built and reference pairs the dependence analyzer
-        # examined stay at one nest's worth however many ranks run
+        # examined stay at one nest's worth however many ranks run.
+        # addresses_enumerated sums the sizes of the regions whose every
+        # element address a store computed: data movement only, so 0 in
+        # a simulate-mode run (pricing derives runs from the tile's box)
         for key in WORK_KEYS:
             setattr(self, key, 0)
         #: interpreted Python loop iterations per phase ("element" for

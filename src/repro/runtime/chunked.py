@@ -17,8 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
+from ..obs import profile as _prof
 from .file import OOCFile
-from .ooc_array import Region, runs_of, _region_indices
+from .ooc_array import (
+    Region, _region_indices, check_region, region_shape, region_size, runs_of,
+)
 from .pfs import ParallelFileSystem
 from .stats import IOContext, plan_runs
 
@@ -90,6 +93,8 @@ class InterleavedChunkedStore:
 
     def addresses(self, name: str, region: Region) -> np.ndarray:
         slot = self.slot_of(name)
+        check_region(region, self.shape, name)
+        _prof.WORK.addresses_enumerated += region_size(region)
         idx = _region_indices(region) + self._pad_np
         b = idx // self._block_np
         w = idx - b * self._block_np
@@ -103,6 +108,9 @@ class InterleavedChunkedStore:
         """Linear ids of the chunks covering a region (whole-chunk I/O:
         a chunk is the transfer unit, as in PASSION's chunked files)."""
         slot = self.slot_of(name)
+        check_region(region, self.shape, name)
+        if region_size(region) == 0:
+            return np.zeros(0, dtype=np.int64)
         lo = np.array([l for l, _ in region], dtype=np.int64) + self._pad_np
         hi = np.array([h for _, h in region], dtype=np.int64) + self._pad_np
         b_lo = lo // self._block_np
@@ -146,10 +154,9 @@ class InterleavedChunkedStore:
         out: dict[str, np.ndarray | None] = {}
         for name, region in requests:
             if self.file.real:
-                sizes = [hi - lo + 1 for lo, hi in region]
                 out[name] = self.file.gather(
                     self.addresses(name, region)
-                ).reshape(sizes)
+                ).reshape(region_shape(region))
             else:
                 out[name] = None
         return out

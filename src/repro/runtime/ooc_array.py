@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ..layout import Layout
+from ..obs import profile as _prof
 from .file import OOCFile
 from .pfs import ParallelFileSystem
 from .stats import IOContext, plan_runs
@@ -33,8 +34,28 @@ def region_size(region: Region) -> int:
     return n
 
 
+def region_shape(region: Region) -> tuple[int, ...]:
+    """Extents of the tile a region holds (an empty region has a 0)."""
+    return tuple(max(hi - lo + 1, 0) for lo, hi in region)
+
+
+def check_region(region: Region, shape: Sequence[int], label: str) -> None:
+    """The one definition of a transferable region, for every store: the
+    array's rank and inside its bounds.  ``region_size(region) == 0``
+    is valid and means nothing moves and nothing is accounted."""
+    if len(region) != len(shape):
+        raise ValueError(
+            f"region rank {len(region)} != array rank {len(shape)}"
+        )
+    for (lo, hi), extent in zip(region, shape):
+        if lo < 0 or hi >= extent:
+            raise ValueError(
+                f"region {region} escapes array {label}{tuple(shape)}"
+            )
+
+
 def _region_indices(region: Region) -> np.ndarray:
-    sizes = [hi - lo + 1 for lo, hi in region]
+    sizes = region_shape(region)
     grid = np.indices(sizes).reshape(len(sizes), -1).T
     return grid + np.array([lo for lo, _ in region], dtype=np.int64)
 
@@ -109,37 +130,40 @@ class OutOfCoreArray:
 
     # -- whole-region addressing -------------------------------------------
 
-    def _check_region(self, region: Region) -> None:
-        if len(region) != len(self.shape):
-            raise ValueError(
-                f"region rank {len(region)} != array rank {len(self.shape)}"
-            )
-        for (lo, hi), extent in zip(region, self.shape):
-            if lo < 0 or hi >= extent:
-                raise ValueError(
-                    f"region {region} escapes array {self.name}{self.shape}"
-                )
-
     def addresses(self, region: Region) -> np.ndarray:
-        self._check_region(region)
+        """The file slot of every element of the region, in row-major
+        element order — what data movement needs."""
+        check_region(region, self.shape, self.name)
+        _prof.WORK.addresses_enumerated += region_size(region)
         return self.map.address(_region_indices(region)) + self.slot_base
 
+    def runs(self, region: Region) -> tuple[np.ndarray, np.ndarray]:
+        """The region's maximal contiguous file runs ``(offsets,
+        lengths)``, sorted by offset — ``runs_of(self.addresses(region))``
+        derived from the box and the layout, touching no element."""
+        check_region(region, self.shape, self.name)
+        offsets, lengths = self.map.runs(region)
+        return offsets + self.slot_base, lengths
+
     def count_tile_io(self, region: Region, ctx: IOContext, is_write: bool) -> int:
-        """Account the I/O for transferring the region; returns call count."""
+        """Account the I/O for transferring the region; returns call
+        count.  The Figure-3 reference: it decomposes the address of
+        every element, which :meth:`runs` must reproduce exactly."""
         offsets, lengths = runs_of(self.addresses(region))
         return self.file.account_runs(ctx, offsets, lengths, is_write)
 
     # -- data movement --------------------------------------------------------
+    # Accounting-only files price a transfer from `runs`; where data
+    # moves the addresses exist anyway and are decomposed as they are.
 
     def read_tile(self, region: Region, ctx: IOContext) -> np.ndarray | None:
         """Fetch a tile.  Returns the tile data in real mode, else None."""
-        addrs = self.addresses(region)
-        offsets, lengths = runs_of(addrs)
-        self.file.account_runs(ctx, offsets, lengths, is_write=False)
         if not self.file.real:
+            self.file.account_runs(ctx, *self.runs(region), is_write=False)
             return None
-        sizes = [hi - lo + 1 for lo, hi in region]
-        return self.file.gather(addrs).reshape(sizes)
+        addrs = self.addresses(region)
+        self.file.account_runs(ctx, *runs_of(addrs), is_write=False)
+        return self.file.gather(addrs).reshape(region_shape(region))
 
     def read_tile_partial(
         self, region: Region, skip_mask: np.ndarray, ctx: IOContext
@@ -159,24 +183,24 @@ class OutOfCoreArray:
         self.file.account_runs(ctx, offsets, lengths, is_write=False)
         if not self.file.real:
             return None
-        sizes = [hi - lo + 1 for lo, hi in region]
         out = np.zeros(flat_skip.size, dtype=self.file.dtype)
         if need.size:
             out[~flat_skip] = self.file.gather(need)
-        return out.reshape(sizes)
+        return out.reshape(region_shape(region))
 
     def write_tile(
         self, region: Region, data: np.ndarray | None, ctx: IOContext
     ) -> None:
+        if not self.file.real:
+            self.file.account_runs(ctx, *self.runs(region), is_write=True)
+            return
         addrs = self.addresses(region)
-        offsets, lengths = runs_of(addrs)
-        self.file.account_runs(ctx, offsets, lengths, is_write=True)
-        if self.file.real:
-            if data is None:
-                raise ValueError("real-mode write requires data")
-            self.file.scatter(
-                addrs, np.asarray(data, dtype=self.file.dtype).ravel()
-            )
+        self.file.account_runs(ctx, *runs_of(addrs), is_write=True)
+        if data is None:
+            raise ValueError("real-mode write requires data")
+        self.file.scatter(
+            addrs, np.asarray(data, dtype=self.file.dtype).ravel()
+        )
 
     # -- element access (verification only; no I/O accounting) -----------------
 
@@ -222,6 +246,5 @@ class LinearStore:
     def estimate_read(self, name, region, params) -> tuple[int, int]:
         """(calls, elements) a read of the region would cost — the exact
         sieve/split planning of ``record_runs``, without recording."""
-        offsets, lengths = runs_of(self.arrays[name].addresses(region))
-        offsets, lengths = plan_runs(params, offsets, lengths)
+        offsets, lengths = plan_runs(params, *self.arrays[name].runs(region))
         return int(offsets.size), int(lengths.sum())

@@ -2,8 +2,14 @@
 array contents and bit-identical folded ``IOStats`` on adi and mxm —
 through the direct executor, the independent parallel path, and the
 two-phase collective path.  The accounting never touches the backend,
-so these are exact-equality assertions, not tolerances."""
+so these are exact-equality assertions, not tolerances.
 
+The simulate backend prices each tile from its box and layout
+(``OutOfCoreArray.runs``) where every data-carrying backend decomposes
+the addresses it moves, so simulate == memory is also the symbolic
+against the enumerated decomposition, on every workload."""
+
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +24,13 @@ from repro.engine import OOCExecutor
 from repro.experiments.harness import _scaled_params
 from repro.optimizer import build_version
 from repro.parallel import CollectiveConfig, run_version_parallel
-from repro.workloads import build_workload
+from repro.runtime import OutOfCoreArray
+from repro.workloads import (
+    analytics_names,
+    build_analytics,
+    build_workload,
+    workload_names,
+)
 
 N = 16
 PARAMS = replace(_scaled_params(N), n_io_nodes=4)
@@ -125,3 +137,51 @@ def test_backend_instance_is_cloned_per_rank():
     # shared file namespace never collides
     assert run.backend_metrics.ops > 0
     assert run.total_stats.calls > 0
+
+
+def _spy_on_addresses(monkeypatch):
+    regions = []
+    enumerate_region = OutOfCoreArray.addresses
+
+    def spy(self, region):
+        regions.append(region)
+        return enumerate_region(self, region)
+
+    monkeypatch.setattr(OutOfCoreArray, "addresses", spy)
+    return regions
+
+
+@pytest.mark.parametrize("version", ["col", "c-opt", "h-opt"])
+@pytest.mark.parametrize("code", workload_names() + analytics_names())
+def test_simulate_io_accounting_equals_memory_run(code, version, monkeypatch):
+    build = build_workload if code in workload_names() else build_analytics
+    cfg = build_version(version, build(code, N), params=PARAMS, n_nodes=N_NODES)
+    enumerated = _spy_on_addresses(monkeypatch)
+    sim = run_version_parallel(cfg, N_NODES, params=PARAMS)
+    assert not enumerated, "a simulate-mode run enumerated addresses"
+    real = run_version_parallel(cfg, N_NODES, params=PARAMS, backend="memory")
+    # counters exactly; modelled seconds to the last digits (a real run
+    # executes a nest's repetitions, a simulated one scales the first)
+    got, want = sim.total_stats.to_dict(), real.total_stats.to_dict()
+    assert got.keys() == want.keys()
+    # compute time is not I/O: simulate mode estimates the iterations of
+    # a triangular nest (syr2k), a real run counts them
+    del got["compute_time_s"], want["compute_time_s"]
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert math.isclose(got[key], value, rel_tol=1e-9, abs_tol=0.0), key
+        else:
+            assert got[key] == value, key
+    for mine, theirs in zip(sim.node_results, real.node_results):
+        np.testing.assert_allclose(
+            mine.io_node_load, theirs.io_node_load, rtol=1e-9, atol=0.0
+        )
+
+
+def test_only_data_carrying_runs_enumerate_addresses(monkeypatch):
+    cfg = _cfg("adi")
+    enumerated = _spy_on_addresses(monkeypatch)
+    run_version_parallel(cfg, N_NODES, params=PARAMS)
+    assert not enumerated
+    run_version_parallel(cfg, N_NODES, params=PARAMS, backend="memory")
+    assert enumerated

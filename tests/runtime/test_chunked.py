@@ -98,6 +98,53 @@ class TestInterleavedChunkedStore:
         assert out["A"] is None
         assert ctx.stats.read_calls == 1
 
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("region", [((3, 2), (0, 1)), ((5, 2), (0, 1))])
+    def test_empty_region_moves_and_records_nothing(self, region, real):
+        # lo and hi of an empty region used to be floor-divided apart,
+        # charging the chunk between them
+        store, _ = make_store(real=real)
+        ctx = IOContext(MachineParams(), trace=True)
+        assert store.chunk_ids("A", region).size == 0
+        assert store.addresses("A", region).size == 0
+        assert store.estimate_read("A", region, ctx.params) == (0, 0)
+        out = store.read_tiles([("A", region)], ctx)
+        store.write_tiles([("A", region, out["A"])], ctx)
+        if real:
+            assert out["A"].shape == (0, 2)
+        else:
+            assert out["A"] is None
+        assert ctx.stats == IOContext(ctx.params).stats and ctx.trace == []
+
+    @pytest.mark.parametrize(
+        "region", [((0, 9), (0, 1)), ((-1, 2), (0, 1)), ((0, 1),)]
+    )
+    def test_escaping_region_rejected_before_anything_is_accounted(
+        self, region
+    ):
+        # the same check, and the same words, as OutOfCoreArray
+        store, ctx = make_store(real=False)
+        plain = OutOfCoreArray.create(
+            "A", (8, 8), col_major(2), ParallelFileSystem(ctx.params),
+            real=False,
+        )
+        with pytest.raises(ValueError) as want:
+            plain.runs(region)
+        inside = ((0, 3), (0, 3))
+        for call in (
+            lambda: store.addresses("A", region),
+            lambda: store.chunk_ids("A", region),
+            lambda: store.estimate_read("A", region, ctx.params),
+            lambda: store.read_tiles([("B", inside), ("A", region)], ctx),
+            lambda: store.write_tiles(
+                [("B", inside, None), ("A", region, None)], ctx
+            ),
+        ):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+        assert ctx.stats.calls == 0
+
     def test_versus_plain_chunked_array(self):
         """Interleaving beats two independent chunked arrays on co-access."""
         params = MachineParams()

@@ -229,6 +229,39 @@ class TestOutOfCoreArray:
         with pytest.raises(ValueError):
             arr.read_tile(((0, 1),), ctx)
 
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("region", [((3, 2), (0, 1)), ((5, 2), (0, 1))])
+    def test_empty_region_moves_and_records_nothing(self, region, real):
+        # hi < lo by one or by many: no runs, no calls, an empty tile
+        params = MachineParams()
+        arr = OutOfCoreArray.create(
+            "A", (8, 8), col_major(2), ParallelFileSystem(params), real=real
+        )
+        ctx = IOContext(params, trace=True)
+        assert arr.addresses(region).size == 0
+        assert [a.size for a in arr.runs(region)] == [0, 0]
+        assert arr.count_tile_io(region, ctx, is_write=False) == 0
+        tile = arr.read_tile(region, ctx)
+        arr.write_tile(region, tile, ctx)
+        if real:
+            assert tile.shape == (0, 2)
+        else:
+            assert tile is None
+        assert ctx.stats == IOContext(params).stats and ctx.trace == []
+        assert not ctx.io_node_load.any()
+
+    def test_runs_validate_the_region_like_addresses(self):
+        arr, ctx = self.make(row_major(2), real=False)
+        for region in [((0, 8), (0, 0)), ((-1, 2), (0, 0)), ((0, 1),)]:
+            with pytest.raises(ValueError) as by_runs:
+                arr.runs(region)
+            with pytest.raises(ValueError) as by_addresses:
+                arr.addresses(region)
+            assert str(by_runs.value) == str(by_addresses.value)
+            with pytest.raises(ValueError):
+                arr.read_tile(region, ctx)
+        assert ctx.stats.calls == 0
+
     def test_figure3a_call_count(self):
         """Paper Figure 3(a): a 4x4 tile of a column-major array needs 4
         I/O calls (one per column)."""
