@@ -1,20 +1,18 @@
 """Hotspot profiler + deterministic work counters (repro.obs.profile).
 
-Two findings asserted, one column printed:
+Three findings asserted:
 
-- **Pricing share of the instrumented sites (printed, not asserted).**
-  ``pricing_share`` is the pricing sites' part (``pricing.plan_runs``,
-  the ``IOContext`` record paths, the event-sim loop) of the self time
-  recorded *at the hand-placed hotspot sites* — not of the run.  The
-  sites cover a few milliseconds of a run whose wall time sits mostly
-  outside them, so the figure says nothing about where a run's time
-  goes; ``perfbench``'s layer table (``python3 perfbench/run.py
-  --workload W --traced-only``) is the whole-run attribution.  The
-  deterministic work counters of the same sweep *are* gated, including
-  ``plan_nest_calls`` / ``dependence_pairs``, which stay at one nest's
-  worth however many ranks run, and ``addresses_enumerated``, which is
-  0 wherever no data moves (simulate mode prices a tile from its box
-  and layout; only data-carrying runs compute element addresses).
+- **The profiled table sweep's work counters are gated.**  Per workload
+  x version cell: ``plan_nest_calls`` / ``dependence_pairs`` stay at
+  one nest's worth however many ranks run, and
+  ``addresses_enumerated`` is 0 wherever no data moves (simulate mode
+  prices a tile from its box and layout; only data-carrying runs
+  compute element addresses).  The hand-placed hotspot sites cover a
+  few milliseconds of a run whose wall time sits mostly outside them,
+  so no share of their self time is reported any more (the retired
+  ``pricing_share`` misaimed a whole round, see ROADMAP);
+  ``perfbench``'s layer table (``python3 perfbench/run.py --workload W
+  --traced-only``) is the whole-run attribution.
 - **Work counters are bit-identical across repeat runs**, on the
   direct-executor, independent-parallel and two-phase-collective paths
   — integers end to end, so the regression gate holds them to exact
@@ -29,9 +27,8 @@ Two findings asserted, one column printed:
   scoped to strategies that move data, not loops.
 
 Only the deterministic integer counters enter the regression-gated
-``--json`` payload; the wall-derived hotspot shares are printed here
-and recorded (outside ``--smoke``) in ``BENCH_profile.json`` at the
-repo root.
+``--json`` payload; the wall-derived site totals are recorded (outside
+``--smoke``) in ``BENCH_profile.json`` at the repo root.
 """
 
 import json
@@ -74,10 +71,9 @@ def _flat_work(work):
     return out
 
 
-def test_pricing_stack_is_the_hotspot(benchmark, smoke, json_out):
+def test_profiled_sweep_work_counters(benchmark, smoke, json_out):
     """The profiled table sweep: gated work counters per workload x
-    version cell, and the pricing sites' share of the *instrumented*
-    self time as a printed column."""
+    version cell."""
     n = SMOKE_N if smoke else SWEEP_N
     workloads = ("mxm", "adi") if smoke else ("mxm", "adi", "syr2k")
     versions = ("col", "c-opt") if smoke else ("col", "row", "c-opt")
@@ -94,7 +90,6 @@ def test_pricing_stack_is_the_hotspot(benchmark, smoke, json_out):
                 table = run.profile.hotspots
                 rows[f"{wl}/{ver}"] = {
                     "nests": len(cfg.program.nests),
-                    "pricing_share": table.pricing_share(),
                     "total_self_s": table.total_self_s,
                     "top_site": table.sites[0].name if table.sites else None,
                     "work": _flat_work(run.profile.work),
@@ -102,7 +97,7 @@ def test_pricing_stack_is_the_hotspot(benchmark, smoke, json_out):
         return rows
 
     rows = run_once(benchmark, sweep)
-    # gate only the deterministic integers; shares are wall-derived
+    # gate only the deterministic integers; site times are wall-derived
     json_out(
         "profile_work_by_cell",
         {cell: r["work"] for cell, r in rows.items()},
@@ -111,8 +106,7 @@ def test_pricing_stack_is_the_hotspot(benchmark, smoke, json_out):
     print()
     for cell, r in rows.items():
         print(
-            f"  {cell:12s} share={r['pricing_share']:.1%} "
-            f"top={r['top_site']} "
+            f"  {cell:12s} top={r['top_site']} "
             f"priced_runs={r['work']['priced_runs']}"
         )
     for cell, r in rows.items():

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
-from ..obs import Observability, active as obs_active
+from ..obs import Observability, sanitize
 from ..parallel.spmd import ParallelRun, run_version_parallel
 from ..runtime import MachineParams
 from .calibrate import CalibrationError, calibrate
@@ -120,7 +120,7 @@ class Autotuner:
         self.memory_budget = memory_budget
         self.space = space or TuneSpace.default_for(n_nodes)
         self.config = config or AutotuneConfig()
-        self.obs = obs_active(obs)
+        self.obs = obs
         self.state = "idle"
         self.decision: TuneDecision | None = None
         self.history: list[dict] = []
@@ -337,12 +337,7 @@ class Autotuner:
         record = {"event": event, "detail": detail, **data}
         self.history.append(record)
         if self.obs is not None:
-            if self.obs.journal is not None:
-                from ..obs.export import sanitize
-
-                self.obs.journal.emit(
-                    "autotune_event", data=sanitize(record)
-                )
+            self.obs.emit("autotune_event", data=sanitize(record))
             self.obs.note_autotune(self.summary())
         return record
 

@@ -81,10 +81,8 @@ def generate_tiled_code(
     ``obs`` (a :class:`repro.obs.Observability`) wraps the emission in a
     ``codegen`` span; ``None`` records nothing.
     """
-    from ..obs import active
     from ..transforms.tiling import ooc_tiling
 
-    obs = active(obs)
     span = (
         obs.tracer.begin("codegen", "compile", program=program.name)
         if obs is not None

@@ -28,7 +28,7 @@ from ..faults import FaultConfig, FaultInjector
 from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..layout import Layout, row_major
-from ..obs import Observability, active as obs_active, nest_records
+from ..obs import Observability, nest_records
 from ..obs import profile as _prof
 from ..obs.profile import ProfileConfig, ProfileResult, ProfileSession
 from ..runtime import (
@@ -502,7 +502,7 @@ class OOCExecutor:
         # is taken and accounting is bit-identical to pre-obs behavior.
         # Per-array attribution needs the call trace, so an enabled obs
         # turns tracing on (stats are unaffected by tracing).
-        self._obs = obs_active(obs)
+        self._obs = obs
         self._trace = trace or (
             self._obs is not None and self._obs.config.per_array
         )
@@ -800,7 +800,6 @@ class OOCExecutor:
             ):
                 obs.record_nest_io(rec)
             obs.note_predictions(self.predicted_io())
-            obs.finalize_drift()
             # optimality: a lone executor owns the whole program, so it
             # can derive (or adopt) bounds itself; rank executors inside
             # the SPMD driver see only their slab and leave bounds to
@@ -816,7 +815,7 @@ class OOCExecutor:
                     )
                 obs.note_bounds(bounds)
                 obs.note_modeled_elements(self.predicted_elements())
-                obs.finalize_optimality()
+            obs.publish_gauges()
         if obs.config.metrics:
             if self._cache is not None:
                 self._cache.publish_metrics(obs.metrics)

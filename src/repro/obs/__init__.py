@@ -103,11 +103,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """Switches for the observability layer.
+    """Switches for the observability layer ("off" is ``obs=None``).
 
-    ``enabled``
-        master switch; a disabled config behaves exactly like passing
-        ``obs=None`` everywhere.
     ``wall_time``
         record wall-clock spans of the pipeline and executor.
     ``metrics``
@@ -120,15 +117,31 @@ class ObsConfig:
         in the executor; stats are unaffected).
     """
 
-    enabled: bool = True
     wall_time: bool = True
     metrics: bool = True
     sim_events: bool = True
     per_array: bool = True
 
 
+def _view(key: str) -> property:
+    return property(
+        lambda self: payload_from_journal(self.events).get(key),
+        doc=f"The folded payload's ``{key}`` section (None until noted).",
+    )
+
+
 class Observability:
-    """One run's collected telemetry: tracer + registry + I/O report."""
+    """One run's collected telemetry: a tracer, a metrics registry and
+    an event log.
+
+    Every ``record_*`` / ``note_*`` is one :meth:`emit` of a
+    ``{"kind", ...}`` event; the payload, the report and every summary
+    attribute are read-only views of :func:`payload_from_journal` over
+    :attr:`events`.  A ``journal`` (a :class:`Journal`, a path or a
+    file-like) receives the same events as JSON lines while the run is
+    in flight; :meth:`close` (or leaving the ``with`` block) writes the
+    closing snapshots and closes a journal file this object opened.
+    """
 
     def __init__(
         self,
@@ -140,44 +153,44 @@ class Observability:
         self.config = config or ObsConfig()
         self.tracer = Tracer(**({"clock": clock} if clock is not None else {}))
         self.metrics = MetricsRegistry()
-        self.report = IOReport()
-        #: streaming telemetry sink (:mod:`repro.obs.journal`): records
-        #: and snapshots are appended as JSONL events while the run is
-        #: in flight.  ``None`` (the default) emits nothing — payloads
-        #: are bit-identical without a journal attached.
-        if journal is None or isinstance(journal, Journal):
-            self.journal = journal
-        else:
-            self.journal = Journal(journal)
-        #: serialized hotspot/work capture (:meth:`note_profile`); the
-        #: payload's ``profile`` key exists only when this is set
-        self.profile: dict[str, object] | None = None
-        self.run_stats: dict[str, object] | None = None
-        self.sim_summary: dict[str, object] | None = None
-        #: multi-tenant serving summary (:mod:`repro.serve`): per-tenant
-        #: job counts, queue delays and folded stats, set by
-        #: :meth:`note_serve` when a scheduler run completes
-        self.serve_summary: dict[str, object] | None = None
-        #: autotuning-loop summary (:mod:`repro.autotune`): solver
-        #: provenance, drift signals and recalibration history, set by
-        #: :meth:`note_autotune`; the payload's ``autotune`` key exists
-        #: only when this is set
-        self.autotune_summary: dict[str, object] | None = None
-        #: cost-model predictions per nest → array → estimated calls,
-        #: registered by the executor / parallel driver before the run's
-        #: drift table is built (:meth:`finalize_drift`)
-        self.predictions: dict[str, dict[str, float]] = {}
-        #: static I/O lower bounds per nest
-        #: (:meth:`repro.bounds.NestBound.to_dict` payloads), registered
-        #: by :meth:`note_bounds` before :meth:`finalize_optimality`
-        self.bounds: dict[str, dict[str, object]] = {}
-        #: cost-model element estimates per nest, the "modeled" column
-        #: of the optimality table (:meth:`note_modeled_elements`)
-        self.modeled_elements: dict[str, float] = {}
+        #: the run's telemetry, in emission order and in the journal's
+        #: own shape (minus ``seq``)
+        self.events: list[dict[str, object]] = []
+        self._owns_journal = not isinstance(journal, (Journal, type(None)))
+        self.journal: Journal | None = (
+            Journal(journal) if self._owns_journal else journal
+        )
+
+    def emit(self, kind: str, **fields: object) -> None:
+        """Log one event: appended in memory, streamed to the journal."""
+        self.events.append({"kind": kind, **fields})
+        if self.journal is not None:
+            self.journal.emit(kind, **fields)
+
+    # -- read-only views of the fold ---------------------------------------
 
     @property
-    def enabled(self) -> bool:
-        return self.config.enabled
+    def report(self) -> IOReport:
+        """The per-nest × per-array records and the drift / optimality
+        tables derived from them."""
+        return IOReport.from_dict(
+            payload_from_journal(self.events)["io_report"]
+        )
+
+    @property
+    def bounds(self) -> dict[str, Mapping[str, object]]:
+        """Registered lower bounds by nest (last registration wins)."""
+        return {
+            b["nest"]: b
+            for e in self.events if e["kind"] == "bounds"
+            for b in e["data"]
+        }
+
+    run_stats = _view("stats")
+    sim_summary = _view("sim")
+    serve_summary = _view("serve")
+    autotune_summary = _view("autotune")
+    profile = _view("profile")
 
     # -- convenience proxies ----------------------------------------------
 
@@ -187,137 +200,92 @@ class Observability:
     def instant(self, name: str, cat: str = "", **args: object) -> None:
         self.tracer.instant(name, cat, **args)
 
+    # -- events ------------------------------------------------------------
+
     def record_nest_io(self, record: NestIORecord) -> None:
-        self.report.records.append(record)
-        if self.journal is not None:
-            self.journal.emit("nest_io", **record.to_dict())
+        self.emit("nest_io", **record.to_dict())
 
     def record_redist(self, record: RedistRecord) -> None:
-        self.report.redist.append(record)
-        if self.journal is not None:
-            self.journal.emit("redist", **record.to_dict())
+        self.emit("redist", **record.to_dict())
 
     def note_stats(self, stats: "IOStats") -> None:
         """Attach the run's folded stats (the report's ground truth)."""
-        self.run_stats = stats.to_dict()
-        if self.journal is not None:
-            self.journal.emit("stats", data=self.run_stats)
+        self.emit("stats", data=stats.to_dict())
+
+    def note_sim(self, summary: Mapping[str, object]) -> None:
+        """Attach the event simulator's run summary (makespan, queue
+        waits); rendered as the report's ``event sim:`` line."""
+        self.emit("sim", data=sanitize(dict(summary)))
 
     def note_serve(self, summary: Mapping[str, object]) -> None:
         """Attach a serving run's per-tenant summary
         (:meth:`repro.serve.ServeResult.summary_dict`); rendered as the
         tenant section of ``python -m repro.obs report``."""
-        self.serve_summary = dict(summary)
-        if self.journal is not None:
-            self.journal.emit("serve", data=sanitize(self.serve_summary))
+        self.emit("serve", data=sanitize(dict(summary)))
 
     def note_autotune(self, summary: Mapping[str, object]) -> None:
         """Attach an autotuning summary
         (:meth:`repro.autotune.Autotuner.summary`); rendered as the
         autotuning section of ``python -m repro.obs report``."""
-        self.autotune_summary = dict(summary)
-        if self.journal is not None:
-            self.journal.emit(
-                "autotune", data=sanitize(self.autotune_summary)
-            )
+        self.emit("autotune", data=sanitize(dict(summary)))
 
     def note_profile(self, profile) -> None:
         """Attach a finished hotspot capture — a
         :class:`~repro.obs.profile.ProfileResult` or its ``to_dict()``
         payload; rendered as the hotspot section of the report and the
         ``top`` CLI."""
-        self.profile = (
-            profile.to_dict() if hasattr(profile, "to_dict")
-            else dict(profile)
-        )
-        if self.journal is not None:
-            self.journal.emit("profile", data=self.profile)
-
-    # -- cost-model drift ---------------------------------------------------
+        self.emit("profile", data=sanitize(profile))
 
     def note_predictions(
         self, predictions: Mapping[str, Mapping[str, float]]
     ) -> None:
-        """Register the optimizer's predicted I/O per (nest, array) —
-        typically :func:`repro.optimizer.cost.predict_program_io` of the
-        program about to run."""
-        for nest, per_array in predictions.items():
-            self.predictions.setdefault(nest, {}).update(per_array)
-
-    def finalize_drift(self) -> None:
-        """(Re)build the report's cost-model drift table from the
-        collected records and registered predictions, and publish the
-        per-(nest, array) model-error metrics.  Idempotent — callers
-        invoke it whenever a run's records are complete."""
-        if not self.predictions and not self.report.records:
-            return
-        self.report.drift = build_drift(self.report.records, self.predictions)
-        if self.config.metrics:
-            for r in self.report.drift:
-                labels = {"nest": r.nest, "array": r.array}
-                self.metrics.gauge(
-                    "cost_model.measured_calls", **labels
-                ).set(r.measured_calls)
-                if r.predicted_calls is not None:
-                    self.metrics.gauge(
-                        "cost_model.predicted_calls", **labels
-                    ).set(r.predicted_calls)
-                if r.error is not None:
-                    self.metrics.gauge(
-                        "cost_model.call_error", **labels
-                    ).set(r.error)
-
-    # -- optimality (I/O lower bounds) --------------------------------------
+        """Register the optimizer's predicted I/O calls per (nest,
+        array) — typically :func:`repro.optimizer.cost.predict_program_io`
+        of the program about to run; the drift table's prediction side."""
+        self.emit("predictions", data=sanitize(predictions))
 
     def note_bounds(self, bounds: Iterable[object]) -> None:
         """Register static I/O lower bounds — an iterable of
         :class:`repro.bounds.NestBound` (or equivalent dict payloads),
         typically :func:`repro.bounds.program_bounds` of the program
-        about to run, keyed by nest name (last registration wins)."""
-        for b in bounds:
-            d = b.to_dict() if hasattr(b, "to_dict") else dict(b)
-            self.bounds[d["nest"]] = d
+        about to run; the optimality table's bound side."""
+        self.emit("bounds", data=[sanitize(b) for b in bounds])
 
     def note_modeled_elements(self, modeled: Mapping[str, float]) -> None:
         """Register the cost model's element estimates per nest —
-        typically :func:`repro.optimizer.cost.predict_program_elements`."""
-        self.modeled_elements.update(modeled)
+        typically :func:`repro.optimizer.cost.predict_program_elements`;
+        the optimality table's "modeled" column."""
+        self.emit("modeled_elements", data=sanitize(modeled))
 
-    def finalize_optimality(self) -> None:
-        """(Re)build the report's achieved-vs-bound table from the
-        collected records and registered bounds, and publish the
-        ``optimality.*`` gauges.  Idempotent, like
-        :meth:`finalize_drift`."""
-        if not self.bounds and not self.report.records:
-            return
-        self.report.optimality = build_optimality(
-            self.report.records, self.bounds, self.modeled_elements
-        )
+    def publish_gauges(self) -> None:
+        """Publish the fold's drift and optimality tables as
+        ``cost_model.*`` / ``optimality.*`` gauges.  Idempotent —
+        callers invoke it once a run's records are complete."""
         if not self.config.metrics:
             return
-        bound_sum = 0.0
-        measured_sum = 0
-        for r in self.report.optimality:
-            labels = {"nest": r.nest}
-            self.metrics.gauge(
-                "optimality.measured_elements", **labels
-            ).set(r.measured_elements)
-            if r.modeled_elements is not None:
-                self.metrics.gauge(
-                    "optimality.modeled_elements", **labels
-                ).set(r.modeled_elements)
-            if r.bound_elements is not None:
-                self.metrics.gauge(
-                    "optimality.bound_elements", **labels
-                ).set(r.bound_elements)
-            if r.ratio is not None:
-                self.metrics.gauge("optimality.ratio", **labels).set(r.ratio)
-                bound_sum += r.bound_elements
-                measured_sum += r.measured_elements
-        if bound_sum > 0:
-            self.metrics.gauge(
-                "optimality.run_ratio"
-            ).set(measured_sum / bound_sum)
+
+        def put(name: str, value: float | None, **labels: str) -> None:
+            if value is not None:
+                self.metrics.gauge(name, **labels).set(value)
+
+        report = self.report
+        for d in report.drift:
+            labels = {"nest": d.nest, "array": d.array}
+            put("cost_model.measured_calls", d.measured_calls, **labels)
+            put("cost_model.predicted_calls", d.predicted_calls, **labels)
+            put("cost_model.call_error", d.error, **labels)
+        bounded = [o for o in report.optimality if o.ratio is not None]
+        for o in report.optimality:
+            put("optimality.measured_elements", o.measured_elements, nest=o.nest)
+            put("optimality.modeled_elements", o.modeled_elements, nest=o.nest)
+            put("optimality.bound_elements", o.bound_elements, nest=o.nest)
+            put("optimality.ratio", o.ratio, nest=o.nest)
+        if bounded:
+            put(
+                "optimality.run_ratio",
+                sum(o.measured_elements for o in bounded)
+                / sum(o.bound_elements for o in bounded),
+            )
 
     # -- simulated-time ingestion -----------------------------------------
 
@@ -366,45 +334,45 @@ class Observability:
 
     # -- export ------------------------------------------------------------
 
+    def _snapshots(self) -> list[dict[str, object]]:
+        """The tracer and the registry as events — state that lives
+        outside the log until the run is exported or closed."""
+        return [
+            {"kind": "trace_events", "data": chrome_trace_events(self.tracer)},
+            {"kind": "metrics", "data": self.metrics.to_dict()},
+        ]
+
     def to_payload(self) -> dict[str, object]:
-        payload: dict[str, object] = {
-            "traceEvents": chrome_trace_events(self.tracer),
-            "displayTimeUnit": "ms",
-            "otherData": {"tool": "repro.obs"},
-            "metrics": self.metrics.to_dict(),
-            "io_report": self.report.to_dict(),
-        }
-        if self.run_stats is not None:
-            payload["stats"] = self.run_stats
-        if self.sim_summary is not None:
-            payload["sim"] = self.sim_summary
-        if self.serve_summary is not None:
-            payload["serve"] = self.serve_summary
-        if self.autotune_summary is not None:
-            payload["autotune"] = self.autotune_summary
-        if self.profile is not None:
-            payload["profile"] = self.profile
-        return payload
+        return payload_from_journal(self.events + self._snapshots())
+
+    def _sync(self) -> None:
+        """Log the snapshots, unless the log already ends with them."""
+        snapshots = self._snapshots()
+        if self.events[-len(snapshots):] != snapshots:
+            for event in snapshots:
+                self.emit(**event)
 
     def export(self, path_or_file: str | IO[str]) -> dict[str, object]:
-        """Write the Perfetto-loadable trace JSON; returns the payload."""
-        payload = self.to_payload()
+        """Write the Perfetto-loadable trace JSON; returns the payload
+        (which an attached journal now replays to as well)."""
+        self._sync()
+        payload = payload_from_journal(self.events)
         write_trace(path_or_file, payload)
-        if self.journal is not None:
-            # snapshot kinds stream at export time (records streamed as
-            # they were collected); replay folds them back last-wins
-            self.journal.emit("metrics", data=payload["metrics"])
-            if self.sim_summary is not None:
-                self.journal.emit("sim", data=sanitize(self.sim_summary))
-            self.journal.flush()
         return payload
 
+    def close(self) -> None:
+        """Log the closing snapshots and close a journal file this
+        object opened (one it was handed stays open)."""
+        self._sync()
+        if self._owns_journal:
+            self.journal.close()
 
-def active(obs: "Observability | None") -> "Observability | None":
-    """The instrumentation guard: the obs instance if it is live, else
-    ``None`` — call sites do ``obs = active(obs)`` once and then a plain
-    ``if obs is not None`` per instrumentation point."""
-    return obs if obs is not None and obs.config.enabled else None
+    def __enter__(self) -> "Observability":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.close()
+        return False
 
 
 __all__ = [
@@ -433,7 +401,6 @@ __all__ = [
     "Span",
     "Tracer",
     "WorkCounters",
-    "active",
     "build_drift",
     "build_optimality",
     "chrome_trace_events",
@@ -472,5 +439,5 @@ def _payload_report(
     return render_report(
         report, stats, metrics,
         serve=payload.get("serve"), profile=payload.get("profile"),
-        autotune=payload.get("autotune"),
+        autotune=payload.get("autotune"), sim=payload.get("sim"),
     )

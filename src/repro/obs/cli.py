@@ -1,9 +1,10 @@
 """Command-line interface: ``python -m repro.obs <command>``.
 
-``report <trace.json>``
+``report <trace.json | run.jsonl | ->``
     Print the per-nest × per-array I/O breakdown table of an exported
-    trace, the redistribution lines, the cost-model drift section, and
-    the cross-check against the run's folded
+    trace (or of a streamed journal, folded to the same payload), the
+    redistribution lines, the cost-model drift and optimality sections,
+    and the cross-check against the run's folded
     :class:`~repro.runtime.stats.IOStats`.
 
 ``capture``
@@ -17,8 +18,8 @@
 
 ``profile``
     Run one workload version with the hotspot profiler on and print the
-    ``top``-style report: instrumented sites by self time, the
-    pricing-stack share, and the deterministic work counters.
+    ``top``-style report: instrumented sites by self time, the span
+    aggregates and the deterministic work counters.
     ``--folded`` adds a cProfile capture and writes flamegraph
     collapsed-stack lines; ``--journal`` streams the run's telemetry to
     a JSONL journal; ``--openmetrics`` writes the metrics registry in
@@ -27,9 +28,9 @@
         python -m repro.obs profile --workload adi --folded prof.folded \\
             --journal run.jsonl
 
-``top <trace.json>``
-    Print the hotspot section of a previously exported trace (one that
-    was captured with profiling enabled).
+``top <trace.json | run.jsonl | ->``
+    Print the hotspot section of a previously exported trace or journal
+    (one that was captured with profiling enabled).
 
 ``journal <events.jsonl>``
     Inspect a streamed JSONL journal: event-count summary by default,
@@ -63,66 +64,77 @@ import sys
 from . import Observability, _payload_report, load_trace
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def _load(path: str, fold=None):
+    """What a renderer reads, or ``None`` after printing the error.
+
+    With ``fold=None`` that is a payload: a trace JSON, ``-`` (trace
+    JSON on stdin) or a streamed ``.jsonl`` journal folded by
+    :func:`payload_from_journal`.  With a ``fold``, ``path`` is a
+    journal whatever its name and the result is ``fold(events)``."""
     import json
 
+    from .journal import JournalError, payload_from_journal, read_journal
+
+    if fold is None and path.endswith(".jsonl"):
+        fold = payload_from_journal
     try:
-        if args.trace == "-":
-            # stdin payload: pipe a fresh capture straight into a report
-            payload = json.load(sys.stdin)
-        else:
-            payload = load_trace(args.trace)
+        if fold is not None:
+            return fold(read_journal(path))
+        payload = json.load(sys.stdin) if path == "-" else load_trace(path)
+        if isinstance(payload, dict):
+            return payload
+        problem = f"{path} is not a trace payload (top level is not an object)"
     except FileNotFoundError:
-        print(f"error: trace file not found: {args.trace}", file=sys.stderr)
-        return 2
+        problem = f"file not found: {path}"
+    except JournalError as e:
+        problem = str(e)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        source = "stdin" if args.trace == "-" else args.trace
-        print(
-            f"error: malformed trace JSON in {source}: {e}",
-            file=sys.stderr,
-        )
-        return 2
-    if not isinstance(payload, dict):
-        print(
-            f"error: {args.trace} is not a trace payload "
-            "(top level is not an object)",
-            file=sys.stderr,
-        )
+        source = "stdin" if path == "-" else path
+        problem = f"malformed trace JSON in {source}: {e}"
+    print(f"error: {problem}", file=sys.stderr)
+    return None
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    payload = _load(args.trace)
+    if payload is None:
         return 2
     print(_payload_report(payload, include_metrics=args.metrics))
-    sim = payload.get("sim")
-    if sim:
-        print(
-            f"event sim: makespan={sim['makespan_s']:.3f}s "
-            f"waited={sim['waited_requests']} "
-            f"(queue delay {sim['wait_time_s']:.3f}s)"
-        )
     return 0
 
 
-def cmd_capture(args: argparse.Namespace) -> int:
+def _observed_run(args: argparse.Namespace, cfg, *, journal=None, **run_kw):
+    """Run version ``cfg`` on the simulated machine as ``args`` asks,
+    under a fresh :class:`Observability` — exported to ``args.out`` when
+    given, closed on return (which completes ``journal``).  Returns
+    ``(run, obs)``."""
     # local imports: the CLI must not drag the whole system into every
     # `python -m repro.obs report` invocation
     from ..collective import CollectiveConfig
     from ..experiments.harness import _scaled_params
-    from ..optimizer import build_version
     from ..parallel import run_version_parallel
+
+    collective = CollectiveConfig(mode=args.mode) if args.collective else None
+    with Observability(journal=journal) as obs:
+        run = run_version_parallel(
+            cfg,
+            args.nodes,
+            params=_scaled_params(args.n),
+            collective=collective,
+            obs=obs,
+            **run_kw,
+        )
+        if args.out:
+            obs.export(args.out)
+    return run, obs
+
+
+def cmd_capture(args: argparse.Namespace) -> int:
+    from ..optimizer import build_version
     from ..workloads import build_workload
 
-    obs = Observability(journal=getattr(args, "journal", None))
-    program = build_workload(args.workload, args.n)
-    cfg = build_version(args.version, program)
-    collective = (
-        CollectiveConfig(mode=args.mode) if args.collective else None
-    )
-    run = run_version_parallel(
-        cfg,
-        args.nodes,
-        params=_scaled_params(args.n),
-        collective=collective,
-        obs=obs,
-    )
-    obs.export(args.out)
+    cfg = build_version(args.version, build_workload(args.workload, args.n))
+    run, _ = _observed_run(args, cfg, journal=args.journal)
     print(
         f"{args.workload}/{args.version} on {args.nodes} node(s): "
         f"time={run.time_s:.3f}s calls={run.total_io_calls} -> {args.out}"
@@ -131,10 +143,7 @@ def cmd_capture(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    from ..collective import CollectiveConfig
-    from ..experiments.harness import _scaled_params
     from ..optimizer import build_version
-    from ..parallel import run_version_parallel
     from ..workloads import build_workload
     from .profile import ProfileConfig, validate_collapsed
 
@@ -148,16 +157,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    obs = Observability(journal=args.journal)
-    collective = (
-        CollectiveConfig(mode=args.mode) if args.collective else None
-    )
-    run = run_version_parallel(
-        cfg,
-        args.nodes,
-        params=_scaled_params(args.n),
-        collective=collective,
-        obs=obs,
+    run, obs = _observed_run(
+        args, cfg, journal=args.journal,
         profile=ProfileConfig(cprofile=bool(args.folded), top=args.top),
     )
     prof = run.profile
@@ -179,36 +180,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
             fh.write(render_openmetrics(obs.metrics))
         print(f"openmetrics -> {args.openmetrics}")
     if args.out:
-        obs.export(args.out)
         print(f"trace -> {args.out}")
-    elif args.journal:
-        # no trace export: flush the journal explicitly so the file is
-        # complete when the process exits
-        obs.journal.flush()
     return 0
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    import json
-
     from .profile import render_profile
 
-    try:
-        if args.trace == "-":
-            payload = json.load(sys.stdin)
-        else:
-            payload = load_trace(args.trace)
-    except FileNotFoundError:
-        print(f"error: trace file not found: {args.trace}", file=sys.stderr)
+    payload = _load(args.trace)
+    if payload is None:
         return 2
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        source = "stdin" if args.trace == "-" else args.trace
-        print(
-            f"error: malformed trace JSON in {source}: {e}",
-            file=sys.stderr,
-        )
-        return 2
-    prof = payload.get("profile") if isinstance(payload, dict) else None
+    prof = payload.get("profile")
     if not isinstance(prof, dict):
         print(
             f"error: {args.trace} has no profile section "
@@ -223,64 +205,40 @@ def cmd_top(args: argparse.Namespace) -> int:
 def cmd_journal(args: argparse.Namespace) -> int:
     import json
 
-    from .journal import (
-        JournalError,
-        doc_from_journal,
-        payload_from_journal,
-        read_journal,
-    )
+    from .journal import doc_from_journal, payload_from_journal
 
-    try:
-        events = read_journal(args.path)
-    except FileNotFoundError:
-        print(
-            f"error: journal file not found: {args.path}", file=sys.stderr
-        )
-        return 2
-    except JournalError as e:
-        print(f"error: {e}", file=sys.stderr)
+    if args.emit_doc:
+        fold = doc_from_journal
+    elif args.openmetrics or args.report:
+        fold = payload_from_journal
+    else:
+        fold = list
+    folded = _load(args.path, fold)
+    if folded is None:
         return 2
     if args.emit_doc:
-        try:
-            doc = doc_from_journal(events)
-        except JournalError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    payload = payload_from_journal(events)
-    if args.openmetrics:
+        print(json.dumps(folded, indent=2, sort_keys=True))
+    elif args.openmetrics:
         from .export import render_openmetrics
         from .metrics import registry_from_snapshot
 
-        metrics = payload.get("metrics")
-        print(
-            render_openmetrics(
-                registry_from_snapshot(
-                    metrics if isinstance(metrics, dict) else {}
-                )
-            ),
-            end="",
-        )
-        return 0
-    if args.report:
-        print(_payload_report(payload, include_metrics=args.metrics))
-        return 0
-    kinds: dict[str, int] = {}
-    for ev in events:
-        kinds[ev["kind"]] = kinds.get(ev["kind"], 0) + 1
-    print(f"{args.path}: {len(events)} event(s)")
-    for kind in sorted(kinds):
-        print(f"  {kind:<12} {kinds[kind]}")
+        registry = registry_from_snapshot(folded["metrics"])
+        print(render_openmetrics(registry), end="")
+    elif args.report:
+        print(_payload_report(folded, include_metrics=args.metrics))
+    else:
+        kinds: dict[str, int] = {}
+        for ev in folded:
+            kinds[ev["kind"]] = kinds.get(ev["kind"], 0) + 1
+        print(f"{args.path}: {len(folded)} event(s)")
+        for kind in sorted(kinds):
+            print(f"  {kind:<12} {kinds[kind]}")
     return 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     from ..bounds import program_bounds
-    from ..collective import CollectiveConfig
-    from ..experiments.harness import _scaled_params
     from ..optimizer import build_version
-    from ..parallel import run_version_parallel
     from ..workloads import build_analytics, build_workload
     from .report import _render_optimality
 
@@ -313,16 +271,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             f"elements/node, {args.nodes} node(s)"
         )
         return 0
-    obs = Observability()
-    cfg = build_version(args.version, program)
-    collective = CollectiveConfig(mode=args.mode) if args.collective else None
-    run = run_version_parallel(
-        cfg,
-        args.nodes,
-        params=_scaled_params(args.n),
+    run, obs = _observed_run(
+        args, build_version(args.version, program),
         memory_per_node=args.memory,
-        collective=collective,
-        obs=obs,
     )
     stats = run.total_stats.to_dict()
     print(
@@ -331,7 +282,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     )
     print("\n".join(_render_optimality(obs.report.optimality, stats)))
     if args.out:
-        obs.export(args.out)
         print(f"trace -> {args.out}")
     return 0
 
@@ -392,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="per-nest x per-array I/O table from a trace file"
     )
     p_report.add_argument(
-        "trace", help="trace JSON written by obs.export(), or '-' for stdin"
+        "trace",
+        help="trace JSON written by obs.export(), a .jsonl journal, "
+        "or '-' for trace JSON on stdin",
     )
     p_report.add_argument(
         "--metrics", action="store_true", help="also dump the metrics registry"
@@ -463,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
         "top", help="hotspot section of a profiled trace file"
     )
     p_top.add_argument(
-        "trace", help="trace JSON from a profiled capture, '-' for stdin"
+        "trace",
+        help="trace JSON or .jsonl journal of a profiled capture, "
+        "'-' for trace JSON on stdin",
     )
     p_top.add_argument(
         "--top", type=int, default=20, metavar="N",

@@ -1,28 +1,21 @@
-"""Streaming telemetry: an append-only JSONL event journal.
+"""The telemetry event log: one schema, two receivers, one fold.
 
-The trace JSON written by :meth:`Observability.export` is a *snapshot*
-— nothing exists until the run ends and the whole payload is dumped.
-Long sweeps and the serving layer want the opposite: telemetry that
-hits disk **while the run is in flight**, survives a crash mid-run, and
-can be tailed / shipped line-by-line.  The journal is that path:
+Everything :class:`~repro.obs.Observability` collects is an *event* — a
+``{"kind": ..., ...}`` dict — appended to its in-memory list and, when a
+:class:`Journal` is attached, to an append-only JSON Lines file as well
+(one object per line, a monotonically increasing ``seq``, sorted keys,
+flushed before ``emit`` returns so the file survives a crash mid-run
+and can be tailed; append mode, so restarted runs extend it).
 
-- one JSON object per line (JSON Lines), each carrying a monotonically
-  increasing ``seq`` and a ``kind`` tag (``nest_io``, ``redist``,
-  ``stats``, ``metrics``, ``sim``, ``serve``, ``profile``,
-  ``autotune``, ``result``, ``doc_meta``, …) plus the event's payload
-  fields;
-- incremental flush (``flush_every=1`` by default — every event reaches
-  the OS before ``emit`` returns), append mode so restarted runs extend
-  the same file;
-- replay: :func:`payload_from_journal` folds a journal back into a
-  trace-shaped payload for ``python -m repro.obs report``/``top``, and
-  :func:`doc_from_journal` folds ``result``/``doc_meta`` events into a
-  regress-checkable document, so ``regress check baseline run.jsonl``
-  gates a run that only ever streamed.
-
-Journaling is opt-in (``Observability(journal=...)``) and bit-identical
-off: with no journal attached, the emission hooks are a single ``is
-None`` test and every payload byte is unchanged.
+:func:`payload_from_journal` is the one builder of the trace-shaped
+payload every renderer reads (``report``, ``top``, OpenMetrics, the
+Perfetto JSON): the live :meth:`~repro.obs.Observability.to_payload` is
+that fold over the in-memory list, ``report run.jsonl`` the same fold
+over the file.  The fold rule per kind is in the function's docstring
+(and tabulated in ``docs/observability.md``).  :func:`doc_from_journal`
+folds ``result``/``doc_meta`` events into a regress-checkable document,
+so ``regress check baseline run.jsonl`` gates a run that only ever
+streamed.
 """
 
 from __future__ import annotations
@@ -30,29 +23,30 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, Mapping
 
+from .report import (
+    IOReport,
+    NestIORecord,
+    RedistRecord,
+    build_drift,
+    build_optimality,
+)
+
 
 class JournalError(ValueError):
-    """A journal file violates the JSONL contract (carries the offending
-    1-based line number when raised by :func:`read_journal`)."""
+    """A journal violates the event contract (carries the offending
+    1-based line number when raised by :func:`read_journal`, the event's
+    ``seq`` when raised by a fold)."""
 
 
 class Journal:
-    """Append-only JSONL event sink with incremental flush."""
+    """Append-only JSONL event sink; every event is flushed as written."""
 
-    def __init__(
-        self, path_or_file: str | IO[str], *, flush_every: int = 1
-    ):
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
-        if hasattr(path_or_file, "write"):
-            self._f: IO[str] = path_or_file
-            self._owns = False
-        else:
-            self._f = open(path_or_file, "a")
-            self._owns = True
-        self.flush_every = flush_every
+    def __init__(self, path_or_file: str | IO[str]):
+        self._owns = not hasattr(path_or_file, "write")
+        self._f: IO[str] = (
+            open(path_or_file, "a") if self._owns else path_or_file
+        )
         self.seq = 0
-        self._pending = 0
 
     def emit(self, kind: str, **fields: object) -> None:
         """Append one event line.  ``kind`` and ``seq`` are reserved
@@ -62,17 +56,12 @@ class Journal:
         event = {"seq": self.seq, "kind": kind}
         event.update(fields)
         self._f.write(json.dumps(event, sort_keys=True) + "\n")
-        self.seq += 1
-        self._pending += 1
-        if self._pending >= self.flush_every:
-            self.flush()
-
-    def flush(self) -> None:
         self._f.flush()
-        self._pending = 0
+        self.seq += 1
 
     def close(self) -> None:
-        self.flush()
+        """Close the file if this journal opened it (a handed-in
+        file-like stays open — its owner closes it)."""
         if self._owns:
             self._f.close()
 
@@ -120,37 +109,64 @@ def _strip(event: Mapping[str, object]) -> dict[str, object]:
     return {k: v for k, v in event.items() if k not in ("seq", "kind")}
 
 
+#: kinds whose latest event *is* the payload key of the same name
+SNAPSHOT_KINDS = ("stats", "metrics", "sim", "serve", "profile", "autotune")
+
+
 def payload_from_journal(
     events: Iterable[Mapping[str, object]],
 ) -> dict[str, object]:
-    """Fold journal events back into a trace-shaped payload renderable
-    by ``python -m repro.obs report`` / ``top``.
+    """Fold events into the trace-shaped payload — the only place one
+    is assembled, live (:meth:`Observability.to_payload`) or replayed.
 
-    Record-shaped kinds (``nest_io``, ``redist``) accumulate in arrival
-    order; snapshot kinds (``stats``, ``metrics``, ``sim``, ``serve``,
-    ``profile``, ``autotune``) are last-wins, matching how the live
-    objects overwrite
-    on re-finalization.  Unknown kinds are ignored — journals may carry
-    application events the report does not render.
+    ``nest_io`` / ``redist`` records accumulate in arrival order;
+    ``predictions`` / ``bounds`` / ``modeled_elements`` merge per nest
+    (a later registration of the same nest wins); the
+    :data:`SNAPSHOT_KINDS` and ``trace_events`` are last-wins; and the
+    report's ``drift`` / ``optimality`` tables are *derived* from the
+    folded records and registrations (:func:`build_drift`,
+    :func:`build_optimality`).  Unknown kinds are ignored — journals
+    may carry application events the report does not render.  A known
+    kind whose fields do not fit raises :class:`JournalError`.
     """
     payload: dict[str, object] = {
         "traceEvents": [],
-        "io_report": {"records": [], "redist": []},
+        "displayTimeUnit": "ms",
+        "otherData": {"tool": "repro.obs"},
         "metrics": {},
     }
-    report = payload["io_report"]
+    records: list[NestIORecord] = []
+    redist: list[RedistRecord] = []
+    predictions: dict[str, dict[str, float]] = {}
+    bounds: dict[str, Mapping[str, object]] = {}
+    modeled: dict[str, float] = {}
     for event in events:
         kind = event.get("kind")
-        if kind == "nest_io":
-            report["records"].append(_strip(event))
-        elif kind == "redist":
-            report["redist"].append(_strip(event))
-        elif kind in (
-            "stats", "metrics", "sim", "serve", "profile", "autotune"
-        ):
-            data = event.get("data")
-            payload[kind] = data if isinstance(data, (dict, list)) \
-                else _strip(event)
+        data = event.get("data")
+        try:
+            if kind == "nest_io":
+                records.append(NestIORecord.from_dict(_strip(event)))
+            elif kind == "redist":
+                redist.append(RedistRecord.from_dict(_strip(event)))
+            elif kind == "predictions":
+                for nest, per_array in data.items():
+                    predictions.setdefault(nest, {}).update(per_array)
+            elif kind == "bounds":
+                bounds.update({b["nest"]: b for b in data})
+            elif kind == "modeled_elements":
+                modeled.update(data)
+            elif kind == "trace_events":
+                payload["traceEvents"] = list(data)
+            elif kind in SNAPSHOT_KINDS:
+                payload[kind] = dict(data)
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise JournalError(
+                f"{kind} event seq={event.get('seq')} is malformed: {e!r}"
+            ) from None
+    payload["io_report"] = IOReport(
+        records, redist, build_drift(records, predictions),
+        build_optimality(records, bounds, modeled),
+    ).to_dict()
     return payload
 
 

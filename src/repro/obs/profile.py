@@ -47,11 +47,6 @@ WORK_KEYS = (
     "plan_nest_calls", "dependence_pairs", "addresses_enumerated",
 )
 
-#: hotspot-site name fragments counted as the *pricing stack* (the
-#: ISSUE-9 acceptance share: plan_runs + IOContext record paths + the
-#: event-sim loop)
-PRICING_PREFIXES = ("pricing.", "io.record", "sim.event")
-
 
 class WorkCounters:
     """Deterministic counts of the pricing stack's work.
@@ -262,21 +257,6 @@ class HotspotTable:
     def total_self_s(self) -> float:
         return sum(r.self_s for r in self.sites)
 
-    def pricing_share(
-        self, prefixes: Iterable[str] = PRICING_PREFIXES
-    ) -> float:
-        """Fraction of instrumented self time attributed to the pricing
-        stack (0.0 when nothing was recorded)."""
-        total = self.total_self_s
-        if total <= 0.0:
-            return 0.0
-        prefixes = tuple(prefixes)
-        pricing = sum(
-            r.self_s for r in self.sites
-            if r.name.startswith(prefixes)
-        )
-        return pricing / total
-
     def to_dict(self) -> dict[str, object]:
         return {
             "sites": [r.to_dict() for r in self.sites],
@@ -291,8 +271,6 @@ class HotspotTable:
 class ProfileConfig:
     """Switches for one profiling capture.
 
-    ``enabled``
-        master switch; disabled behaves exactly like ``profile=None``.
     ``hotspots``
         activate the site recorder (the hotspot table).
     ``cprofile``
@@ -304,7 +282,6 @@ class ProfileConfig:
         rows shown by the rendered ``top``-style report section.
     """
 
-    enabled: bool = True
     hotspots: bool = True
     cprofile: bool = False
     top: int = 20
@@ -427,12 +404,12 @@ def capture(profile: "ProfileConfig | ProfileSession | None", obs=None):
     published into ``obs``; ``result`` is the :class:`ProfileResult`.
     A live :class:`ProfileSession` is *borrowed*: only activated around
     the block — its creator finishes it — and ``result`` stays ``None``,
-    as it does for ``None`` or a disabled config, which never touch the
-    clock.  A block that raises is deactivated, not finished."""
+    as it does for ``None``, which never touches the clock.  A block
+    that raises is deactivated, not finished."""
     cap = SimpleNamespace(result=None)
     owned = isinstance(profile, ProfileConfig)
     if owned:
-        profile = ProfileSession(profile) if profile.enabled else None
+        profile = ProfileSession(profile)
     if profile is None:
         yield cap
         return
@@ -517,8 +494,8 @@ def validate_collapsed(lines: Iterable[str]) -> None:
 def render_profile(profile: Mapping[str, object], *, top: int = 20) -> str:
     """The ``top``-style hotspot section from a serialized profile
     payload (``ProfileResult.to_dict()`` / a trace's ``profile`` key):
-    site rows by self time, the pricing-stack share, the span
-    aggregation, and the deterministic work counters."""
+    site rows by self time, the span aggregation, and the deterministic
+    work counters."""
     lines: list[str] = []
     hotspots = profile.get("hotspots") or {}
     sites = list(hotspots.get("sites") or [])
@@ -531,7 +508,6 @@ def render_profile(profile: Mapping[str, object], *, top: int = 20) -> str:
         lines.append("hotspots (repro.obs.profile) — self-time top")
         lines.append(header)
         lines.append("-" * len(header))
-        total_self = sum(float(r.get("self_s", 0.0)) for r in sites)
         for r in sites[:top]:
             lines.append(
                 f"{r['name']:<24} {r['count']:>10} "
@@ -540,16 +516,6 @@ def render_profile(profile: Mapping[str, object], *, top: int = 20) -> str:
             )
         if len(sites) > top:
             lines.append(f"  ... ({len(sites) - top} more site(s))")
-        pricing = sum(
-            float(r.get("self_s", 0.0))
-            for r in sites
-            if str(r.get("name", "")).startswith(PRICING_PREFIXES)
-        )
-        if total_self > 0.0:
-            lines.append(
-                f"pricing stack share: {100.0 * pricing / total_self:.1f}% "
-                f"of {total_self:.6f}s instrumented self time"
-            )
     if spans:
         lines.append("")
         lines.append("span aggregates (wall spans by name)")

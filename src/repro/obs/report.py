@@ -14,7 +14,7 @@ records for cross-checking against :meth:`IOStats.to_dict` output.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 
@@ -38,7 +38,7 @@ class NestIORecord:
     path: str = "direct"
 
     def to_dict(self) -> dict[str, object]:
-        return asdict(self)
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: Mapping[str, object]) -> "NestIORecord":
@@ -55,7 +55,7 @@ class RedistRecord:
     time_s: float = 0.0
 
     def to_dict(self) -> dict[str, object]:
-        return asdict(self)
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: Mapping[str, object]) -> "RedistRecord":
@@ -101,7 +101,7 @@ class CostDriftRecord:
         return (self.predicted_calls - self.measured_calls) / self.measured_calls
 
     def to_dict(self) -> dict[str, object]:
-        return asdict(self)
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: Mapping[str, object]) -> "CostDriftRecord":
@@ -144,7 +144,7 @@ class OptimalityRecord:
         return self.measured_elements / self.bound_elements
 
     def to_dict(self) -> dict[str, object]:
-        return asdict(self)
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: Mapping[str, object]) -> "OptimalityRecord":
@@ -406,6 +406,7 @@ def render_report(
     serve: Mapping[str, object] | None = None,
     profile: Mapping[str, object] | None = None,
     autotune: Mapping[str, object] | None = None,
+    sim: Mapping[str, object] | None = None,
 ) -> str:
     """The per-nest × per-array breakdown table, plus the redistribution
     lines, the cost-model drift section (when the report carries drift
@@ -415,9 +416,9 @@ def render_report(
     autotuning section (``autotune``, a
     :meth:`repro.autotune.Autotuner.summary` payload), a hotspot
     section (``profile``, a
-    :meth:`repro.obs.profile.ProfileResult.to_dict` payload), and —
-    when the run's folded stats are available — an explicit totals
-    cross-check."""
+    :meth:`repro.obs.profile.ProfileResult.to_dict` payload), the event
+    simulator's summary line (``sim``), and — when the run's folded
+    stats are available — an explicit totals cross-check."""
     rows = _aggregate(report.records)
     header = (
         f"{'nest':<16} {'array':<12} {'path':<11} "
@@ -473,6 +474,12 @@ def render_report(
     if metrics:
         lines.append("")
         lines.extend(_render_metrics(metrics))
+    if sim:
+        lines.append(
+            f"event sim: makespan={sim['makespan_s']:.3f}s "
+            f"waited={sim['waited_requests']} "
+            f"(queue delay {sim['wait_time_s']:.3f}s)"
+        )
     return "\n".join(lines)
 
 

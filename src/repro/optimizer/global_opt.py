@@ -123,10 +123,8 @@ def optimize_program(
     """
     if nest_order not in ("cost", "program"):
         raise ValueError(f"unknown nest order {nest_order!r}")
-    from ..obs import active
     from .locality import hyperplane_from_direction
 
-    obs = active(obs)
     pipeline_span = (
         obs.tracer.begin(
             "optimize_program", "compile", program=program.name

@@ -30,7 +30,6 @@ from ..faults import FaultConfig, FaultInjector
 from ..obs import (
     Observability,
     RedistRecord,
-    active as obs_active,
     io_record,
     nest_records,
 )
@@ -158,7 +157,6 @@ def run_version_parallel(
     memory-safe).  Both default to ``None`` and are bit-identical off.
     """
     params = params or MachineParams()
-    obs = obs_active(obs)
     b = cfg.program.binding(binding)
     total_elements = sum(
         int(np.prod(a.shape(b))) for a in cfg.program.arrays
@@ -261,8 +259,7 @@ def run_version_parallel(
             )
         if obs is not None:
             if obs.config.per_array:
-                obs.finalize_drift()
-                obs.finalize_optimality()
+                obs.publish_gauges()
             obs.note_stats(run.total_stats)
     run.profile = cap.result
     return run
@@ -449,13 +446,13 @@ def _collective_run(
         if obs is not None:
             if events:
                 obs.add_sim_events(events)
-            obs.sim_summary = {
+            obs.note_sim({
                 "makespan_s": sim.makespan_s,
                 "waited_requests": sim.waited_requests,
                 "wait_time_s": sim.wait_time_s,
                 "net_busy_s": sim.net_busy_s,
                 "n_events": sim.n_events,
-            }
+            })
     else:
         time_s = makespan(node_results)
     return ParallelRun(name, n_nodes, time_s, node_results, collective=report)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from ..obs import Observability
 from .profile import (
@@ -108,12 +109,12 @@ def main(argv: list[str] | None = None) -> int:
                 fairness=args.fairness,
                 max_job_retries=policy.max_job_retries,
             )
-        obs = Observability() if args.trace else None
-        result = JobScheduler(profile, policy, obs=obs).run(script)
-        print(result.describe())
-        if obs is not None:
-            obs.export(args.trace)
-            print(f"trace written to {args.trace}")
+        with Observability() if args.trace else nullcontext() as obs:
+            result = JobScheduler(profile, policy, obs=obs).run(script)
+            print(result.describe())
+            if obs is not None:
+                obs.export(args.trace)
+                print(f"trace written to {args.trace}")
         return 0
     except ServeConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..collective.sim import SimOp, nest_ops
 from ..faults import FaultConfig, TransientIOError
-from ..obs import Observability, active as obs_active
+from ..obs import Observability
 from ..optimizer import build_version
 from ..parallel import ParallelRun, run_version_parallel
 from ..runtime import IOStats
@@ -278,7 +278,7 @@ class JobScheduler:
         self.profile = profile
         self.policy = policy or ServePolicy()
         self.faults = faults
-        self.obs = obs_active(obs)
+        self.obs = obs
         self.cache: SharedTileCache | None = None
         if profile.cache_budget_elements > 0:
             self.cache = SharedTileCache(

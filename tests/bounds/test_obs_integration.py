@@ -133,7 +133,6 @@ class TestOptimalityView:
     def test_unexecuted_bound_rows_surface(self):
         obs = Observability()
         obs.note_bounds(program_bounds(_cfg("mxm").program))
-        obs.finalize_optimality()
         assert obs.report.optimality
         assert all(r.path == "unexecuted" for r in obs.report.optimality)
         totals = optimality_totals(obs.report.optimality)

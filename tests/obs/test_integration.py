@@ -78,14 +78,6 @@ class TestOffByDefault:
         assert _stats_fields(on.stats) == _stats_fields(base.stats)
         assert str(on.stats) == str(base.stats)
 
-    def test_disabled_config_is_inert(self):
-        obs = Observability(ObsConfig(enabled=False))
-        run = _run("adi", obs=obs)
-        assert run.total_stats.calls > 0
-        assert obs.tracer.spans == []
-        assert len(obs.metrics) == 0
-        assert obs.report.records == []
-
 
 class TestExactTotals:
     """The report's call/element totals equal the folded stats exactly."""

@@ -57,31 +57,11 @@ class TestJournal:
             j.emit("stats")
         assert len(read_journal(str(path))) == 2
 
-    def test_flush_every_batches(self):
-        class CountingIO(io.StringIO):
-            flushes = 0
-
-            def flush(self):
-                self.flushes += 1
-                super().flush()
-
-        buf = CountingIO()
-        j = Journal(buf, flush_every=3)
-        j.emit("a")
-        j.emit("a")
-        assert buf.flushes == 0
-        j.emit("a")
-        assert buf.flushes == 1
-
     def test_default_flush_every_event(self):
         buf = io.StringIO()
         j = Journal(buf)
         j.emit("a")
         assert len(buf.getvalue().splitlines()) == 1
-
-    def test_flush_every_must_be_positive(self):
-        with pytest.raises(ValueError, match="flush_every"):
-            Journal(io.StringIO(), flush_every=0)
 
     def test_file_like_not_closed(self):
         buf = io.StringIO()
@@ -146,39 +126,237 @@ class TestReplay:
             doc_from_journal([{"seq": 0, "kind": "result", "payload": {}}])
 
 
+def _adi():
+    return build_version("c-opt", build_workload("adi", N))
+
+
+def _lone_executor(obs):
+    from repro.engine import OOCExecutor
+
+    cfg = _adi()
+    OOCExecutor(
+        cfg.program, cfg.layouts, params=PARAMS, tiling=cfg.tiling,
+        storage_spec=cfg.storage_spec, obs=obs,
+    ).run()
+
+
+def _two_phase(obs):
+    from repro.collective import CollectiveConfig
+
+    run_version_parallel(
+        _adi(), N_NODES, params=PARAMS, obs=obs, collective=CollectiveConfig()
+    )
+
+
+def _faulty(obs):
+    from repro.faults import FaultConfig, FaultPlan, ResiliencePolicy
+
+    faults = FaultConfig(
+        FaultPlan(seed=7, read_error_rate=0.02, stragglers={0: 4.0}),
+        ResiliencePolicy(max_retries=4, hedge_reads=True),
+    )
+    run_version_parallel(_adi(), N_NODES, params=PARAMS, obs=obs, faults=faults)
+
+
+def _serve_replay(obs):
+    from repro.serve import (
+        ClusterProfile, JobSpec, TenantConfig, WorkloadScript, serve_script,
+    )
+
+    profile = ClusterProfile(
+        n_compute_nodes=2, params=PARAMS,
+        tenants=(TenantConfig("b"), TenantConfig("a")),
+    )
+    jobs = (JobSpec("b", "trans", n=12), JobSpec("a", "adi", n=12))
+    serve_script(profile, WorkloadScript(seed=0, jobs=jobs), obs=obs)
+
+
+def _autotune_round(obs):
+    from repro.autotune import Autotuner
+
+    tuner = Autotuner(
+        build_workload("adi", N), params=PARAMS, n_nodes=N_NODES, obs=obs
+    )
+    tuner.solve()
+    tuner.observe(tuner.run_once())
+
+
+def _profiled(obs):
+    from repro.obs import ProfileConfig
+
+    run_version_parallel(
+        _adi(), N_NODES, params=PARAMS, obs=obs, profile=ProfileConfig()
+    )
+
+
+RUN_SHAPES = {
+    "lone-executor": _lone_executor,
+    "independent-spmd": lambda obs: run_version_parallel(
+        _adi(), N_NODES, params=PARAMS, obs=obs
+    ),
+    "two-phase-event-sim": _two_phase,
+    "faults": _faulty,
+    "serve-replay": _serve_replay,
+    "autotune-round": _autotune_round,
+    "profile": _profiled,
+}
+
+
+class TestOneTelemetryPath:
+    """The journal is the live path, not a copy of it: whatever ran,
+    the replayed payload *is* the exported one, and every CLI route to
+    the report prints the same text."""
+
+    @pytest.mark.parametrize("shape", sorted(RUN_SHAPES))
+    def test_replay_is_the_exported_payload(self, shape, tmp_path, capsys):
+        path, trace = str(tmp_path / "run.jsonl"), str(tmp_path / "t.json")
+        with Observability(journal=path) as obs:
+            RUN_SHAPES[shape](obs)
+            obs.export(trace)
+            live = json.loads(json.dumps(obs.to_payload()))
+        replayed = payload_from_journal(read_journal(path))
+        assert replayed.keys() == live.keys()
+        for key in live:
+            assert replayed[key] == live[key], key
+        texts = []
+        for argv in (
+            ["report", trace], ["report", path], ["journal", path, "--report"],
+        ):
+            assert main(argv) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
+        assert "cross-check vs folded IOStats" in texts[0] \
+            or shape == "serve-replay"
+
+    def test_replay_carries_the_derived_tables_and_sim_line(
+        self, tmp_path, capsys
+    ):
+        # the three sections a PR-9 journal silently dropped
+        path = str(tmp_path / "run.jsonl")
+        with Observability(journal=path) as obs:
+            _two_phase(obs)
+        assert main(["journal", path, "--report"]) == 0
+        out = capsys.readouterr().out
+        assert "cost-model drift" in out
+        assert "optimality (achieved vs I/O lower bound" in out
+        assert "event sim: makespan=" in out
+
+    def test_top_reads_a_journal(self, tmp_path, capsys):
+        path = str(tmp_path / "run.jsonl")
+        with Observability(journal=path) as obs:
+            _profiled(obs)
+        assert main(["top", path]) == 0
+        assert "work.plan_runs_calls" in capsys.readouterr().out
+
+    def test_malformed_known_kind_is_a_named_error(self, tmp_path, capsys):
+        with pytest.raises(JournalError, match="seq=3"):
+            payload_from_journal(
+                [{"seq": 3, "kind": "predictions", "data": [1, 2]}]
+            )
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"seq": 0, "kind": "nest_io", "bogus": 1}\n')
+        assert main(["report", str(bad)]) == 2
+        assert "malformed" in capsys.readouterr().err
+
+
 class TestObservabilityJournal:
-    def _run(self, journal):
-        obs = Observability(journal=journal)
-        cfg = build_version("c-opt", build_workload("adi", N))
-        run_version_parallel(cfg, N_NODES, params=PARAMS, obs=obs)
-        return obs
+    def _run(self, obs):
+        run_version_parallel(_adi(), N_NODES, params=PARAMS, obs=obs)
 
     def test_streams_while_running(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        obs = self._run(str(path))
-        # no export() yet: records and stats already hit the file
-        events = read_journal(str(path))
-        kinds = {e["kind"] for e in events}
-        assert "nest_io" in kinds and "stats" in kinds
-        obs.export(str(tmp_path / "t.json"))
-        kinds = {e["kind"] for e in read_journal(str(path))}
-        assert "metrics" in kinds
+        with Observability(journal=str(path)) as obs:
+            self._run(obs)
+            # no export() yet: records and stats already hit the file
+            kinds = {e["kind"] for e in read_journal(str(path))}
+            assert {"nest_io", "stats", "predictions", "bounds"} <= kinds
+            assert "metrics" not in kinds
+            obs.export(str(tmp_path / "t.json"))
+            kinds = {e["kind"] for e in read_journal(str(path))}
+            assert {"metrics", "trace_events"} <= kinds
 
     def test_replay_matches_export(self, tmp_path):
         path = tmp_path / "run.jsonl"
         trace = tmp_path / "t.json"
-        obs = self._run(str(path))
-        obs.export(str(trace))
-        replayed = payload_from_journal(read_journal(str(path)))
-        exported = json.loads(trace.read_text())
-        assert replayed["io_report"]["records"] == \
-            exported["io_report"]["records"]
-        assert replayed["stats"] == exported["stats"]
-        assert replayed["metrics"] == exported["metrics"]
+        with Observability(journal=str(path)) as obs:
+            self._run(obs)
+            obs.export(str(trace))
+        assert payload_from_journal(read_journal(str(path))) == \
+            json.loads(trace.read_text())
+
+    def test_export_then_close_snapshots_once(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with Observability(journal=str(path)) as obs:
+            self._run(obs)
+            obs.export(str(tmp_path / "t.json"))
+        kinds = [e["kind"] for e in read_journal(str(path))]
+        assert kinds.count("metrics") == kinds.count("trace_events") == 1
+
+    def test_in_memory_log_is_the_journal(self):
+        buf = io.StringIO()
+        obs = Observability(journal=buf)
+        self._run(obs)
+        obs.close()
+        streamed = read_journal(io.StringIO(buf.getvalue()))
+        assert [e.pop("seq") for e in streamed] == list(range(len(streamed)))
+        assert streamed == json.loads(json.dumps(obs.events))
+
+    def test_views_are_read_only_folds(self):
+        obs = Observability()
+        assert obs.run_stats is None and obs.profile is None
+        self._run(obs)
+        assert obs.run_stats == obs.to_payload()["stats"]
+        obs.report.records.clear()          # a copy: the log is the state
+        assert obs.report.records
+        with pytest.raises(AttributeError):
+            obs.run_stats = {}
 
     def test_no_journal_is_none(self):
         obs = Observability()
         assert obs.journal is None
+
+
+class TestClose:
+    """``Observability(journal="path")`` owns the file it opened."""
+
+    def test_path_journal_closed_without_resource_warning(self, tmp_path):
+        import gc
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with Observability(journal=str(tmp_path / "run.jsonl")) as obs:
+                obs.note_sim({"makespan_s": 1.0})
+            handle = obs.journal._f
+            del obs
+            gc.collect()
+        assert handle.closed
+
+    def test_handed_journal_and_file_stay_open(self, tmp_path):
+        buf = io.StringIO()
+        Observability(journal=buf).close()
+        assert not buf.closed
+        with Journal(str(tmp_path / "j.jsonl")) as j:
+            Observability(journal=j).close()
+            j.emit("still-open")
+
+    def test_close_is_idempotent(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        obs = Observability(journal=str(path))
+        obs.close()
+        obs.close()
+        assert len(read_journal(str(path))) == 2
+
+    def test_openmetrics_of_closed_never_exported_run(self, tmp_path, capsys):
+        from repro.obs import parse_openmetrics
+
+        path = str(tmp_path / "run.jsonl")
+        with Observability(journal=path) as obs:
+            run_version_parallel(_adi(), N_NODES, params=PARAMS, obs=obs)
+        assert main(["journal", path, "--openmetrics"]) == 0
+        text = capsys.readouterr().out
+        assert parse_openmetrics(text)["samples"]
+        assert "optimality_run_ratio" in text
 
 
 class TestRegressOnJournal:
@@ -226,10 +404,8 @@ class TestRegressOnJournal:
 class TestJournalCLI:
     def _journal(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        obs = Observability(journal=str(path))
-        cfg = build_version("c-opt", build_workload("adi", N))
-        run_version_parallel(cfg, N_NODES, params=PARAMS, obs=obs)
-        obs.journal.flush()
+        with Observability(journal=str(path)) as obs:
+            run_version_parallel(_adi(), N_NODES, params=PARAMS, obs=obs)
         return str(path)
 
     def test_summary(self, tmp_path, capsys):
@@ -256,10 +432,9 @@ class TestJournalCLI:
         from repro.obs import parse_openmetrics
 
         path = tmp_path / "run.jsonl"
-        obs = Observability(journal=str(path))
-        cfg = build_version("c-opt", build_workload("adi", N))
-        run_version_parallel(cfg, N_NODES, params=PARAMS, obs=obs)
-        obs.export(str(tmp_path / "t.json"))
+        with Observability(journal=str(path)) as obs:
+            run_version_parallel(_adi(), N_NODES, params=PARAMS, obs=obs)
+            obs.export(str(tmp_path / "t.json"))
         assert main(["journal", str(path), "--openmetrics"]) == 0
         text = capsys.readouterr().out
         parse_openmetrics(text)

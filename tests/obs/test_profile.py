@@ -4,9 +4,10 @@ The load-bearing guarantees:
 
 - work counters are **bit-identical** across repeat runs, on the
   direct-executor, independent-parallel and two-phase-collective paths;
-- ``profile=None`` (the default) and ``ProfileConfig(enabled=False)``
-  leave stats and obs payloads bit-identical to an unprofiled run;
-- the hotspot table attributes the pricing stack's self time and the
+- ``profile=None`` (the default — the one spelling of "off") leaves
+  stats bit-identical, and profiling adds only the ``profile`` section
+  and the ``work.*`` metrics to an obs payload;
+- the hotspot table separates self from cumulative time and the
   collapsed-stack export validates against the folded format rules.
 """
 
@@ -119,18 +120,6 @@ class TestHotspotRecorder:
         assert prof_mod.ACTIVE is None
         assert timed("site", lambda a, b: a + b, 2, 3) == 5
 
-    def test_pricing_share(self):
-        rec = HotspotRecorder(lambda: 0.0)
-        rec.add("pricing.plan_runs", 3.0)
-        rec.add("io.record_runs", 1.0)
-        rec.add("engine.footprints", 1.0)
-        table = HotspotTable.from_recorder(rec)
-        assert table.pricing_share() == pytest.approx(0.8)
-
-    def test_pricing_share_empty_is_zero(self):
-        table = HotspotTable.from_recorder(HotspotRecorder(lambda: 0.0))
-        assert table.pricing_share() == 0.0
-
 
 class TestProfileSession:
     def test_activate_restores_previous(self):
@@ -178,10 +167,14 @@ class TestCapture:
     """The one ownership rule both entry points share."""
 
     def test_none_and_disabled_never_activate(self):
-        for profile in (None, ProfileConfig(enabled=False)):
-            with capture(profile) as cap:
-                assert prof_mod.ACTIVE is None
-            assert cap.result is None
+        # "off" is None; a config with the site recorder disabled still
+        # counts work but never binds the clock-reading recorder
+        with capture(None) as cap:
+            assert prof_mod.ACTIVE is None
+        assert cap.result is None
+        with capture(ProfileConfig(hotspots=False)) as cap:
+            assert prof_mod.ACTIVE is None
+        assert cap.result.hotspots.sites == []
 
     def test_config_is_owned_finished_and_published(self):
         obs = Observability()
@@ -277,24 +270,18 @@ class TestDeterminism:
 
 
 class TestOffIsBitIdentical:
-    """profile=None (default) and a disabled config leave everything
-    bit-identical — the acceptance pin on adi and mxm."""
+    """Profiling measures and never perturbs: stats are identical on or
+    off, and the obs payload differs by the profile's own sections only
+    — the acceptance pin on adi and mxm."""
 
     @pytest.mark.parametrize("workload", ["adi", "mxm"])
     def test_stats_identical(self, workload):
         base = run_version_parallel(_cfg(workload), N_NODES, params=PARAMS)
-        off = run_version_parallel(
-            _cfg(workload), N_NODES, params=PARAMS,
-            profile=ProfileConfig(enabled=False),
-        )
         on = run_version_parallel(
             _cfg(workload), N_NODES, params=PARAMS, profile=ProfileConfig(),
         )
-        assert _stats_fields(off.total_stats) == _stats_fields(
-            base.total_stats
-        )
-        assert off.time_s == base.time_s
-        assert off.profile is None
+        assert base.profile is None
+        assert on.time_s == base.time_s
         # profiling measures; it must never change the accounting
         assert _stats_fields(on.total_stats) == _stats_fields(
             base.total_stats
@@ -304,7 +291,7 @@ class TestOffIsBitIdentical:
     def test_obs_payload_identical(self, workload):
         # wall-time spans are real clock measurements and never repeat
         # exactly; everything else in the payload is modeled and must be
-        # byte-identical with profiling left off
+        # byte-identical once the profile's own sections are set aside
         from repro.obs import ObsConfig
 
         def payload(profile):
@@ -313,9 +300,15 @@ class TestOffIsBitIdentical:
                 _cfg(workload), N_NODES, params=PARAMS, obs=obs,
                 profile=profile,
             )
-            return json.dumps(obs.to_payload(), sort_keys=True, default=str)
+            p = obs.to_payload()
+            p.pop("profile", None)
+            p["metrics"] = {
+                k: v for k, v in p["metrics"].items()
+                if not k.startswith("work.")
+            }
+            return json.dumps(p, sort_keys=True, default=str)
 
-        assert payload(None) == payload(ProfileConfig(enabled=False))
+        assert payload(None) == payload(ProfileConfig())
 
     def test_profiled_payload_adds_only_profile_and_work(self):
         obs_off = Observability()
@@ -338,14 +331,6 @@ class TestOffIsBitIdentical:
 
 
 class TestParallelProfile:
-    def test_pricing_stack_dominates_sites(self):
-        run = run_version_parallel(
-            _cfg("adi"), N_NODES, params=PARAMS, profile=ProfileConfig(),
-        )
-        table = run.profile.hotspots
-        assert table.sites
-        assert table.pricing_share() >= 0.5
-
     def test_work_published_into_metrics(self):
         obs = Observability()
         run = run_version_parallel(
@@ -386,7 +371,10 @@ class TestRender:
             _cfg("adi"), N_NODES, params=PARAMS, profile=ProfileConfig(),
         )
         text = run.profile.render_top()
-        assert "pricing stack share:" in text
+        # the share of *instrumented* self time misaimed a whole round
+        # (ROADMAP) and is retired; perfbench's layer table replaces it
+        assert "hotspots (repro.obs.profile)" in text
+        assert "pricing stack share" not in text
         assert "work.plan_runs_calls" in text
         assert "work.python_loop_iters{phase=element}" in text
 
@@ -427,7 +415,7 @@ class TestProfileCLI:
             "--out", str(trace),
         ]) == 0
         out = capsys.readouterr().out
-        assert "pricing stack share:" in out
+        assert "hotspots (repro.obs.profile)" in out
         validate_collapsed(
             [ln for ln in folded.read_text().splitlines() if ln]
         )

@@ -360,13 +360,3 @@ class TestObservability:
         assert any("job 0" in n for n in names)
         assert res.jobs[0].state == "done"
 
-    def test_disabled_obs_identical(self):
-        from repro.obs import ObsConfig
-
-        plain = serve_script(profile(), script(JobSpec("a", "trans", n=N)))
-        off = Observability(ObsConfig(enabled=False))
-        observed = serve_script(
-            profile(), script(JobSpec("a", "trans", n=N)), obs=off
-        )
-        assert plain.signature() == observed.signature()
-        assert off.serve_summary is None
