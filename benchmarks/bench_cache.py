@@ -52,8 +52,8 @@ def _run(decision, params, memory_budget=None, cache=None):
 
 
 def test_cache_disabled_is_bit_identical(benchmark, smoke, json_out):
-    """``CacheConfig(enabled=False)`` must not perturb a single counter
-    of any seed workload — the subsystem is strictly opt-in."""
+    """``cache=None`` ("off") must not perturb a single counter of any
+    seed workload — the subsystem is strictly opt-in."""
     n = SMOKE_N if smoke else CACHE_N
     params = _scaled_params(n)
 
@@ -62,9 +62,7 @@ def test_cache_disabled_is_bit_identical(benchmark, smoke, json_out):
         for workload in sorted(WORKLOADS):
             decision = optimize_program(build_workload(workload, n))
             _, off = _run(decision, params)
-            _, disabled = _run(
-                decision, params, cache=CacheConfig(enabled=False)
-            )
+            _, disabled = _run(decision, params, cache=None)
             out[workload] = (off.stats, disabled.stats)
         return out
 

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..dependence import DependenceEdge
-from ..engine.footprint import nest_footprints
-from ..engine.plan import NestPlan, _whole_ranges, plan_nest
+from ..engine.plan import NestPlan, TileSpace, plan_nest, tile_box
 from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..layout import temporal_locality_ok
@@ -142,49 +141,6 @@ def plan_for(
     )
 
 
-def _n_tiles_per_node(
-    nest: LoopNest,
-    plan: NestPlan,
-    binding: Mapping[str, int],
-    n_nodes: int,
-) -> int:
-    full = _whole_ranges(nest, binding)
-    levels = plan.tiled_levels
-    if not levels or plan.tile_size <= 0:
-        return 1
-    counts = []
-    for level in levels:
-        lo, hi = full[nest.loops[level].var]
-        counts.append(max(1, math.ceil((hi - lo + 1) / plan.tile_size)))
-    # the SPMD driver slices the outermost tile loop into rank slabs
-    counts[0] = max(1, math.ceil(counts[0] / max(1, n_nodes)))
-    n = 1
-    for c in counts:
-        n *= c
-    return n
-
-
-def _mid_tile_ranges(
-    nest: LoopNest,
-    plan: NestPlan,
-    binding: Mapping[str, int],
-) -> dict[str, tuple[int, int]]:
-    """A representative (middle-anchor) tile's variable box — the same
-    anchoring ``_footprint_for_block`` uses."""
-    full = _whole_ranges(nest, binding)
-    block = max(1, plan.tile_size)
-    var_ranges: dict[str, tuple[int, int]] = {}
-    for level, loop in enumerate(nest.loops):
-        lo, hi = full[loop.var]
-        if plan.spec.tiled[level] and plan.tile_size > 0:
-            extent = hi - lo + 1
-            anchor = lo + int(0.5 * max(0, extent - block))
-            var_ranges[loop.var] = (anchor, min(hi, anchor + block - 1))
-        else:
-            var_ranges[loop.var] = (lo, hi)
-    return var_ranges
-
-
 def nest_config_cost(
     nest: LoopNest,
     *,
@@ -210,13 +166,13 @@ def nest_config_cost(
     p = max(1, n_nodes)
     cap = max(1, params.max_request_elements)
     plan = plan_for(nest, binding, shapes, plan_budget, tile_size, edges)
-    n_tiles = _n_tiles_per_node(nest, plan, binding, p)
-    fps = nest_footprints(
-        nest, _mid_tile_ranges(nest, plan, binding), binding, shapes
-    )
-    whole = nest_footprints(
-        nest, _whole_ranges(nest, binding), binding, shapes
-    )
+    # the tile count and the representative (middle-anchor) tile are the
+    # plan's own geometry for rank 0; the count is the window product,
+    # so windows a triangular nest leaves empty are priced as tiles
+    space = TileSpace(plan, binding, shapes, (0, p))
+    n_tiles = len(space)
+    fps = space.footprints(tile_box(space.full, space.blocks, 0.5))
+    whole = space.footprints(space.full)
     w = max(1, nest.weight)
 
     # per-repetition per-node tile traffic

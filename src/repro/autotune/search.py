@@ -19,10 +19,9 @@ setting was picked, and a benchmark can assert *which* solver ran.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
-
-import numpy as np
 
 from ..cache import CacheConfig
 from ..collective.planner import CollectiveConfig
@@ -146,15 +145,6 @@ class TuneDecision:
         }
 
 
-def _default_budget(
-    program: Program, binding: Mapping[str, int], params: MachineParams
-) -> int:
-    total = sum(
-        int(np.prod(a.shape(binding))) for a in program.arrays
-    )
-    return max(64, total // params.memory_fraction)
-
-
 def _row_directions(program: Program) -> dict[str, tuple[int, ...]]:
     """The untuned default: row-major fast directions for every array."""
     return {
@@ -200,7 +190,9 @@ def solve_joint(
     prog = gd.program
     b = prog.binding(binding)
     shapes = {a.name: a.shape(b) for a in prog.arrays}
-    budget = memory_budget or _default_budget(prog, b, params)
+    budget = params.memory_budget(
+        sum(math.prod(s) for s in shapes.values()), memory_budget
+    )
     directions = dict(gd.directions)
     # every candidate below re-plans the same nests under another budget
     # or tile size; their dependence edges are analysed once, here

@@ -520,9 +520,9 @@ def program_bounds(
 ) -> list[NestBound]:
     """Per-nest I/O lower bounds for a whole program.
 
-    When ``memory_elements`` is omitted, the executor's budget formula
-    (``max(64, total_elements // memory_fraction)``) is applied so the
-    static bound matches what a default run would be charged against.
+    When ``memory_elements`` is omitted, the executor's default budget
+    (:meth:`~repro.runtime.MachineParams.memory_budget`) is applied so
+    the static bound matches what a default run would be charged against.
     """
     b = program.binding(binding)
     shapes = {a.name: a.shape(b) for a in program.arrays}
@@ -532,7 +532,7 @@ def program_bounds(
 
             params = MachineParams()
         total = sum(math.prod(s) for s in shapes.values())
-        memory_elements = max(64, total // params.memory_fraction)
+        memory_elements = params.memory_budget(total)
     return [
         nest_lower_bound(
             nest,

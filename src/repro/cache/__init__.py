@@ -29,8 +29,8 @@ Enable it per executor with :class:`CacheConfig`::
     print(result.stats)            # ... cache[hit=...] prefetch[...]
     print(result.cache_metrics.hit_rate)
 
-With no config (or ``enabled=False``) the executor's accounting is
-bit-identical to the uncached runtime.
+With no config (``cache=None``, the default) the executor's accounting
+is bit-identical to the uncached runtime.
 """
 
 from .metrics import CacheMetrics

@@ -98,12 +98,11 @@ class CacheEntry:
 class CacheConfig:
     """Executor-facing switchboard for the tile cache subsystem.
 
-    The default construction enables caching; pass ``enabled=False`` (or
-    no config at all) for the seed behavior — with the cache off the
-    executor's accounting is bit-identical to the uncached code path.
+    Handing a config to the executor turns the cache on; "off" is
+    ``cache=None`` (the default), which takes the uncached code path
+    with bit-identical accounting.
     """
 
-    enabled: bool = True
     policy: str = "lru"
     #: share of the executor's memory budget carved out for the cache
     #: (the tile planner sizes tiles against the remainder)

@@ -8,7 +8,6 @@ single-node experiments; :mod:`repro.parallel` wraps it per SPMD node.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from itertools import product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -50,7 +49,7 @@ from .interpreter import (
     run_element_loops,
     run_element_loops_vectorized,
 )
-from .plan import NestPlan, _whole_ranges, plan_nest, program_edges
+from .plan import NestPlan, TileSpace, plan_nest, program_edges
 
 
 @dataclass(frozen=True)
@@ -537,15 +536,15 @@ class OOCExecutor:
             a.name: a.shape(self.binding) for a in program.arrays
         }
         total_elements = sum(int(np.prod(s)) for s in self.shapes.values())
-        self.memory_budget = memory_budget or max(
-            64, total_elements // self.params.memory_fraction
+        self.memory_budget = self.params.memory_budget(
+            total_elements, memory_budget
         )
         # tile cache + prefetch (repro.cache); the cache budget is carved
         # out of the memory budget, so resident cache tiles plus in-flight
         # compute tiles together stay under the per-node budget and the
         # planner sizes tiles against the remainder only
         cache_budget = 0
-        if cache is not None and cache.enabled:
+        if cache is not None:
             cache_budget = cache.resolve_budget(self.memory_budget)
             if cache_budget >= self.memory_budget:
                 raise ValueError(
@@ -634,7 +633,7 @@ class OOCExecutor:
         self.memory = MemoryManager(self.memory_budget)
         self._over_budget_tiles = 0
         self._io = _DirectTileIO(self._stores)
-        if cache is not None and cache.enabled:
+        if cache is not None:
             self._io = _CachedTileIO(
                 self._stores, self.params, cache,
                 TileCache(
@@ -728,16 +727,7 @@ class OOCExecutor:
                     faults=self._injector,
                 )
                 tiles = self._run_nest(nest, plan, local)
-                s = local.stats
-                scaled = dc_replace(
-                    s,
-                    read_calls=s.read_calls * scale,
-                    write_calls=s.write_calls * scale,
-                    elements_read=s.elements_read * scale,
-                    elements_written=s.elements_written * scale,
-                    io_time_s=s.io_time_s * scale,
-                    compute_time_s=s.compute_time_s * scale,
-                )
+                scaled = local.stats.scaled(scale)
                 total = total.merge(scaled)
                 ctx.stats = ctx.stats.merge(scaled)
                 ctx.io_node_load += local.io_node_load * scale
@@ -873,107 +863,18 @@ class OOCExecutor:
 
     # -- internals -----------------------------------------------------------
 
-    def _tile_windows(
-        self, nest: LoopNest, plan: NestPlan
-    ) -> list[dict[str, tuple[int, int]]]:
-        """Enumerate tile windows (per tiled variable) in loop order."""
-        full = _whole_ranges(nest, self.binding)
-        levels = plan.tiled_levels
-        if not levels:
-            if self.node_slice is not None and self.node_slice[0] != 0:
-                return []  # untiled nests run on node 0 only
-            return [{}]
-        # windows per tiled level are independent of the other levels,
-        # so the walk is their product, outermost level slowest
-        b = max(1, plan.tile_size)
-        per_level: list[list[tuple[str, tuple[int, int]]]] = []
-        for idx, level in enumerate(levels):
-            var = nest.loops[level].var
-            lo, hi = full[var]
-            if idx == 0 and self.node_slice is not None:
-                # SPMD block distribution of the outermost tile loop: node
-                # r owns a contiguous slab (no inter-node communication —
-                # the paper's parallelization)
-                rank, n_nodes = self.node_slice
-                share = -(-(hi - lo + 1) // n_nodes)
-                lo, hi = lo + rank * share, min(hi, lo + (rank + 1) * share - 1)
-            per_level.append(
-                [(var, (start, min(hi, start + b - 1)))
-                 for start in range(lo, hi + 1, b)]
-            )
-        return [dict(combo) for combo in product(*per_level)]
-
-    def _tile_var_ranges(
-        self, nest: LoopNest, windows: Mapping[str, tuple[int, int]]
-    ) -> dict[str, tuple[int, int]] | None:
-        """Refined per-variable ranges for one tile (None if empty)."""
-        ranges: dict[str, tuple[int, int]] = {}
-        env_corners: list[dict[str, int]] = [dict(self.binding)]
-        for loop in nest.loops:
-            los, his = [], []
-            for env in env_corners:
-                los.append(max(b.eval_lower(env) for b in loop.lowers))
-                his.append(min(b.eval_upper(env) for b in loop.uppers))
-            lo, hi = min(los), max(his)
-            if loop.var in windows:
-                wlo, whi = windows[loop.var]
-                lo, hi = max(lo, wlo), min(hi, whi)
-            if lo > hi:
-                return None
-            ranges[loop.var] = (lo, hi)
-            new_corners = []
-            for env in env_corners:
-                for val in {lo, hi}:
-                    e = dict(env)
-                    e[loop.var] = val
-                    new_corners.append(e)
-            env_corners = new_corners[:16]  # bounded corner expansion
-        return ranges
-
-    def _estimate_iterations(
-        self, nest: LoopNest, windows: Mapping[str, tuple[int, int]]
-    ) -> int:
-        env = dict(self.binding)
-        total = 1
-        for loop in nest.loops:
-            lo = max(b.eval_lower(env) for b in loop.lowers)
-            hi = min(b.eval_upper(env) for b in loop.uppers)
-            if loop.var in windows:
-                wlo, whi = windows[loop.var]
-                lo, hi = max(lo, wlo), min(hi, whi)
-            trips = max(0, hi - lo + 1)
-            if trips == 0:
-                return 0
-            total *= trips
-            env[loop.var] = (lo + hi) // 2
-        return total
-
     def _tiles(self, nest: LoopNest, plan: NestPlan):
-        """The nest's non-empty tiles in walk order, lazily:
-        ``(windows, footprints, reads)`` with empty regions dropped;
+        """This rank's non-empty tiles of the plan's :class:`TileSpace`
+        in walk order, lazily: ``(windows, footprints, reads)``;
         ``reads`` is the tile's ``(name, region)`` read set — every
         accessed array's tile (the paper's generated code reads tiles
         for all arrays, including write-only ones — read-modify-write
         of the bounding box)."""
-        from .footprint import nest_footprints
-
-        for windows in self._tile_windows(nest, plan):
-            var_ranges = self._tile_var_ranges(nest, windows)
-            if var_ranges is None:
-                continue
-            fps = _prof.timed(
-                "engine.footprints",
-                nest_footprints, nest, var_ranges, self.binding, self.shapes,
-            )
-            fps = {
-                name: (region, r, w)
-                for name, (region, r, w) in fps.items()
-                if region_size(region) > 0
-            }
-            if fps:
-                yield windows, fps, [
-                    (name, region) for name, (region, _, _) in fps.items()
-                ]
+        space = TileSpace(plan, self.binding, self.shapes, self.node_slice)
+        for windows, _, fps in space:
+            yield windows, fps, [
+                (name, region) for name, (region, _, _) in fps.items()
+            ]
 
     def _run_nest(self, nest: LoopNest, plan: NestPlan, ctx: IOContext) -> int:
         """The one tile walk: enumerate tiles → reserve memory → read →
@@ -1018,7 +919,7 @@ class OOCExecutor:
                         dict(reads),
                     )
                 else:
-                    count = self._estimate_iterations(nest, windows)
+                    count = nest.estimated_iterations(self.binding, windows)
                 ctx.record_compute(count, len(nest.body))
 
                 # write back modified arrays

@@ -11,20 +11,30 @@ Tile sizes: one block size ``B`` shared by all tiled levels, maximized by
 binary search so the nest's total footprint (every accessed array's tile,
 simultaneously resident, as in the paper's even split of memory across a
 nest's arrays) fits the per-node budget.
+
+How a planned nest is then cut into tiles — per-rank slab, block
+windows, walk order, the representative anchor boxes — is stated once,
+here, as :func:`tile_box` and :class:`TileSpace`; the executor's walk,
+the planner's own probe, the autotune model and h-opt's chunk sizing
+all read it from there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import product
+from typing import Iterator, Mapping
+
+import numpy as np
 
 from ..dependence import DependenceEdge, Direction, analyze_nest
 from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..obs import profile as _prof
-from ..runtime.ooc_array import region_size
+from ..runtime.ooc_array import Region, region_size
 from ..transforms.tiling import TilingSpec
-from .footprint import nest_footprints
+from .footprint import VarRanges, nest_footprints
 
 
 def tiling_band_legal(
@@ -97,6 +107,23 @@ def program_edges(
     }
 
 
+def tile_box(
+    full: VarRanges, blocks: Mapping[str, int], frac: float
+) -> dict[str, tuple[int, int]]:
+    """The variable box of a representative tile: each variable in
+    ``blocks`` (the tiled ones) clipped to its block size, anchored
+    ``frac`` of the way through its whole range (0 start, 0.5 middle,
+    1 end); every other variable spans its whole range ``full``."""
+    box: dict[str, tuple[int, int]] = {}
+    for var, (lo, hi) in full.items():
+        block = blocks.get(var)
+        if block is not None:
+            lo += int(frac * max(0, hi - lo + 1 - block))
+            hi = min(hi, lo + block - 1)
+        box[var] = (lo, hi)
+    return box
+
+
 def _footprint_for_block(
     nest: LoopNest,
     binding: Mapping[str, int],
@@ -109,25 +136,21 @@ def _footprint_for_block(
     ``block`` iterations; ``full`` is ``_whole_ranges(nest, binding)``.
 
     With affine (e.g. triangular) bounds the untiled levels' ranges vary
-    with the tile anchor, so the window is evaluated at the start, middle
-    and end anchors and the maximum footprint taken.
+    with the tile anchor, so the :func:`tile_box` is evaluated at the
+    start, middle and end anchors and the maximum footprint taken.
     """
-    worst = 0
-    for frac in (0.0, 0.5, 1.0):
-        var_ranges = {}
-        for level, loop in enumerate(nest.loops):
-            lo, hi = full[loop.var]
-            if spec.tiled[level]:
-                extent = hi - lo + 1
-                anchor = lo + int(frac * max(0, extent - block))
-                var_ranges[loop.var] = (anchor, min(hi, anchor + block - 1))
-            else:
-                var_ranges[loop.var] = (lo, hi)
-        fps = nest_footprints(nest, var_ranges, binding, shapes)
-        worst = max(
-            worst, sum(region_size(region) for region, _, _ in fps.values())
+    blocks = {
+        loop.var: block for loop, tiled in zip(nest.loops, spec.tiled) if tiled
+    }
+    return max(
+        sum(
+            region_size(region)
+            for region, _, _ in nest_footprints(
+                nest, tile_box(full, blocks, frac), binding, shapes
+            ).values()
         )
-    return worst
+        for frac in (0.0, 0.5, 1.0)
+    )
 
 
 def plan_nest(
@@ -218,3 +241,122 @@ def plan_nest(
     return NestPlan(
         nest, spec, best, fp, degraded, over_budget=fp > memory_budget
     )
+
+
+class TileSpace:
+    """How one rank cuts a planned nest into tiles — the one statement
+    of the out-of-core tile walk's geometry.
+
+    Every tiled level is cut into windows of ``plan.tile_size``
+    iterations over its whole range; the outermost tiled level is first
+    block-distributed over the SPMD ranks (``node_slice=(rank,
+    n_nodes)``: rank ``r`` owns a contiguous slab, no inter-node
+    communication — the paper's parallelization), and an untiled nest
+    runs on rank 0 only.  The walk is the product of the levels'
+    windows, outermost slowest.
+
+    ``len(space)`` is that window product — what a count-based model
+    multiplies by.  Iterating yields ``(windows, var_ranges,
+    footprints)`` for the *non-empty* tiles only, in walk order: under
+    triangular or coupled bounds some windows of the product hold no
+    iteration (or touch no array element) and are dropped, so
+    ``len(list(space)) <= len(space)``, equal on rectangular nests.
+
+    ``full`` is each variable's whole range (computed once per space),
+    ``windows`` maps each tiled variable, outermost first, to its
+    ``(starts, stops)`` integer arrays after the rank's slab.
+    """
+
+    def __init__(
+        self,
+        plan: NestPlan,
+        binding: Mapping[str, int],
+        shapes: Mapping[str, tuple[int, ...]],
+        node_slice: tuple[int, int] | None = None,
+    ):
+        self.plan = plan
+        self.binding = binding
+        self.shapes = shapes
+        nest = plan.nest
+        self.full = _whole_ranges(nest, binding)
+        self.block = max(1, plan.tile_size)
+        self.windows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for level in plan.tiled_levels:
+            var = nest.loops[level].var
+            lo, hi = self.full[var]
+            if not self.windows and node_slice is not None:
+                rank, n_nodes = node_slice
+                share = -(-(hi - lo + 1) // n_nodes)
+                lo, hi = lo + rank * share, min(hi, lo + (rank + 1) * share - 1)
+            starts = np.arange(lo, hi + 1, self.block)
+            self.windows[var] = (
+                starts, np.minimum(hi, starts + self.block - 1)
+            )
+        idle = not self.windows and node_slice is not None and node_slice[0] != 0
+        self._count = 0 if idle else math.prod(
+            len(starts) for starts, _ in self.windows.values()
+        )
+
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def blocks(self) -> dict[str, int]:
+        """Block size per tiled variable — :func:`tile_box`'s input."""
+        return dict.fromkeys(self.windows, self.block)
+
+    def footprints(
+        self, var_ranges: VarRanges
+    ) -> dict[str, tuple[Region, bool, bool]]:
+        """Per-array ``(region, is_read, is_written)`` the nest touches
+        over a variable box (a tile's, a :func:`tile_box`, or ``full``)."""
+        return nest_footprints(
+            self.plan.nest, var_ranges, self.binding, self.shapes
+        )
+
+    def _refine(self, windows: VarRanges) -> dict[str, tuple[int, int]] | None:
+        """One tile's per-variable ranges: the loop bounds evaluated at
+        the corners of the enclosing variables' ranges, clipped to the
+        tile's windows (``None`` if some range is empty)."""
+        ranges: dict[str, tuple[int, int]] = {}
+        env_corners: list[dict[str, int]] = [dict(self.binding)]
+        for loop in self.plan.nest.loops:
+            los, his = zip(*(loop.eval_range(env) for env in env_corners))
+            lo, hi = min(los), max(his)
+            if loop.var in windows:
+                wlo, whi = windows[loop.var]
+                lo, hi = max(lo, wlo), min(hi, whi)
+            if lo > hi:
+                return None
+            ranges[loop.var] = (lo, hi)
+            env_corners = [
+                {**env, loop.var: val}
+                for env in env_corners for val in {lo, hi}
+            ][:16]  # bounded corner expansion
+        return ranges
+
+    def __iter__(
+        self,
+    ) -> Iterator[
+        tuple[VarRanges, VarRanges, dict[str, tuple[Region, bool, bool]]]
+    ]:
+        if not self._count:
+            return
+        per_level = [
+            [(var, w) for w in zip(starts.tolist(), stops.tolist())]
+            for var, (starts, stops) in self.windows.items()
+        ]
+        for combo in product(*per_level):
+            windows = dict(combo)
+            var_ranges = self._refine(windows)
+            if var_ranges is None:
+                continue
+            fps = {
+                name: fp
+                for name, fp in _prof.timed(
+                    "engine.footprints", self.footprints, var_ranges
+                ).items()
+                if region_size(fp[0]) > 0
+            }
+            if fps:
+                yield windows, var_ranges, fps

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
@@ -97,17 +98,42 @@ class LoopNest:
 
         return rec(0)
 
-    def estimated_iterations(self, binding: Mapping[str, int]) -> int:
-        """Cheap trip-count product estimate (outer vars pinned at their
-        range midpoints) — used by the cost model, never for semantics."""
+    def _midpoint_trips(
+        self,
+        binding: Mapping[str, int],
+        windows: Mapping[str, tuple[int, int]] | None = None,
+    ) -> Iterator[int]:
+        """Each loop's trip count, outermost first, with the enclosing
+        variables pinned at their range midpoints; ``windows`` clips
+        the named variables' ranges to a tile's windows."""
         env = dict(binding)
-        total = 1
         for loop in self.loops:
             lo, hi = loop.eval_range(env)
-            trips = max(0, hi - lo + 1)
-            total *= trips
-            env[loop.var] = (lo + hi) // 2 if trips else lo
-        return total
+            if windows and loop.var in windows:
+                wlo, whi = windows[loop.var]
+                lo, hi = max(lo, wlo), min(hi, whi)
+            yield max(0, hi - lo + 1)
+            env[loop.var] = (lo + hi) // 2
+
+    def estimated_iterations(
+        self,
+        binding: Mapping[str, int],
+        windows: Mapping[str, tuple[int, int]] | None = None,
+    ) -> int:
+        """Cheap trip-count product estimate (outer vars pinned at their
+        range midpoints) of the whole nest, or of the tile ``windows``
+        cuts out of it — used by the cost models and the simulate-mode
+        compute charge, never for semantics."""
+        return math.prod(self._midpoint_trips(binding, windows))
+
+    def innermost_trip(self, binding: Mapping[str, int]) -> int:
+        """The innermost loop's trip count under the same midpoint
+        pinning (at least 1) — the run length the cost models divide
+        by."""
+        trip = 1
+        for trip in self._midpoint_trips(binding):
+            pass
+        return max(1, trip)
 
     def with_body(self, body: Sequence[Statement]) -> "LoopNest":
         return replace(self, body=tuple(body))

@@ -59,12 +59,7 @@ def _ref_io_terms(
     reference order — the shared core of :func:`estimate_nest_io` and
     :func:`estimate_nest_io_breakdown`."""
     iters = max(1, nest.estimated_iterations(binding))
-    env = dict(binding)
-    inner_trip = 1
-    for loop in nest.loops:
-        lo, hi = loop.eval_range(env)
-        env[loop.var] = (lo + hi) // 2
-        inner_trip = max(1, hi - lo + 1)
+    inner_trip = nest.innermost_trip(binding)
     run = min(inner_trip, run_cap)
     terms: list[tuple[str, float]] = []
     for _, ref, _ in nest.refs():
@@ -175,12 +170,7 @@ def estimate_nest_elements(
     Element counts are layout-independent in this model — layouts move
     *calls*, not touched elements."""
     iters = max(1, nest.estimated_iterations(binding))
-    env = dict(binding)
-    inner_trip = 1
-    for loop in nest.loops:
-        lo, hi = loop.eval_range(env)
-        env[loop.var] = (lo + hi) // 2
-        inner_trip = max(1, hi - lo + 1)
+    inner_trip = nest.innermost_trip(binding)
     total = 0.0
     for _, ref, _ in nest.refs():
         l = nest.access_matrix(ref)

@@ -86,16 +86,6 @@ def _ref_cost(
     return nest.weight * (iters / inner_trip if spatial else float(iters))
 
 
-def _inner_trip(nest: LoopNest, binding: Mapping[str, int]) -> int:
-    env = dict(binding)
-    trip = 1
-    for loop in nest.loops:
-        lo, hi = loop.eval_range(env)
-        env[loop.var] = (lo + hi) // 2
-        trip = max(1, hi - lo + 1)
-    return trip
-
-
 def _build_models(
     program: Program, binding: Mapping[str, int]
 ) -> tuple[list[_NestModel], dict[str, list[tuple[int, ...]]]]:
@@ -143,7 +133,7 @@ def _total_cost(
     total = 0.0
     for m in models:
         q = q_choice[m.nest.name]
-        trip = _inner_trip(m.nest, binding)
+        trip = m.nest.innermost_trip(binding)
         for _, ref, _ in m.nest.refs():
             l = m.nest.access_matrix(ref)
             total += _ref_cost(
@@ -189,7 +179,7 @@ def _array_cost(
     total = 0.0
     for m in models:
         q = q_choice[m.nest.name]
-        trip = _inner_trip(m.nest, binding)
+        trip = m.nest.innermost_trip(binding)
         for _, ref, _ in m.nest.refs():
             if ref.array.name != array:
                 continue
@@ -229,7 +219,7 @@ def solve_milp(
     x_cost = np.zeros(len(x_index))
     pair_cost: dict[tuple[int, int], float] = {}
     for m in models:
-        trip = _inner_trip(m.nest, binding)
+        trip = m.nest.innermost_trip(binding)
         iters = max(1, m.nest.estimated_iterations(binding))
         for q in m.q_options:
             xi = x_index[(m.nest.name, q)]

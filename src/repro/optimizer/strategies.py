@@ -15,15 +15,13 @@ are tiled (traditional tiling), exactly as in the paper's methodology.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-import numpy as np
-
 from ..engine.executor import InterleavedStoreSpec, LinearStoreSpec, StoreSpec
 from ..dependence import DependenceEdge
-from ..engine.plan import _whole_ranges, plan_nest, program_edges
-from ..engine.footprint import nest_footprints
+from ..engine.plan import TileSpace, plan_nest, program_edges, tile_box
 from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..layout import Layout, col_major, row_major
@@ -164,30 +162,26 @@ def build_version(
 
     # h-opt: chunk each array into its data-tile shape and interleave the
     # arrays co-accessed by the costliest nest that touches them.
-    total_elements = sum(
-        int(np.prod(a.shape(b))) for a in decision.program.arrays
-    )
-    budget = memory_budget or max(64, total_elements // params.memory_fraction)
     shapes = {a.name: a.shape(b) for a in decision.program.arrays}
-    # Per nest: the representative tile footprint of each array it touches.
+    budget = params.memory_budget(
+        sum(math.prod(s) for s in shapes.values()), memory_budget
+    )
+    # Per nest: the start-anchor tile's footprint of each array it touches.
     per_nest_fp: dict[str, dict[str, tuple[tuple[int, int], ...]]] = {}
     for nest in decision.program.nests:
         plan = plan_nest(
             nest, ooc_tiling(nest), budget, b, shapes, edges=edges[nest.name]
         )
-        full = _whole_ranges(nest, b)
-        outermost_tiled = plan.tiled_levels[0] if plan.tiled_levels else None
-        var_ranges = {}
-        for level, loop in enumerate(nest.loops):
-            lo, hi = full[loop.var]
-            if plan.spec.tiled[level] and plan.tile_size:
-                tile = plan.tile_size
-                if level == outermost_tiled:
-                    tile = _effective_tile(hi - lo + 1, tile, n_nodes)
-                var_ranges[loop.var] = (lo, min(hi, lo + tile - 1))
-            else:
-                var_ranges[loop.var] = (lo, hi)
-        fps = nest_footprints(nest, var_ranges, b, shapes)
+        space = TileSpace(plan, b, shapes)
+        blocks = space.blocks
+        outer = next(iter(blocks), None)
+        if outer is not None:
+            # the outermost tiled level is slabbed over the ranks first
+            lo, hi = space.full[outer]
+            blocks[outer] = _effective_tile(
+                hi - lo + 1, plan.tile_size, n_nodes
+            )
+        fps = space.footprints(tile_box(space.full, blocks, 0.0))
         per_nest_fp[nest.name] = {
             arr: region for arr, (region, _, _) in fps.items()
         }

@@ -161,9 +161,7 @@ def run_version_parallel(
     total_elements = sum(
         int(np.prod(a.shape(b))) for a in cfg.program.arrays
     )
-    budget = memory_per_node or max(
-        64, total_elements // params.memory_fraction
-    )
+    budget = params.memory_budget(total_elements, memory_per_node)
     results: list[RunResult] = []
     file_maps: list[dict[int, str]] = []
     # per-array attribution works off the executors' call traces, so an
@@ -240,7 +238,7 @@ def run_version_parallel(
                 bounds = run_bounds(
                     cfg.program, b, budget,
                     max((r.peak_memory for r in results), default=0),
-                    n_nodes, cache is not None and cache.enabled,
+                    n_nodes, cache is not None,
                 )
             obs.note_bounds(bounds)
         if collective is None:

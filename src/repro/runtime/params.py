@@ -79,6 +79,20 @@ class MachineParams:
     def stripe_elements(self) -> int:
         return max(1, self.stripe_bytes // self.element_size)
 
+    def memory_budget(
+        self, total_elements: int, requested: int | None = None
+    ) -> int:
+        """A node's memory budget in elements: ``requested`` when given
+        (``0`` is not "unset" — it is rejected like any non-positive
+        budget), else the paper's fraction of the program's data size,
+        never under 64 elements.  The one rule every entry point that
+        takes an optional budget shares."""
+        if requested is None:
+            return max(64, total_elements // self.memory_fraction)
+        if requested <= 0:
+            raise ValueError("memory budget must be positive")
+        return requested
+
     def transfer_time(self, nbytes: int) -> float:
         return nbytes / self.io_bandwidth_bps
 

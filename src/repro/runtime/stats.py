@@ -8,7 +8,7 @@ cheaply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -123,8 +123,19 @@ def io_node_loads(
     return load
 
 
+def _fault_counter(default):
+    """A resilience counter: serialized only when some such counter is
+    nonzero."""
+    return field(default=default, metadata={"fault": True})
+
+
 @dataclass
 class IOStats:
+    """Counters of one recorder, one nest, one rank or a whole run.
+    Every field but ``cache`` is a summable counter, named once, here:
+    :meth:`fold`, :meth:`scaled`, :meth:`to_dict` and :meth:`from_dict`
+    walk the dataclass fields (``_COUNTERS`` below)."""
+
     read_calls: int = 0
     write_calls: int = 0
     elements_read: int = 0
@@ -147,11 +158,11 @@ class IOStats:
     #: two-phase nests degraded to independent I/O, and total backoff
     #: seconds.  All zero — and ``to_dict``/``__str__`` unchanged —
     #: when no fault plan is active (``faults=None``).
-    retries: int = 0
-    failed_calls: int = 0
-    hedged_calls: int = 0
-    degraded_nests: int = 0
-    retry_delay_s: float = 0.0
+    retries: int = _fault_counter(0)
+    failed_calls: int = _fault_counter(0)
+    hedged_calls: int = _fault_counter(0)
+    degraded_nests: int = _fault_counter(0)
+    retry_delay_s: float = _fault_counter(0.0)
 
     @property
     def calls(self) -> int:
@@ -165,9 +176,8 @@ class IOStats:
     def has_faults(self) -> bool:
         """Whether any resilience counter is nonzero (the run saw
         injected faults, hedges or degradations)."""
-        return bool(
-            self.retries or self.failed_calls or self.hedged_calls
-            or self.degraded_nests or self.retry_delay_s
+        return any(
+            getattr(self, f.name) for f in _COUNTERS if "fault" in f.metadata
         )
 
     @property
@@ -189,20 +199,10 @@ class IOStats:
         """
         total = cls()
         for s in items:
-            total.read_calls += s.read_calls
-            total.write_calls += s.write_calls
-            total.elements_read += s.elements_read
-            total.elements_written += s.elements_written
-            total.io_time_s += s.io_time_s
-            total.compute_time_s += s.compute_time_s
-            total.redist_messages += s.redist_messages
-            total.redist_elements += s.redist_elements
-            total.redist_time_s += s.redist_time_s
-            total.retries += s.retries
-            total.failed_calls += s.failed_calls
-            total.hedged_calls += s.hedged_calls
-            total.degraded_nests += s.degraded_nests
-            total.retry_delay_s += s.retry_delay_s
+            for f in _COUNTERS:
+                setattr(
+                    total, f.name, getattr(total, f.name) + getattr(s, f.name)
+                )
             if s.cache is not None:
                 total.cache = (
                     s.cache if total.cache is None
@@ -210,29 +210,24 @@ class IOStats:
                 )
         return total
 
+    def scaled(self, k: int) -> "IOStats":
+        """Every counter times ``k`` — one pass of a nest standing for
+        its ``k`` identical repetitions (``cache`` is carried as is)."""
+        return replace(
+            self, **{f.name: getattr(self, f.name) * k for f in _COUNTERS}
+        )
+
     def to_dict(self) -> dict:
         """JSON-ready dict, nested ``cache`` included — the serialized
         form used by traces (:mod:`repro.obs`) and ``BENCH_*.json``."""
-        d = {
-            "read_calls": self.read_calls,
-            "write_calls": self.write_calls,
-            "elements_read": self.elements_read,
-            "elements_written": self.elements_written,
-            "io_time_s": self.io_time_s,
-            "compute_time_s": self.compute_time_s,
-            "redist_messages": self.redist_messages,
-            "redist_elements": self.redist_elements,
-            "redist_time_s": self.redist_time_s,
-        }
         # fault counters appear only when something fired, so the
         # serialized form (and every baseline JSON built from it) is
         # byte-identical to pre-fault output when faults are off
-        if self.has_faults:
-            d["retries"] = self.retries
-            d["failed_calls"] = self.failed_calls
-            d["hedged_calls"] = self.hedged_calls
-            d["degraded_nests"] = self.degraded_nests
-            d["retry_delay_s"] = self.retry_delay_s
+        faults = self.has_faults
+        d = {
+            f.name: getattr(self, f.name)
+            for f in _COUNTERS if faults or "fault" not in f.metadata
+        }
         if self.cache is not None:
             d["cache"] = self.cache.to_dict()
         return d
@@ -244,21 +239,8 @@ class IOStats:
 
         cache_d = d.get("cache")
         return cls(
-            read_calls=d.get("read_calls", 0),
-            write_calls=d.get("write_calls", 0),
-            elements_read=d.get("elements_read", 0),
-            elements_written=d.get("elements_written", 0),
-            io_time_s=d.get("io_time_s", 0.0),
-            compute_time_s=d.get("compute_time_s", 0.0),
             cache=None if cache_d is None else CacheMetrics.from_dict(cache_d),
-            redist_messages=d.get("redist_messages", 0),
-            redist_elements=d.get("redist_elements", 0),
-            redist_time_s=d.get("redist_time_s", 0.0),
-            retries=d.get("retries", 0),
-            failed_calls=d.get("failed_calls", 0),
-            hedged_calls=d.get("hedged_calls", 0),
-            degraded_nests=d.get("degraded_nests", 0),
-            retry_delay_s=d.get("retry_delay_s", 0.0),
+            **{f.name: d.get(f.name, f.default) for f in _COUNTERS},
         )
 
     def __str__(self) -> str:
@@ -283,6 +265,10 @@ class IOStats:
         if self.cache is not None:
             base += f" {self.cache}"
         return base
+
+
+#: the summable counters, in declaration (= serialization) order
+_COUNTERS = tuple(f for f in fields(IOStats) if f.name != "cache")
 
 
 class IOContext:

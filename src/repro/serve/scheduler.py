@@ -637,8 +637,7 @@ class JobScheduler:
         computes (the paper's memory fraction of the program's data)."""
         b = program.binding(None)
         total = sum(int(np.prod(a.shape(b))) for a in program.arrays)
-        per_node = max(64, total // self.profile.params.memory_fraction)
-        return spec.n_nodes * per_node
+        return spec.n_nodes * self.profile.params.memory_budget(total)
 
     def _job_faults(self, job: Job) -> FaultConfig | None:
         """Per-(job, attempt) fault derivation: same plan and policy,

@@ -77,9 +77,14 @@ class TestDisabledIsIdentical:
     @pytest.mark.parametrize("make", ALL_PROGRAMS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("real", [False, True], ids=["sim", "real"])
     def test_stats_identical(self, make, real):
+        # "off" is cache=None, which is also what leaving the keyword
+        # out means
         p = make()
-        _, none_res, _ = run_pair(p, None, real=real)
-        _, off_res, _ = run_pair(p, CacheConfig(enabled=False), real=real)
+        init = initial_arrays(p, p.binding(None)) if real else None
+        none_res = OOCExecutor(
+            p, params=SMALL, real=real, memory_budget=40, initial=init
+        ).run()
+        _, off_res, _ = run_pair(p, None, real=real)
         assert none_res.stats == off_res.stats
         assert none_res.peak_memory == off_res.peak_memory
         assert off_res.cache_metrics is None

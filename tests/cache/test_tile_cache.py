@@ -31,7 +31,8 @@ class TestRegionGeometry:
 class TestCacheConfig:
     def test_defaults_enabled_lru_write_back(self):
         cfg = CacheConfig()
-        assert cfg.enabled and cfg.policy == "lru" and cfg.write_back
+        assert cfg.policy == "lru" and cfg.write_back
+        assert not hasattr(cfg, "enabled")  # "off" is cache=None
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.autotune import solve_joint
 from repro.backends import MmapBackend
 from repro.engine import OOCExecutor
 from repro.engine.executor import plan_program
@@ -65,6 +66,29 @@ class TestSpecArity:
     def test_spmd(self, levels):
         with pytest.raises(ValueError, match=self._match(levels)):
             _spmd(replace(CFG, tiling=self._tiling(levels)))
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+class TestNonPositiveBudget:
+    """``0`` is not "unset": it raises what ``-1`` always raised."""
+
+    MATCH = "memory budget must be positive"
+
+    def test_executor(self, budget):
+        with pytest.raises(ValueError, match=self.MATCH):
+            _executor(memory_budget=budget)
+
+    def test_spmd(self, budget):
+        with pytest.raises(ValueError, match=self.MATCH):
+            _spmd(memory_per_node=budget)
+
+    def test_hopt_chunk_sizing(self, budget):
+        with pytest.raises(ValueError, match=self.MATCH):
+            build_version("h-opt", PROGRAM, memory_budget=budget)
+
+    def test_solve_joint(self, budget):
+        with pytest.raises(ValueError, match=self.MATCH):
+            solve_joint(PROGRAM, memory_budget=budget)
 
 
 class TestHandedInPlans:

@@ -3,6 +3,7 @@
 merge equivalence when only some inputs carry cache metrics."""
 
 import json
+from dataclasses import fields
 
 from repro.cache import CacheMetrics
 from repro.runtime import IOContext, IOStats, MachineParams
@@ -85,6 +86,39 @@ class TestFoldMergeEquivalence:
         cached = IOStats(cache=CacheMetrics(hits=1))
         IOStats.fold([cached, IOStats(cache=CacheMetrics(hits=2))])
         assert cached.cache.hits == 1
+
+
+class TestCountersAreNamedOnce:
+    """Every dataclass field but ``cache`` is a counter, and ``fold``,
+    ``scaled``, ``to_dict`` and ``from_dict`` walk the fields — one set
+    to a distinct value in each must come through all four."""
+
+    NAMES = [f.name for f in fields(IOStats) if f.name != "cache"]
+
+    def _distinct(self):
+        return IOStats(**{
+            f.name: type(f.default)(i + 1)
+            for i, f in enumerate(fields(IOStats)) if f.name != "cache"
+        })
+
+    def test_serialized_in_declaration_order(self):
+        s = self._distinct()
+        assert list(s.to_dict()) == self.NAMES
+        assert IOStats.from_dict(s.to_dict()) == s
+        quiet = IOStats(read_calls=1, redist_messages=2)
+        assert list(quiet.to_dict()) == self.NAMES[:-5]  # no fault keys
+
+    def test_scaled_is_a_fold_of_copies(self):
+        s = self._distinct()
+        assert s.scaled(3) == IOStats.fold([s, s, s])
+        assert s.scaled(1) == s and s.scaled(1) is not s
+        for name in self.NAMES:
+            assert getattr(s.scaled(4), name) == 4 * getattr(s, name)
+
+    def test_scaled_carries_the_cache_unscaled(self):
+        s = _full_stats()
+        assert s.scaled(2).cache == s.cache
+        assert s.scaled(2).read_calls == 20
 
 
 class TestContextReset:
