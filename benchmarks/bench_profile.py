@@ -1,4 +1,4 @@
-"""Hotspot profiler + deterministic work counters (repro.obs.profile).
+"""Deterministic work counters + the layer table (repro.obs.profile).
 
 Three findings asserted:
 
@@ -7,12 +7,10 @@ Three findings asserted:
   one nest's worth however many ranks run, and
   ``addresses_enumerated`` is 0 wherever no data moves (simulate mode
   prices a tile from its box and layout; only data-carrying runs
-  compute element addresses).  The hand-placed hotspot sites cover a
-  few milliseconds of a run whose wall time sits mostly outside them,
-  so no share of their self time is reported any more (the retired
-  ``pricing_share`` misaimed a whole round, see ROADMAP);
-  ``perfbench``'s layer table (``python3 perfbench/run.py --workload W
-  --traced-only``) is the whole-run attribution.
+  compute element addresses).  Where the wall time goes is a separate,
+  ungated reading: outside ``--smoke`` one sweep cell is run again
+  under cProfile and its top layer and the layer table's coverage are
+  recorded (``python -m repro.obs profile`` prints the whole table).
 - **Work counters are bit-identical across repeat runs**, on the
   direct-executor, independent-parallel and two-phase-collective paths
   — integers end to end, so the regression gate holds them to exact
@@ -27,7 +25,7 @@ Three findings asserted:
   scoped to strategies that move data, not loops.
 
 Only the deterministic integer counters enter the regression-gated
-``--json`` payload; the wall-derived site totals are recorded (outside
+``--json`` payload; the wall-derived layer reading is recorded (outside
 ``--smoke``) in ``BENCH_profile.json`` at the repo root.
 """
 
@@ -87,17 +85,14 @@ def test_profiled_sweep_work_counters(benchmark, smoke, json_out):
                 run = run_version_parallel(
                     cfg, N_NODES, params=_params(n), profile=ProfileConfig(),
                 )
-                table = run.profile.hotspots
                 rows[f"{wl}/{ver}"] = {
                     "nests": len(cfg.program.nests),
-                    "total_self_s": table.total_self_s,
-                    "top_site": table.sites[0].name if table.sites else None,
                     "work": _flat_work(run.profile.work),
                 }
         return rows
 
     rows = run_once(benchmark, sweep)
-    # gate only the deterministic integers; site times are wall-derived
+    # gate only the deterministic integers
     json_out(
         "profile_work_by_cell",
         {cell: r["work"] for cell, r in rows.items()},
@@ -105,12 +100,8 @@ def test_profiled_sweep_work_counters(benchmark, smoke, json_out):
     )
     print()
     for cell, r in rows.items():
-        print(
-            f"  {cell:12s} top={r['top_site']} "
-            f"priced_runs={r['work']['priced_runs']}"
-        )
+        print(f"  {cell:12s} priced_runs={r['work']['priced_runs']}")
     for cell, r in rows.items():
-        assert r["top_site"] is not None
         # planned once per run, not once per rank; edges came with the
         # version, so the run analysed nothing
         assert r["work"]["plan_nest_calls"] == r["nests"], (cell, r["work"])
@@ -118,7 +109,28 @@ def test_profiled_sweep_work_counters(benchmark, smoke, json_out):
         # simulate mode: runs come from the box and the layout
         assert r["work"]["addresses_enumerated"] == 0, (cell, r["work"])
     if not smoke:
-        _SECTIONS["hotspots"] = {"n": n, "nodes": N_NODES, "rows": rows}
+        # wall-derived, so never gated: where one cell's time goes
+        run = run_version_parallel(
+            build_version("c-opt", build_workload("adi", n)), N_NODES,
+            params=_params(n), profile=ProfileConfig(cprofile=True),
+        )
+        layers = run.profile.layers
+        top = layers["rows"][0]
+        print(
+            f"  adi/c-opt under cProfile: top layer {top['layer']} "
+            f"({top['self_s'] / layers['total_s']:.0%}), "
+            f"coverage {layers['coverage']:.3f}"
+        )
+        assert layers["coverage"] > 0.5
+        _SECTIONS["hotspots"] = {
+            "n": n, "nodes": N_NODES, "rows": rows,
+            "layer_table": {
+                "cell": "adi/c-opt",
+                "top_layer": top["layer"],
+                "top_share": top["self_s"] / layers["total_s"],
+                "coverage": layers["coverage"],
+            },
+        }
         _write_artifact()
 
 

@@ -33,6 +33,7 @@ from ..optimizer.global_opt import GlobalDecision, ReportEvent
 from ..optimizer.ilp import SOLVERS, optimize_program_ilp
 from ..optimizer.strategies import VersionConfig
 from ..runtime import MachineParams
+from ..runtime.params import check_n_nodes
 from ..transforms.tiling import ooc_tiling
 from .model import ConfigCost, config_cost, plan_for
 from .space import TuneSpace, TuneSpaceError
@@ -175,6 +176,7 @@ def solve_joint(
         raise ValueError(
             f"unknown solver {solver!r}; known: ('auto',) + {SOLVERS}"
         )
+    check_n_nodes(n_nodes)
     params = params or MachineParams()
     space = space or TuneSpace.default_for(n_nodes)
     space.validate_ranks(n_nodes)

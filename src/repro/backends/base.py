@@ -151,6 +151,62 @@ class BackendFile:
         pass
 
 
+class UnitFile(BackendFile):
+    """A file stored as whole fixed-size units (chunk files, objects):
+    every access moves whole units — reading 3 elements of a
+    4096-element unit loads the unit — and a partial-unit write is a
+    read-modify-write.  Subclasses move one unit
+    (:meth:`_load_unit` / :meth:`_store_unit`) and account for it."""
+
+    def __init__(self, name, n_elements, dtype, unit_elements):
+        super().__init__(name, n_elements, dtype)
+        if unit_elements <= 0:
+            raise BackendError(
+                f"unit_elements must be positive, got {unit_elements}"
+            )
+        self.unit_elements = int(unit_elements)
+
+    def _unit_len(self, uid: int) -> int:
+        """Elements in unit ``uid`` (the tail unit may be short)."""
+        return min(
+            self.unit_elements, self.n_elements - uid * self.unit_elements
+        )
+
+    def _load_unit(self, uid: int) -> np.ndarray:
+        """One whole unit (never written = zeros).  :meth:`scatter`
+        updates the result in place and hands it to
+        :meth:`_store_unit`, so it may be the stored array itself."""
+        raise NotImplementedError
+
+    def _store_unit(self, uid: int, data: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def gather(self, addresses: np.ndarray) -> np.ndarray:
+        out = np.empty(addresses.shape, dtype=self.dtype)
+        uids = addresses // self.unit_elements
+        for uid in np.unique(uids):
+            uid = int(uid)
+            mask = uids == uid
+            local = addresses[mask] - uid * self.unit_elements
+            out[mask] = self._load_unit(uid)[local]
+        return out
+
+    def scatter(self, addresses: np.ndarray, values: np.ndarray) -> None:
+        values = np.asarray(values).ravel()
+        uids = addresses // self.unit_elements
+        for uid in np.unique(uids):
+            uid = int(uid)
+            mask = uids == uid
+            local = addresses[mask] - uid * self.unit_elements
+            if local.size == self._unit_len(uid):
+                # full-unit overwrite: no read-modify-write needed
+                data = np.zeros(local.size, dtype=self.dtype)
+            else:
+                data = self._load_unit(uid)
+            data[local] = values[mask]
+            self._store_unit(uid, data)
+
+
 class StorageBackend:
     """Factory for backend files plus the backend's measured metrics."""
 

@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from .base import BackendError, BackendFile, StorageBackend, _Timer
+from .base import BackendError, StorageBackend, UnitFile, _Timer
 from .posix import safe_filename
 
 #: chunk size when the layout gives no blocking hint (a flat 32 KB of
@@ -31,17 +31,18 @@ from .posix import safe_filename
 DEFAULT_CHUNK_ELEMENTS = 4096
 
 
-class _ChunkedFile(BackendFile):
+class _ChunkedFile(UnitFile):
     """One array as a directory of whole-chunk files."""
 
     def __init__(self, name, n_elements, dtype, root, backend, chunk_elements):
-        super().__init__(name, n_elements, dtype)
-        if chunk_elements <= 0:
-            raise BackendError(f"chunk_elements must be positive, got {chunk_elements}")
-        self.chunk_elements = int(chunk_elements)
+        super().__init__(name, n_elements, dtype, chunk_elements)
         self.root = root
         self._backend = backend
         os.makedirs(root, exist_ok=True)
+
+    @property
+    def chunk_elements(self) -> int:
+        return self.unit_elements
 
     @property
     def n_chunks(self) -> int:
@@ -50,15 +51,12 @@ class _ChunkedFile(BackendFile):
     def _chunk_path(self, cid: int) -> str:
         return os.path.join(self.root, f"c{cid:08d}.bin")
 
-    def _chunk_len(self, cid: int) -> int:
-        return min(self.chunk_elements, self.n_elements - cid * self.chunk_elements)
-
-    def _load_chunk(self, cid: int) -> np.ndarray:
+    def _load_unit(self, cid: int) -> np.ndarray:
         """Read one whole chunk (missing chunk = zeros, as for a sparse
         dataset that was never written)."""
         m = self._backend.metrics
         path = self._chunk_path(cid)
-        ln = self._chunk_len(cid)
+        ln = self._unit_len(cid)
         with _Timer(m, is_write=False):
             if os.path.exists(path):
                 data = np.fromfile(path, dtype=self.dtype, count=ln)
@@ -68,36 +66,12 @@ class _ChunkedFile(BackendFile):
         m.bytes_read += ln * self.dtype.itemsize
         return data
 
-    def _store_chunk(self, cid: int, data: np.ndarray) -> None:
+    def _store_unit(self, cid: int, data: np.ndarray) -> None:
         m = self._backend.metrics
         with _Timer(m, is_write=True):
             data.tofile(self._chunk_path(cid))
         m.put_ops += 1
         m.bytes_written += data.size * self.dtype.itemsize
-
-    def gather(self, addresses: np.ndarray) -> np.ndarray:
-        out = np.empty(addresses.shape, dtype=self.dtype)
-        cids = addresses // self.chunk_elements
-        for cid in np.unique(cids):
-            chunk = self._load_chunk(int(cid))
-            mask = cids == cid
-            out[mask] = chunk[addresses[mask] - int(cid) * self.chunk_elements]
-        return out
-
-    def scatter(self, addresses: np.ndarray, values: np.ndarray) -> None:
-        values = np.asarray(values).ravel()
-        cids = addresses // self.chunk_elements
-        for cid in np.unique(cids):
-            cid = int(cid)
-            mask = cids == cid
-            local = addresses[mask] - cid * self.chunk_elements
-            if local.size == self._chunk_len(cid):
-                # full-chunk overwrite: no read-modify-write needed
-                chunk = np.zeros(self._chunk_len(cid), dtype=self.dtype)
-            else:
-                chunk = self._load_chunk(cid)
-            chunk[local] = values[mask]
-            self._store_chunk(cid, chunk)
 
     def chunks_on_disk(self) -> int:
         return sum(1 for f in os.listdir(self.root) if f.endswith(".bin"))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BackendError, BackendFile, StorageBackend
+from .base import BackendError, StorageBackend, UnitFile
 
 
 @dataclass(frozen=True)
@@ -65,26 +65,19 @@ class ObjectStoreParams:
         return self.put_latency_s + nbytes / self.bandwidth_bps
 
 
-class _ObjectFile(BackendFile):
+class _ObjectFile(UnitFile):
+    """One array as whole objects; a partial-object update is one GET
+    plus one PUT (object stores have no byte-range writes)."""
+
     def __init__(self, name, n_elements, dtype, backend, object_elements):
-        super().__init__(name, n_elements, dtype)
-        if object_elements <= 0:
-            raise BackendError(
-                f"object_elements must be positive, got {object_elements}"
-            )
-        self.object_elements = int(object_elements)
+        super().__init__(name, n_elements, dtype, object_elements)
         self._backend = backend
         #: object id -> data (created lazily; missing object = zeros)
         self._objects: dict[int, np.ndarray] = {}
 
-    def _obj_len(self, oid: int) -> int:
-        return min(
-            self.object_elements, self.n_elements - oid * self.object_elements
-        )
-
-    def _get(self, oid: int) -> np.ndarray:
+    def _load_unit(self, oid: int) -> np.ndarray:
         b = self._backend
-        ln = self._obj_len(oid)
+        ln = self._unit_len(oid)
         data = self._objects.get(oid)
         if data is None:
             data = np.zeros(ln, dtype=self.dtype)
@@ -94,7 +87,7 @@ class _ObjectFile(BackendFile):
         b._count(self.name, oid, is_put=False)
         return data
 
-    def _put(self, oid: int, data: np.ndarray) -> None:
+    def _store_unit(self, oid: int, data: np.ndarray) -> None:
         b = self._backend
         self._objects[oid] = data
         b.metrics.put_ops += 1
@@ -103,32 +96,6 @@ class _ObjectFile(BackendFile):
             data.size * self.dtype.itemsize
         )
         b._count(self.name, oid, is_put=True)
-
-    def gather(self, addresses: np.ndarray) -> np.ndarray:
-        out = np.empty(addresses.shape, dtype=self.dtype)
-        oids = addresses // self.object_elements
-        for oid in np.unique(oids):
-            oid = int(oid)
-            data = self._get(oid)
-            mask = oids == oid
-            out[mask] = data[addresses[mask] - oid * self.object_elements]
-        return out
-
-    def scatter(self, addresses: np.ndarray, values: np.ndarray) -> None:
-        values = np.asarray(values).ravel()
-        oids = addresses // self.object_elements
-        for oid in np.unique(oids):
-            oid = int(oid)
-            mask = oids == oid
-            local = addresses[mask] - oid * self.object_elements
-            if local.size == self._obj_len(oid):
-                data = np.empty(self._obj_len(oid), dtype=self.dtype)
-            else:
-                # partial-object update: read-modify-write (one GET +
-                # one PUT — object stores have no byte-range writes)
-                data = self._get(oid).copy()
-            data[local] = values[mask]
-            self._put(oid, data)
 
 
 class SimulatedObjectStore(StorageBackend):

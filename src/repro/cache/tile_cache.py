@@ -199,16 +199,6 @@ class TileCache:
     def lookup(self, name: str, region: Region) -> CacheEntry | None:
         """Demand access: counts a hit or a miss, refreshes recency."""
         _prof.WORK.cache_probes += 1
-        rec = _prof.ACTIVE
-        if rec is None:
-            return self._lookup(name, region)
-        rec.begin("cache.probe")
-        try:
-            return self._lookup(name, region)
-        finally:
-            rec.end()
-
-    def _lookup(self, name: str, region: Region) -> CacheEntry | None:
         entry = self._entries.get((name, region))
         if entry is None:
             self.metrics.misses += 1
@@ -321,19 +311,12 @@ class TileCache:
         entry = self._entries.get((name, region))
         if entry is None:
             return None
-        rec = _prof.ACTIVE
-        if rec is not None:
-            rec.begin("cache.evict")
-        try:
-            was_dirty = entry.dirty
-            self.metrics.evictions += 1
-            if was_dirty:
-                self.metrics.dirty_evictions += 1
-            self._remove(entry, count_eviction=False)
-            return entry if was_dirty else None
-        finally:
-            if rec is not None:
-                rec.end()
+        was_dirty = entry.dirty
+        self.metrics.evictions += 1
+        if was_dirty:
+            self.metrics.dirty_evictions += 1
+        self._remove(entry, count_eviction=False)
+        return entry if was_dirty else None
 
     # -- coherence and flushing --------------------------------------------
 
@@ -415,24 +398,13 @@ class TileCache:
 
     def _make_room(self, size: int) -> tuple[bool, list[CacheEntry]]:
         writeback: list[CacheEntry] = []
-        if not (self._entries and self._need_room(size)):
-            return not self._need_room(size), writeback
-        rec = _prof.ACTIVE
-        if rec is not None:
-            rec.begin("cache.evict")
-        n_evicted = 0
-        try:
-            while self._entries and self._need_room(size):
-                victim = self.policy.victim(self._entries.values())
-                self.metrics.evictions += 1
-                n_evicted += 1
-                if victim.dirty:
-                    self.metrics.dirty_evictions += 1
-                    writeback.append(victim)
-                self._remove(victim, count_eviction=False)
-        finally:
-            if rec is not None:
-                rec.end(count=n_evicted)
+        while self._entries and self._need_room(size):
+            victim = self.policy.victim(self._entries.values())
+            self.metrics.evictions += 1
+            if victim.dirty:
+                self.metrics.dirty_evictions += 1
+                writeback.append(victim)
+            self._remove(victim, count_eviction=False)
         return not self._need_room(size), writeback
 
     def _remove(self, entry: CacheEntry, *, count_eviction: bool) -> None:

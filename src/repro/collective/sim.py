@@ -179,9 +179,6 @@ def simulate(
 
     for i in range(n):
         schedule(i)
-    rec = _prof.ACTIVE
-    if rec is not None:
-        rec.begin("sim.event_loop")
     try:
         while heap:
             arrival, i = heapq.heappop(heap)
@@ -252,8 +249,6 @@ def simulate(
             n_events += 1
             schedule(i)
     finally:
-        if rec is not None:
-            rec.end(count=n_events)
         _prof.WORK.sim_events += n_events
 
     result = SimResult(

@@ -29,7 +29,7 @@ from ..ir.program import Program
 from ..layout import Layout, row_major
 from ..obs import Observability, nest_records
 from ..obs import profile as _prof
-from ..obs.profile import ProfileConfig, ProfileResult, ProfileSession
+from ..obs.profile import ProfileConfig, ProfileResult
 from ..runtime import (
     InterleavedChunkedStore,
     IOContext,
@@ -94,9 +94,8 @@ class RunResult:
     #: run used a measuring backend (mmap / chunked / object store);
     #: ``None`` for the in-memory and simulate-only defaults
     backend_metrics: BackendMetrics | None = None
-    #: hotspot table + deterministic work delta when the executor ran
-    #: with ``profile=ProfileConfig(...)``; ``None`` otherwise (and when
-    #: the profile session is driver-owned — the driver finishes it)
+    #: layer table + deterministic work delta when the executor ran
+    #: with ``profile=ProfileConfig(...)``; ``None`` otherwise
     profile: ProfileResult | None = None
 
     @property
@@ -487,7 +486,7 @@ class OOCExecutor:
         obs: Observability | None = None,
         bounds: Sequence[object] | None = None,
         faults: FaultConfig | None = None,
-        profile: ProfileConfig | ProfileSession | None = None,
+        profile: ProfileConfig | None = None,
         plans: Mapping[str, NestPlan] | None = None,
         edges: Mapping[str, list[DependenceEdge]] | None = None,
     ):
@@ -505,11 +504,9 @@ class OOCExecutor:
         self._trace = trace or (
             self._obs is not None and self._obs.config.per_array
         )
-        # hotspot profiling (repro.obs.profile): a ProfileConfig makes
-        # each run() own a fresh capture (finished into
-        # RunResult.profile); a ProfileSession is driver-owned — the
-        # executor only activates it around the run, and the driver
-        # finishes it.  None (the default) never touches the clock.
+        # profiling (repro.obs.profile): each run() owns a fresh capture,
+        # finished into RunResult.profile.  None (the default) profiles
+        # nothing.
         self._profile = profile
         # precomputed static I/O lower bounds (repro.bounds); None means
         # derive them at obs-finish time against the effective memory
@@ -681,8 +678,6 @@ class OOCExecutor:
         return predict_program_elements(self.program, self.binding)
 
     def run(self) -> RunResult:
-        # an executor-owned capture (ProfileConfig) finishes into the
-        # result; a driver-owned ProfileSession is only activated here
         with _prof.capture(self._profile, self._obs) as cap:
             result = self._run()
         result.profile = cap.result
@@ -913,10 +908,8 @@ class OOCExecutor:
                         if self._vectorizable.get(nest.name)
                         else run_element_loops
                     )
-                    count = _prof.timed(
-                        "interp.element_loops",
-                        runner, nest, self.binding, windows, tiles_data,
-                        dict(reads),
+                    count = runner(
+                        nest, self.binding, windows, tiles_data, dict(reads)
                     )
                 else:
                     count = nest.estimated_iterations(self.binding, windows)

@@ -353,9 +353,7 @@ class TileSpace:
                 continue
             fps = {
                 name: fp
-                for name, fp in _prof.timed(
-                    "engine.footprints", self.footprints, var_ranges
-                ).items()
+                for name, fp in self.footprints(var_ranges).items()
                 if region_size(fp[0]) > 0
             }
             if fps:

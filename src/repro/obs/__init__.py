@@ -70,7 +70,6 @@ from .metrics import (
     registry_from_snapshot,
 )
 from .profile import (
-    HotspotRecorder,
     HotspotTable,
     ProfileConfig,
     ProfileResult,
@@ -380,7 +379,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "HotspotRecorder",
     "HotspotTable",
     "Instant",
     "IOReport",

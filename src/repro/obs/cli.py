@@ -17,10 +17,10 @@
         python -m repro.obs report trace.json
 
 ``profile``
-    Run one workload version with the hotspot profiler on and print the
-    ``top``-style report: instrumented sites by self time, the span
-    aggregates and the deterministic work counters.
-    ``--folded`` adds a cProfile capture and writes flamegraph
+    Run one workload version under cProfile and print the ``top``-style
+    report: where the wall time went by layer (with the coverage of
+    that table), the span aggregates and the deterministic work
+    counters.  ``--folded`` also writes the capture as flamegraph
     collapsed-stack lines; ``--journal`` streams the run's telemetry to
     a JSONL journal; ``--openmetrics`` writes the metrics registry in
     Prometheus/OpenMetrics text exposition::
@@ -29,7 +29,7 @@
             --journal run.jsonl
 
 ``top <trace.json | run.jsonl | ->``
-    Print the hotspot section of a previously exported trace or journal
+    Print that same report from a previously exported trace or journal
     (one that was captured with profiling enabled).
 
 ``journal <events.jsonl>``
@@ -95,6 +95,22 @@ def _load(path: str, fold=None):
     return None
 
 
+def _user_errors(cmd):
+    """Wrap a command whose arguments reach the library as given: its
+    named ``KeyError`` / ``ValueError`` (unknown workload or version,
+    non-positive ``--n`` / ``--nodes`` / ``--top`` / ``--memory``) is
+    one ``error:`` line and exit code 2, not a traceback."""
+
+    def wrapped(args: argparse.Namespace) -> int:
+        try:
+            return cmd(args)
+        except (KeyError, ValueError) as e:
+            print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)
+            return 2
+
+    return wrapped
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     payload = _load(args.trace)
     if payload is None:
@@ -147,20 +163,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from ..workloads import build_workload
     from .profile import ProfileConfig, validate_collapsed
 
-    try:
-        program = build_workload(args.workload, args.n)
-    except KeyError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
-        return 2
-    try:
-        cfg = build_version(args.version, program)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    run, obs = _observed_run(
-        args, cfg, journal=args.journal,
-        profile=ProfileConfig(cprofile=bool(args.folded), top=args.top),
-    )
+    profile = ProfileConfig(cprofile=True, top=args.top)
+    cfg = build_version(args.version, build_workload(args.workload, args.n))
+    run, obs = _observed_run(args, cfg, journal=args.journal, profile=profile)
     prof = run.profile
     print(
         f"{args.workload}/{args.version} on {args.nodes} node(s): "
@@ -245,11 +250,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     try:
         program = build_workload(args.workload, args.n)
     except KeyError:
-        try:
-            program = build_analytics(args.workload, args.n)
-        except KeyError as e:
-            print(f"error: {e.args[0]}", file=sys.stderr)
-            return 2
+        program = build_analytics(args.workload, args.n)
     if args.static:
         bounds = program_bounds(
             program, memory_elements=args.memory, n_nodes=args.nodes
@@ -371,11 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal", default=None, metavar="PATH",
         help="also stream events to an append-only JSONL journal",
     )
-    p_cap.set_defaults(func=cmd_capture)
+    p_cap.set_defaults(func=_user_errors(cmd_capture))
 
     p_prof = sub.add_parser(
         "profile",
-        help="run a workload with the hotspot profiler, print top report",
+        help="run a workload under cProfile, print the by-layer top report",
     )
     p_prof.add_argument("--workload", default="adi")
     p_prof.add_argument("--version", default="c-opt")
@@ -391,11 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument(
         "--top", type=int, default=20, metavar="N",
-        help="hotspot rows to show (default 20)",
+        help="rows to show per table (default 20)",
     )
     p_prof.add_argument(
         "--folded", default=None, metavar="PATH",
-        help="enable cProfile, write flamegraph collapsed-stack lines",
+        help="also write flamegraph collapsed-stack lines",
     )
     p_prof.add_argument(
         "--journal", default=None, metavar="PATH",
@@ -409,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH",
         help="also export the obs trace JSON (includes the profile)",
     )
-    p_prof.set_defaults(func=cmd_profile)
+    p_prof.set_defaults(func=_user_errors(cmd_profile))
 
     p_top = sub.add_parser(
-        "top", help="hotspot section of a profiled trace file"
+        "top", help="by-layer top report of a profiled trace file"
     )
     p_top.add_argument(
         "trace",
@@ -421,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_top.add_argument(
         "--top", type=int, default=20, metavar="N",
-        help="hotspot rows to show (default 20)",
+        help="rows to show per table (default 20)",
     )
-    p_top.set_defaults(func=cmd_top)
+    p_top.set_defaults(func=_user_errors(cmd_top))
 
     p_jr = sub.add_parser(
         "journal", help="inspect / replay a streamed JSONL event journal"
@@ -475,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH",
         help="also export the obs trace JSON",
     )
-    p_bounds.set_defaults(func=cmd_bounds)
+    p_bounds.set_defaults(func=_user_errors(cmd_bounds))
 
     p_reg = sub.add_parser(
         "regress",

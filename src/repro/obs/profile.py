@@ -1,9 +1,8 @@
-"""Hotspot profiling and deterministic work counters (``repro.obs.profile``).
+"""Wall time by layer and deterministic work counters (``repro.obs.profile``).
 
-The ROADMAP's batched-pricing-kernel item starts with "find the
-hotspots" — this module is the measurement layer that makes that (and
-every later optimization claim) evidence instead of anecdote.  Three
-instruments, each with a different determinism contract:
+The measurement layer that makes an optimization claim evidence
+instead of anecdote.  Two instruments, each with its own determinism
+contract:
 
 - **Work counters** (:data:`WORK`) — always-on integer counts of the
   pricing stack's actual work: ``plan_runs`` invocations, priced runs
@@ -17,15 +16,11 @@ instruments, each with a different determinism contract:
   exact equality.  A future batched kernel must keep ``priced_runs``
   conserved while wall time drops; these counters are how that is
   checked.
-- **Hotspot sites** (:class:`HotspotRecorder`) — wall-clock attribution
-  of the named hot paths (``pricing.plan_runs``, ``io.record_runs``,
-  ``sim.event_loop``, ``cache.probe``, …) with self/cumulative time and
-  call counts, aggregated into a :class:`HotspotTable` and rendered as
-  a ``top``-style section.  Off by default; activated only inside a
-  :class:`ProfileSession`, so unprofiled runs never touch the clock.
-- **cProfile capture** — optional interpreter-level profile with
-  collapsed-stack (flamegraph ``folded``) export, for the hotspots the
-  hand-placed sites do not name.
+- **One cProfile capture** (``ProfileConfig(cprofile=True)``) of the
+  whole run, folded two ways: :func:`layer_table` (self seconds and
+  calls per pipeline layer, plus the share no layer owns) and
+  :func:`collapsed_stacks` (flamegraph ``folded`` lines).  No source
+  hook names a hot path in advance, so the table cannot be blind to one.
 
 Everything is opt-in via ``profile=ProfileConfig(...)`` on
 :class:`~repro.engine.executor.OOCExecutor` /
@@ -35,11 +30,14 @@ when off — the same contract as ``obs=None``.
 
 from __future__ import annotations
 
-import time
+import cProfile
+import os
+import pstats
+from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 #: the unlabeled work counters, in publication order
 WORK_KEYS = (
@@ -118,77 +116,82 @@ def publish_work(registry, delta: Mapping[str, object]) -> None:
         registry.counter("work.python_loop_iters", phase=phase).inc(int(n))
 
 
-# -- hotspot sites ----------------------------------------------------------
+# -- wall time by layer -----------------------------------------------------
+
+#: the layer vocabulary — the names ``perfbench/trace.py`` prints (a test
+#: compares them), so the two tables read side by side; any other ``repro``
+#: module falls under its top-level package (``ir``, ``linalg``, ``obs``, ...)
+LAYERS = (
+    "workloads", "optimizer", "optimizer.ilp", "dependence", "engine.plan",
+    "engine.executor", "engine.interpreter", "layout", "runtime.ooc_array",
+    "runtime.chunked", "runtime.stats", "parallel", "collective.planner",
+    "collective.sim", "cache", "serve.scheduler", "serve.shared_cache",
+    "autotune.search", "autotune.model", "bounds", "backends",
+)
+
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(__file__)) + os.sep
 
 
-class HotspotRecorder:
-    """Wall-time attribution per named site, nesting-aware.
-
-    ``begin``/``end`` time a site; a nested site's duration is credited
-    to the parent's *children* total, so every row separates self time
-    from cumulative time.  :meth:`add` records an externally measured
-    leaf duration with the same parent crediting.  The recorder is only
-    consulted through the module attribute :data:`ACTIVE` — ``None``
-    (the default) means instrumented sites skip the clock entirely.
-    """
-
-    __slots__ = ("sites", "_stack", "_clock")
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
-        self._clock = clock
-        #: site name -> [count, cumulative_s, self_s]
-        self.sites: dict[str, list] = {}
-        self._stack: list[list] = []
-
-    def begin(self, name: str) -> None:
-        self._stack.append([name, self._clock(), 0.0])
-
-    def end(self, count: int = 1) -> None:
-        name, start, child_s = self._stack.pop()
-        dt = self._clock() - start
-        if self._stack:
-            self._stack[-1][2] += dt
-        row = self.sites.get(name)
-        if row is None:
-            row = self.sites[name] = [0, 0.0, 0.0]
-        row[0] += count
-        row[1] += dt
-        row[2] += dt - child_s
-
-    def add(self, name: str, seconds: float, count: int = 1) -> None:
-        """Record a leaf site measured by the caller (no nesting under
-        it); still credits the enclosing site's children total."""
-        if self._stack:
-            self._stack[-1][2] += seconds
-        row = self.sites.get(name)
-        if row is None:
-            row = self.sites[name] = [0, 0.0, 0.0]
-        row[0] += count
-        row[1] += seconds
-        row[2] += seconds
+def layer_of(filename: str) -> str | None:
+    """The layer of a profiled function, from its source file: the
+    longest of :data:`LAYERS` matching its module path inside the
+    ``repro`` package, else the top-level package; ``None`` for code
+    outside the package (builtins, numpy, the standard library)."""
+    if not filename.startswith(_PACKAGE_DIR):
+        return None
+    module = filename[len(_PACKAGE_DIR):-len(".py")].replace(os.sep, ".")
+    best = module.partition(".")[0]
+    for layer in LAYERS:
+        if len(layer) > len(best) and f"{module}.".startswith(f"{layer}."):
+            best = layer
+    return best
 
 
-#: the live recorder instrumented sites consult; rebound only by
-#: :class:`ProfileSession` activation (``None`` = profiling off)
-ACTIVE: HotspotRecorder | None = None
+def layer_table(stats) -> dict[str, object]:
+    """Fold a cProfile capture (:class:`pstats.Stats`) by layer.
+
+    A ``repro`` function's self time and calls go to its own layer.
+    Time in a builtin, numpy or the standard library is charged along
+    each recorded caller edge — the edges :func:`collapsed_stacks`
+    walks; cProfile keeps no deeper stack — to the calling function's
+    layer, and what no ``repro`` caller owns is ``unattributed_s``.
+    Rows and ``unattributed_s`` sum to ``total_s``, the capture's total
+    self time; ``coverage = 1 - unattributed_s / total_s``."""
+    self_s: dict = defaultdict(float)   # layer -> seconds; None = no owner
+    calls: dict = defaultdict(int)
+    for func, (_cc, nc, tt, _ct, callers) in stats.stats.items():
+        layer = layer_of(func[0])
+        self_s[layer] += tt
+        if layer is not None:
+            calls[layer] += nc
+            continue
+        for caller, edge in callers.items():
+            owner = layer_of(caller[0])
+            if owner is not None:
+                # per-edge tuple: (callcount, ncalls, tottime, cumtime)
+                self_s[owner] += edge[2]
+                self_s[None] -= edge[2]
+    unattributed = self_s.pop(None, 0.0)
+    total = unattributed + sum(self_s.values())
+    return {
+        "rows": [
+            {"layer": layer, "self_s": s, "calls": calls[layer]}
+            for layer, s in sorted(
+                self_s.items(), key=lambda kv: (-kv[1], kv[0])
+            )
+        ],
+        "unattributed_s": unattributed,
+        "total_s": total,
+        "coverage": 1.0 - unattributed / total if total else 0.0,
+    }
 
 
-def timed(name: str, fn: Callable, *args, **kwargs):
-    """Call ``fn`` under a hotspot site when profiling is active, or
-    directly (no clock read) when it is not."""
-    rec = ACTIVE
-    if rec is None:
-        return fn(*args, **kwargs)
-    rec.begin(name)
-    try:
-        return fn(*args, **kwargs)
-    finally:
-        rec.end()
+# -- span aggregates --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class HotspotRow:
-    """One aggregated site (or span name) of the hotspot table."""
+    """One aggregated span name of the hotspot table."""
 
     name: str
     count: int
@@ -200,35 +203,14 @@ class HotspotRow:
         return 1e6 * self.total_s / self.count if self.count else 0.0
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "count": self.count,
-            "total_s": self.total_s,
-            "self_s": self.self_s,
-            "per_call_us": self.per_call_us,
-        }
+        return {**asdict(self), "per_call_us": self.per_call_us}
 
 
 @dataclass
 class HotspotTable:
-    """Hotspot attribution of one profiled run: fine-grained site rows
-    (the recorder's pricing instrumentation) plus the tracer's wall
-    spans aggregated by name — two sections, never summed together, so
-    a span enclosing an instrumented site cannot double-count."""
+    """The tracer's wall spans of one profiled run, aggregated by name."""
 
-    sites: list[HotspotRow] = field(default_factory=list)
     spans: list[HotspotRow] = field(default_factory=list)
-
-    @classmethod
-    def from_recorder(cls, recorder: HotspotRecorder | None) -> "HotspotTable":
-        if recorder is None:
-            return cls()
-        rows = [
-            HotspotRow(name, count, total, self_s)
-            for name, (count, total, self_s) in recorder.sites.items()
-        ]
-        rows.sort(key=lambda r: (-r.self_s, r.name))
-        return cls(sites=rows)
 
     def add_spans(self, tracer) -> None:
         """Aggregate a tracer's closed wall spans by name: self time is
@@ -253,63 +235,62 @@ class HotspotTable:
         rows.sort(key=lambda r: (-r.self_s, r.name))
         self.spans = rows
 
-    @property
-    def total_self_s(self) -> float:
-        return sum(r.self_s for r in self.sites)
-
     def to_dict(self) -> dict[str, object]:
-        return {
-            "sites": [r.to_dict() for r in self.sites],
-            "spans": [r.to_dict() for r in self.spans],
-        }
+        return {"spans": [r.to_dict() for r in self.spans]}
 
 
 # -- the profile session ----------------------------------------------------
+
+
+def _check_top(top: int) -> None:
+    if top < 1:
+        raise ValueError(f"top must be a positive integer, got {top!r}")
 
 
 @dataclass(frozen=True)
 class ProfileConfig:
     """Switches for one profiling capture.
 
-    ``hotspots``
-        activate the site recorder (the hotspot table).
     ``cprofile``
-        additionally run :mod:`cProfile` for interpreter-level stacks
-        and the collapsed-stack (flamegraph) export.  Off by default —
-        it multiplies wall time and only one capture can be active per
-        process.
+        run the block under :mod:`cProfile`: the layer table and the
+        collapsed-stack (flamegraph) export.  Off by default — it
+        multiplies wall time and only one capture can be active per
+        process; without it a capture only counts work and spans.
     ``top``
-        rows shown by the rendered ``top``-style report section.
+        rows shown per section of the rendered ``top``-style report.
     """
 
-    hotspots: bool = True
     cprofile: bool = False
     top: int = 20
+
+    def __post_init__(self) -> None:
+        _check_top(self.top)
 
 
 @dataclass
 class ProfileResult:
-    """One finished capture: the hotspot table, the run's deterministic
-    work delta, and (with ``cprofile``) the raw :mod:`pstats` data."""
+    """One finished capture: the span aggregates, the run's
+    deterministic work delta, and (with ``cprofile``) the layer table
+    and the raw :mod:`pstats` data."""
 
     hotspots: HotspotTable
     work: dict[str, object]
+    #: :func:`layer_table` of the capture; None without ``cprofile``
+    layers: dict[str, object] | None = None
     #: pstats.Stats of the cProfile capture; None without ``cprofile``
     #: (and after deserialization — stacks live in the folded export)
     pstats: object | None = None
     top: int = 20
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "hotspots": self.hotspots.to_dict(),
-            "work": dict(self.work),
-        }
+        out = {"hotspots": self.hotspots.to_dict(), "work": dict(self.work)}
+        if self.layers is not None:
+            out["layers"] = self.layers
+        return out
 
     def collapsed(self) -> list[str]:
-        """Collapsed-stack (flamegraph ``folded``) lines from the
-        cProfile capture: ``caller;callee <self_microseconds>`` per
-        caller edge, root functions as single frames.  Empty without
-        ``cprofile``."""
+        """:func:`collapsed_stacks` of the cProfile capture (flamegraph
+        ``folded`` lines); empty without ``cprofile``."""
         if self.pstats is None:
             return []
         return collapsed_stacks(self.pstats)
@@ -319,110 +300,65 @@ class ProfileResult:
 
 
 class ProfileSession:
-    """Owns one capture across one or more executor runs.
+    """One capture around one block: the work counters are snapshot on
+    creation, cProfile (when configured) runs between ``__enter__`` and
+    ``__exit__``, and :meth:`finish` freezes the result."""
 
-    ``activate``/``deactivate`` are re-entrant (the SPMD driver holds
-    the session open across per-rank executors); the recorder and the
-    cProfile capture bind on the outermost activation only.
-    :meth:`finish` computes the work delta and freezes the result.
-    """
-
-    def __init__(
-        self,
-        config: ProfileConfig | None = None,
-        *,
-        clock: Callable[[], float] = time.perf_counter,
-    ):
+    def __init__(self, config: ProfileConfig | None = None):
         self.config = config or ProfileConfig()
-        self.recorder = (
-            HotspotRecorder(clock) if self.config.hotspots else None
-        )
-        self._cprofile = None
-        if self.config.cprofile:
-            import cProfile
-
-            self._cprofile = cProfile.Profile()
-        self._depth = 0
-        self._prev: HotspotRecorder | None = None
+        self._cprofile = cProfile.Profile() if self.config.cprofile else None
         self.work_before = WORK.snapshot()
 
-    def activate(self) -> None:
-        global ACTIVE
-        self._depth += 1
-        if self._depth == 1:
-            if self.recorder is not None:
-                self._prev = ACTIVE
-                ACTIVE = self.recorder
-            if self._cprofile is not None:
-                self._cprofile.enable()
-
-    def deactivate(self) -> None:
-        global ACTIVE
-        self._depth -= 1
-        if self._depth == 0:
-            if self._cprofile is not None:
-                self._cprofile.disable()
-            if self.recorder is not None:
-                ACTIVE = self._prev
-                self._prev = None
-
     def __enter__(self) -> "ProfileSession":
-        self.activate()
+        if self._cprofile is not None:
+            self._cprofile.enable()
         return self
 
     def __exit__(self, *exc) -> bool:
-        self.deactivate()
+        if self._cprofile is not None:
+            self._cprofile.disable()
         return False
 
     def finish(self, tracer=None) -> ProfileResult:
         """Freeze the capture into a :class:`ProfileResult`; ``tracer``
         (a live :class:`~repro.obs.tracer.Tracer`) adds the span-level
         aggregation section."""
-        table = HotspotTable.from_recorder(self.recorder)
+        table = HotspotTable()
         if tracer is not None:
             table.add_spans(tracer)
         stats = None
         if self._cprofile is not None:
-            import pstats
-
             stats = pstats.Stats(self._cprofile)
         return ProfileResult(
             hotspots=table,
             work=WorkCounters.delta(self.work_before, WORK.snapshot()),
+            layers=None if stats is None else layer_table(stats),
             pstats=stats,
             top=self.config.top,
         )
 
 
 @contextmanager
-def capture(profile: "ProfileConfig | ProfileSession | None", obs=None):
-    """Run a block under ``profile``, whoever owns it; yields a holder
-    whose ``result`` is set on exit.
-
-    A :class:`ProfileConfig` is *owned*: a fresh session spans the
-    block, is finished after it (with ``obs``'s tracer spans) and
-    published into ``obs``; ``result`` is the :class:`ProfileResult`.
-    A live :class:`ProfileSession` is *borrowed*: only activated around
-    the block — its creator finishes it — and ``result`` stays ``None``,
-    as it does for ``None``, which never touches the clock.  A block
-    that raises is deactivated, not finished."""
+def capture(config: ProfileConfig | None, obs=None):
+    """Run a block under a fresh capture — the one owner of a
+    :class:`ProfileSession`; yields a holder whose ``result`` is set on
+    exit: the session spans the block, is finished after it (with
+    ``obs``'s tracer spans) and published into ``obs``.  ``result``
+    stays ``None`` for ``config=None``, which profiles nothing, and for
+    a block that raises (the profiler is switched off, nothing is
+    finished)."""
     cap = SimpleNamespace(result=None)
-    owned = isinstance(profile, ProfileConfig)
-    if owned:
-        profile = ProfileSession(profile)
-    if profile is None:
+    if config is None:
         yield cap
         return
-    with profile:
+    session = ProfileSession(config)
+    with session:
         yield cap
-    if owned:
-        cap.result = profile.finish(
-            tracer=obs.tracer if obs is not None else None
-        )
-        if obs is not None:
-            obs.note_profile(cap.result)
-            if obs.config.metrics:
-                publish_work(obs.metrics, cap.result.work)
+    cap.result = session.finish(tracer=obs.tracer if obs is not None else None)
+    if obs is not None:
+        obs.note_profile(cap.result)
+        if obs.config.metrics:
+            publish_work(obs.metrics, cap.result.work)
 
 
 # -- collapsed stacks (flamegraph folded format) ----------------------------
@@ -492,35 +428,46 @@ def validate_collapsed(lines: Iterable[str]) -> None:
 
 
 def render_profile(profile: Mapping[str, object], *, top: int = 20) -> str:
-    """The ``top``-style hotspot section from a serialized profile
-    payload (``ProfileResult.to_dict()`` / a trace's ``profile`` key):
-    site rows by self time, the span aggregation, and the deterministic
-    work counters."""
-    lines: list[str] = []
-    hotspots = profile.get("hotspots") or {}
-    sites = list(hotspots.get("sites") or [])
-    spans = list(hotspots.get("spans") or [])
-    header = (
-        f"{'site':<24} {'count':>10} {'self_s':>10} "
-        f"{'total_s':>10} {'us/call':>10}"
-    )
-    if sites:
-        lines.append("hotspots (repro.obs.profile) — self-time top")
-        lines.append(header)
-        lines.append("-" * len(header))
-        for r in sites[:top]:
+    """The ``top``-style section from a serialized profile payload
+    (``ProfileResult.to_dict()`` / a trace's ``profile`` key): the
+    layer table with its coverage, the span aggregation, and the
+    deterministic work counters — ``top`` rows per table."""
+    _check_top(top)
+    sections: list[list[str]] = []
+    layers = profile.get("layers")
+    if layers:
+        total = float(layers["total_s"])
+        rows = [(r["layer"], r["calls"], r["self_s"]) for r in layers["rows"]]
+        header = f"{'layer':<24} {'calls':>10} {'self_s':>10} {'share':>7}"
+        lines = [
+            "wall time by layer (cProfile self time; non-repro callees "
+            "charged to the calling layer)",
+            header,
+            "-" * len(header),
+        ]
+        for name, calls, self_s in rows[:top] + [
+            ("unattributed", "", layers["unattributed_s"])
+        ]:
             lines.append(
-                f"{r['name']:<24} {r['count']:>10} "
-                f"{float(r['self_s']):>10.6f} {float(r['total_s']):>10.6f} "
-                f"{float(r.get('per_call_us', 0.0)):>10.2f}"
+                f"{name:<24} {calls:>10} {float(self_s):>10.6f} "
+                f"{100.0 * self_s / total if total else 0.0:>6.1f}%"
             )
-        if len(sites) > top:
-            lines.append(f"  ... ({len(sites) - top} more site(s))")
+        if len(rows) > top:
+            lines.append(f"  ... ({len(rows) - top} more layer(s))")
+        lines.append(
+            f"total {total:.6f} s in {len(rows)} layer(s), "
+            f"coverage {float(layers['coverage']):.3f}"
+        )
+        sections.append(lines)
+    spans = list((profile.get("hotspots") or {}).get("spans") or [])
     if spans:
-        lines.append("")
-        lines.append("span aggregates (wall spans by name)")
-        lines.append(header)
-        lines.append("-" * len(header))
+        header = (
+            f"{'span':<24} {'count':>10} {'self_s':>10} "
+            f"{'total_s':>10} {'us/call':>10}"
+        )
+        lines = [
+            "span aggregates (wall spans by name)", header, "-" * len(header)
+        ]
         for r in spans[:top]:
             lines.append(
                 f"{r['name']:<24} {r['count']:>10} "
@@ -529,10 +476,10 @@ def render_profile(profile: Mapping[str, object], *, top: int = 20) -> str:
             )
         if len(spans) > top:
             lines.append(f"  ... ({len(spans) - top} more span name(s))")
+        sections.append(lines)
     work = profile.get("work") or {}
     if work:
-        lines.append("")
-        lines.append("work counters (deterministic, exact-match gated)")
+        lines = ["work counters (deterministic, exact-match gated)"]
         for key in WORK_KEYS:
             lines.append(f"  work.{key:<18} {int(work.get(key, 0)):>14}")
         for phase, n in sorted(
@@ -541,4 +488,7 @@ def render_profile(profile: Mapping[str, object], *, top: int = 20) -> str:
             lines.append(
                 f"  work.python_loop_iters{{phase={phase}}} {int(n):>6}"
             )
-    return "\n".join(lines) if lines else "profile: empty capture"
+        sections.append(lines)
+    if not sections:
+        return "profile: empty capture"
+    return "\n\n".join("\n".join(lines) for lines in sections)

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .profile import render_profile
+
 
 @dataclass
 class NestIORecord:
@@ -470,7 +472,8 @@ def render_report(
         lines.extend(_render_autotune(autotune))
     if profile:
         lines.append("")
-        lines.extend(_render_profile(profile))
+        # the profiler's own renderer, so this and `obs top` agree
+        lines.extend(render_profile(profile).splitlines())
     if metrics:
         lines.append("")
         lines.extend(_render_metrics(metrics))
@@ -481,14 +484,6 @@ def render_report(
             f"(queue delay {sim['wait_time_s']:.3f}s)"
         )
     return "\n".join(lines)
-
-
-def _render_profile(profile: Mapping[str, object]) -> list[str]:
-    """The hotspot section: delegated to the profiler's own ``top``
-    renderer so the report and ``python -m repro.obs top`` agree."""
-    from .profile import render_profile
-
-    return render_profile(profile).splitlines()
 
 
 def _render_autotune(autotune: Mapping[str, object]) -> list[str]:

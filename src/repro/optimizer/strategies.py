@@ -26,6 +26,7 @@ from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..layout import Layout, col_major, row_major
 from ..runtime import MachineParams
+from ..runtime.params import check_n_nodes
 from ..transforms import normalize_program, ooc_tiling
 from ..transforms.tiling import TilingSpec
 from .cost import nest_cost
@@ -102,6 +103,7 @@ def build_version(
     """Construct one of the paper's versions for the given program."""
     if name not in VERSION_NAMES:
         raise ValueError(f"unknown version {name!r}; pick from {VERSION_NAMES}")
+    check_n_nodes(n_nodes)
     params = params or MachineParams()
     program = normalize_program(program)
     b = program.binding(binding)

@@ -34,9 +34,10 @@ from ..obs import (
     nest_records,
 )
 from ..obs import profile as _prof
-from ..obs.profile import ProfileConfig, ProfileResult, ProfileSession
+from ..obs.profile import ProfileConfig, ProfileResult
 from ..optimizer.strategies import VersionConfig
 from ..runtime import IOStats, MachineParams, ParallelFileSystem
+from ..runtime.params import check_n_nodes
 from .model import makespan
 
 
@@ -49,7 +50,7 @@ class ParallelRun:
     #: per-nest collective decisions + event-sim record; ``None`` for
     #: plain independent runs (``collective`` not passed)
     collective: CollectiveReport | None = None
-    #: hotspot table + deterministic work-counter deltas for the whole
+    #: layer table + deterministic work-counter deltas for the whole
     #: driver (all ranks + the collective re-pricing); ``None`` unless
     #: ``profile=ProfileConfig(...)`` was passed
     profile: ProfileResult | None = None
@@ -87,7 +88,7 @@ def run_version_parallel(
     trace: bool = False,
     real: bool | None = None,
     backend: StorageBackend | str | None = None,
-    profile: ProfileConfig | ProfileSession | None = None,
+    profile: ProfileConfig | None = None,
     cache: CacheConfig | None = None,
     tile_sizes: Mapping[str, int] | None = None,
 ) -> ParallelRun:
@@ -140,14 +141,13 @@ def run_version_parallel(
     :class:`~repro.backends.BackendError`.  Accounted stats are
     identical for every data-carrying backend.
 
-    ``profile`` (a :class:`repro.obs.ProfileConfig`) turns on hotspot
-    attribution and deterministic work counting for the *whole driver*:
-    one session spans every rank's executor plus the collective
-    re-pricing, and :attr:`ParallelRun.profile` carries the resulting
-    :class:`~repro.obs.ProfileResult`.  Passing an already-active
-    :class:`~repro.obs.ProfileSession` nests this run inside a caller's
-    capture instead (the caller finishes it).  ``None`` (default)
-    records nothing and is bit-identical.
+    ``profile`` (a :class:`repro.obs.ProfileConfig`) turns on
+    deterministic work counting — and, with ``cprofile=True``, the
+    wall-time layer table — for the *whole driver*: one capture spans
+    every rank's executor plus the collective re-pricing, and
+    :attr:`ParallelRun.profile` carries the resulting
+    :class:`~repro.obs.ProfileResult`.  ``None`` (default) records
+    nothing and is bit-identical.
 
     ``cache``/``tile_sizes`` are the autotuner's executable knobs
     (:mod:`repro.autotune`): a :class:`~repro.cache.CacheConfig` gives
@@ -156,6 +156,7 @@ def run_version_parallel(
     planner's binary search would allow, so forced plans stay
     memory-safe).  Both default to ``None`` and are bit-identical off.
     """
+    check_n_nodes(n_nodes)
     params = params or MachineParams()
     b = cfg.program.binding(binding)
     total_elements = sum(
@@ -169,15 +170,13 @@ def run_version_parallel(
     trace = trace or collective is not None or (
         obs is not None and obs.config.per_array
     )
-    stagger = max(1, total_elements // max(1, n_nodes))
+    stagger = max(1, total_elements // n_nodes)
     # one backend per rank: the resolved one plus clones of it, so
     # rank-private file namespaces never collide and metrics attribute
     # per rank.  With neither knob given the driver stays simulate-only
     first = resolve_backend(backend, bool(real) if backend is None else real)
     rank_backends = [first] + [first.clone() for _ in range(n_nodes - 1)]
-    # one profile session spans every rank plus the collective
-    # re-pricing: a config here is driver-owned (activated, finished,
-    # published); a live session is a caller's capture we nest inside
+    # one capture spans every rank plus the collective re-pricing
     with _prof.capture(profile, obs) as cap:
         # plans do not depend on the rank: rank 0's executor builds
         # them and every later rank is handed the same mapping
@@ -281,6 +280,8 @@ def speedup_curve(
     the curve answers "how does this version scale *under* this fault
     scenario" rather than comparing a faulted run to a clean baseline.
     """
+    for p in node_counts:
+        check_n_nodes(p)
     base = run_version_parallel(
         cfg, 1, params=params, binding=binding,
         memory_per_node=memory_per_node, collective=collective,

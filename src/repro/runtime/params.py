@@ -9,7 +9,19 @@ optimization.  All constants are parameters so benchmarks can sweep them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+
+def check_n_nodes(n_nodes: int) -> None:
+    """The one node-count rule: every entry point that takes a compute
+    node count calls this before it plans anything, so ``0``, ``-2`` or
+    ``1.5`` is a named error there instead of an empty run, a clamped
+    cluster or a ``TypeError`` further down."""
+    if not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
+        raise ValueError(
+            f"n_nodes must be a positive integer, got {n_nodes!r}"
+        )
 
 
 @dataclass(frozen=True)

@@ -53,16 +53,6 @@ def plan_runs(
     than the maximum request size.  Pure — no accounting is recorded —
     so the tile cache can price *avoided* transfers identically."""
     _prof.WORK.plan_runs_calls += 1
-    out = _prof.timed(
-        "pricing.plan_runs", _plan_runs_impl, params, offsets, lengths
-    )
-    _prof.WORK.priced_runs += int(out[0].size)
-    return out
-
-
-def _plan_runs_impl(
-    params: MachineParams, offsets: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     if offsets.size == 0:
@@ -86,6 +76,7 @@ def _plan_runs_impl(
             pieces_len.append(plen)
         offsets = np.concatenate(pieces_off)
         lengths = np.concatenate(pieces_len)
+    _prof.WORK.priced_runs += int(offsets.size)
     return offsets, lengths
 
 
@@ -318,12 +309,6 @@ class IOContext:
         """Account one I/O call for ``n_elems`` contiguous elements starting
         at ``offset_elem`` within a file whose stripe-0 begins at
         ``file_base_elem`` (element units)."""
-        return _prof.timed(
-            "io.record_call", self._record_call,
-            file_base_elem, offset_elem, n_elems, is_write,
-        )
-
-    def _record_call(self, file_base_elem: int, offset_elem: int, n_elems: int, is_write: bool) -> None:
         p = self.params
         nbytes = n_elems * p.element_size
         if is_write:
@@ -363,18 +348,6 @@ class IOContext:
         """Vectorized accounting for a batch of contiguous runs (element
         units).  Runs longer than the maximum request size are split into
         multiple calls.  Returns the number of I/O calls recorded."""
-        return _prof.timed(
-            "io.record_runs", self._record_runs,
-            file_base_elem, offsets, lengths, is_write,
-        )
-
-    def _record_runs(
-        self,
-        file_base_elem: int,
-        offsets: np.ndarray,
-        lengths: np.ndarray,
-        is_write: bool,
-    ) -> int:
         p = self.params
         offsets, lengths = plan_runs(p, offsets, lengths)
         if offsets.size == 0:

@@ -15,6 +15,7 @@ from repro.backends import (
     resolve_backend,
     validate_dtype,
 )
+from repro.backends.base import UnitFile
 
 
 class TestValidateDtype:
@@ -130,3 +131,59 @@ class TestBackendMetrics:
             f.gather(np.array([0], dtype=np.int64))
         with pytest.raises(RuntimeError, match="simulate-only"):
             f.scatter(np.array([0], dtype=np.int64), np.array([1.0]))
+
+
+class _DictUnits(UnitFile):
+    """The smallest whole-unit file: units in a dict, moves logged."""
+
+    def __init__(self, n_elements, unit_elements):
+        super().__init__("A", n_elements, DEFAULT_DTYPE, unit_elements)
+        self.units = {}
+        self.log = []
+
+    def _load_unit(self, uid):
+        self.log.append(("load", uid))
+        data = self.units.get(uid)
+        return np.zeros(self._unit_len(uid)) if data is None else data
+
+    def _store_unit(self, uid, data):
+        self.log.append(("store", uid))
+        self.units[uid] = data
+
+
+class TestUnitFile:
+    """The one unit-granular gather/scatter the chunked and object
+    backends share."""
+
+    def test_concrete_files_use_the_shared_loops(self):
+        for backend in (ChunkedBackend(), SimulatedObjectStore()):
+            f = backend.open("A", 40, chunk_elements=16)
+            assert isinstance(f, UnitFile)
+            assert type(f).gather is UnitFile.gather
+            assert type(f).scatter is UnitFile.scatter
+            assert f.unit_elements == 16
+            backend.close()
+
+    def test_nonpositive_unit_rejected(self):
+        with pytest.raises(BackendError, match="unit_elements"):
+            _DictUnits(8, 0)
+
+    def test_full_units_skip_the_read_partial_ones_do_not(self):
+        f = _DictUnits(40, 16)          # units of 16, 16 and a tail of 8
+        f.scatter(np.arange(16, 40), np.arange(24.0))
+        assert f.log == [("store", 1), ("store", 2)]
+        assert f.units[2].size == 8
+        f.log.clear()
+        f.scatter(np.array([3, 17]), np.array([-1.0, -2.0]))
+        assert f.log == [
+            ("load", 0), ("store", 0), ("load", 1), ("store", 1),
+        ]
+        got = f.gather(np.array([3, 16, 17, 39, 0]))
+        np.testing.assert_array_equal(got, [-1.0, 0.0, -2.0, 23.0, 0.0])
+
+    def test_full_overwrite_buffer_is_zeroed(self):
+        # 8 addresses over an 8-element unit, one of them repeated: the
+        # slot no address names must read 0, not uninitialised memory
+        f = _DictUnits(8, 8)
+        f.scatter(np.array([0, 1, 2, 3, 4, 5, 6, 6]), np.ones(8))
+        np.testing.assert_array_equal(f.units[0], [1, 1, 1, 1, 1, 1, 1, 0])

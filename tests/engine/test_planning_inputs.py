@@ -11,7 +11,7 @@ from repro.backends import MmapBackend
 from repro.engine import OOCExecutor
 from repro.engine.executor import plan_program
 from repro.optimizer.strategies import build_version
-from repro.parallel import run_version_parallel
+from repro.parallel import run_version_parallel, speedup_curve
 from repro.transforms.tiling import TilingSpec, ooc_tiling
 from repro.workloads import build_workload
 
@@ -89,6 +89,36 @@ class TestNonPositiveBudget:
     def test_solve_joint(self, budget):
         with pytest.raises(ValueError, match=self.MATCH):
             solve_joint(PROGRAM, memory_budget=budget)
+
+
+@pytest.mark.parametrize("n_nodes", [0, -2, 1.5])
+class TestNodeCount:
+    """One rule on every entry point that takes a node count: not an
+    empty run dying in ``makespan``, a ``TypeError`` from ``range`` or
+    a silently clamped cluster."""
+
+    def _match(self, n_nodes):
+        return rf"n_nodes must be a positive integer, got {n_nodes!r}$"
+
+    def test_spmd_before_any_file(self, n_nodes, tmp_path):
+        with pytest.raises(ValueError, match=self._match(n_nodes)):
+            run_version_parallel(
+                CFG, n_nodes, backend=MmapBackend(str(tmp_path))
+            )
+        assert os.listdir(tmp_path) == []
+
+    def test_speedup_curve_checks_every_entry(self, n_nodes):
+        with pytest.raises(ValueError, match=self._match(n_nodes)):
+            speedup_curve(CFG, (2, n_nodes))
+
+    @pytest.mark.parametrize("version", ["c-opt", "h-opt"])
+    def test_build_version(self, n_nodes, version):
+        with pytest.raises(ValueError, match=self._match(n_nodes)):
+            build_version(version, PROGRAM, n_nodes=n_nodes)
+
+    def test_solve_joint(self, n_nodes):
+        with pytest.raises(ValueError, match=self._match(n_nodes)):
+            solve_joint(PROGRAM, n_nodes=n_nodes)
 
 
 class TestHandedInPlans:
