@@ -31,9 +31,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
+from ..engine.executor import plan_program
 from ..obs import Observability, sanitize
 from ..parallel.spmd import ParallelRun, run_version_parallel
 from ..runtime import MachineParams
+from ..transforms.tiling import ooc_tiling
 from .calibrate import CalibrationError, calibrate
 from .model import config_cost
 from .search import TuneDecision, solve_joint
@@ -323,11 +325,14 @@ class Autotuner:
         b = prog.binding(self.binding)
         shapes = {a.name: a.shape(b) for a in prog.arrays}
         c = config_cost(
-            prog, binding=b, shapes=shapes, params=params,
+            prog,
+            plan_program(
+                prog, ooc_tiling, d.memory_budget - d.cache_budget, b,
+                shapes, tile_sizes=d.tile_sizes, edges=d.edges,
+            ),
+            binding=b, shapes=shapes, params=params,
             directions=d.decision.directions, n_nodes=d.n_nodes,
-            memory_budget=d.memory_budget,
-            cache_budget=d.cache_budget,
-            tile_sizes=d.tile_sizes, cb_nodes=d.cb_nodes, edges=d.edges,
+            cache_budget=d.cache_budget, cb_nodes=d.cb_nodes,
         )
         return c.io_s + c.net_s
 

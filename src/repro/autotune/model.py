@@ -142,30 +142,26 @@ def plan_for(
 
 
 def nest_config_cost(
-    nest: LoopNest,
+    plan: NestPlan,
     *,
     binding: Mapping[str, int],
     shapes: Mapping[str, tuple[int, ...]],
     params: MachineParams,
     directions: Mapping[str, Sequence[int] | None],
     n_nodes: int,
-    plan_budget: int,
     cache_budget: int,
-    tile_size: int | None,
     cb_nodes: int | None,
-    seen_arrays: set[str] | None = None,
-    edges: list[DependenceEdge] | None = None,
+    warm: bool,
 ) -> NestConfigCost:
-    """Modeled per-node seconds for one nest under the given knobs.
-
-    ``seen_arrays`` carries cross-nest state: arrays already touched by
-    earlier nests of the same configuration get the cache-retention
-    discount on their first repetition here too.  ``edges`` are the
-    nest's dependence edges, when known (see :func:`plan_for`).
+    """Modeled per-node seconds for one planned nest under the given
+    knobs.  ``warm`` carries the cross-nest state (:func:`warm_nests`):
+    every array the nest touches was already loaded by an earlier nest
+    of the same configuration, so its first repetition gets the
+    cache-retention discount too.
     """
+    nest = plan.nest
     p = max(1, n_nodes)
     cap = max(1, params.max_request_elements)
-    plan = plan_for(nest, binding, shapes, plan_budget, tile_size, edges)
     # the tile count and the representative (middle-anchor) tile are the
     # plan's own geometry for rank 0; the count is the window product,
     # so windows a triangular nest leaves empty are priced as tiles
@@ -196,8 +192,6 @@ def nest_config_cost(
     rho = 0.0
     if cache_budget > 0 and node_data > 0:
         rho = min(1.0, cache_budget / node_data)
-    seen = seen_arrays if seen_arrays is not None else set()
-    warm = all(name in seen for name in fps)
     warm_reps = (w - 1) + (1 if warm else 0)
     cold_reps = w - warm_reps
     eff_read_calls = read_calls * (cold_reps + warm_reps * (1.0 - rho))
@@ -208,7 +202,6 @@ def nest_config_cost(
     eff_read_elems = read_elems * (cold_reps + warm_reps * (1.0 - rho))
     total_calls = eff_read_calls + write_calls * w
     total_elems = eff_read_elems + write_elems * w
-    seen.update(fps)
 
     esz = params.element_size
     io_s = total_calls * params.io_latency_s \
@@ -274,41 +267,50 @@ def nest_config_cost(
     )
 
 
+def warm_nests(program: Program) -> dict[str, bool]:
+    """Per nest name: did earlier nests of the program already touch
+    every array this one does?  A property of the program alone, so a
+    search computes it once."""
+    seen: set[str] = set()
+    warm: dict[str, bool] = {}
+    for nest in program.nests:
+        arrays = {ref.array.name for _, ref, _ in nest.refs()}
+        warm[nest.name] = arrays <= seen
+        seen |= arrays
+    return warm
+
+
 def config_cost(
     program: Program,
+    plans: Mapping[str, NestPlan],
     *,
     binding: Mapping[str, int],
     shapes: Mapping[str, tuple[int, ...]],
     params: MachineParams,
     directions: Mapping[str, Sequence[int] | None],
     n_nodes: int,
-    memory_budget: int,
     cache_budget: int = 0,
-    tile_sizes: Mapping[str, int] | None = None,
     cb_nodes: int | None = None,
-    edges: Mapping[str, list[DependenceEdge]] | None = None,
 ) -> ConfigCost:
-    """Modeled per-node seconds for the whole program configuration.
-    ``edges`` are known dependence edges per nest name."""
-    plan_budget = max(1, memory_budget - cache_budget)
-    seen: set[str] = set()
-    per_nest = []
-    for nest in program.nests:
-        per_nest.append(nest_config_cost(
-            nest,
+    """Modeled per-node seconds for the whole program configuration:
+    the fold of :func:`nest_config_cost` over ``plans``, one
+    :class:`NestPlan` per nest name (built by the caller — from
+    :func:`plan_for`, or the run's own ``plan_program``)."""
+    warm = warm_nests(program)
+    return ConfigCost(tuple(
+        nest_config_cost(
+            plans[nest.name],
             binding=binding,
             shapes=shapes,
             params=params,
             directions=directions,
             n_nodes=n_nodes,
-            plan_budget=plan_budget,
             cache_budget=cache_budget,
-            tile_size=(tile_sizes or {}).get(nest.name),
             cb_nodes=cb_nodes,
-            seen_arrays=seen,
-            edges=(edges or {}).get(nest.name),
-        ))
-    return ConfigCost(tuple(per_nest))
+            warm=warm[nest.name],
+        )
+        for nest in program.nests
+    ))
 
 
 __all__ = [
@@ -317,4 +319,5 @@ __all__ = [
     "config_cost",
     "nest_config_cost",
     "plan_for",
+    "warm_nests",
 ]

@@ -26,7 +26,8 @@ from typing import Mapping
 from ..cache import CacheConfig
 from ..collective.planner import CollectiveConfig
 from ..dependence import DependenceEdge
-from ..engine.plan import program_edges
+from ..engine.plan import NestPlan, program_edges
+from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..layout import Layout
 from ..optimizer.global_opt import GlobalDecision, ReportEvent
@@ -35,7 +36,13 @@ from ..optimizer.strategies import VersionConfig
 from ..runtime import MachineParams
 from ..runtime.params import check_n_nodes
 from ..transforms.tiling import ooc_tiling
-from .model import ConfigCost, config_cost, plan_for
+from .model import (
+    ConfigCost,
+    config_cost,
+    nest_config_cost,
+    plan_for,
+    warm_nests,
+)
 from .space import TuneSpace, TuneSpaceError
 
 
@@ -199,6 +206,16 @@ def solve_joint(
     # every candidate below re-plans the same nests under another budget
     # or tile size; their dependence edges are analysed once, here
     edges = program_edges(prog)
+    # ... and each (nest, plan budget, block) is planned once per solve
+    plans: dict[tuple[str, int, int | None], NestPlan] = {}
+
+    def plan(nest: LoopNest, plan_budget: int, blk: int | None) -> NestPlan:
+        key = (nest.name, plan_budget, blk)
+        if key not in plans:
+            plans[key] = plan_for(
+                nest, b, shapes, plan_budget, blk, edges[nest.name]
+            )
+        return plans[key]
 
     # -- stage B: tiles x cache x cb_nodes on the machine model --------
     def cache_candidates() -> list[int]:
@@ -216,38 +233,6 @@ def solve_joint(
             })
         return [c for c in cands if c < budget]
 
-    def evaluate(cache_budget: int, cb: int | None) -> tuple[
-        float, dict[str, int], ConfigCost
-    ]:
-        plan_budget = max(1, budget - cache_budget)
-        tiles: dict[str, int] = {}
-        for nest in prog.nests:
-            base = plan_for(
-                nest, b, shapes, plan_budget, edges=edges[nest.name]
-            )
-            cands = space.tile_candidates(nest.name, max(1, base.tile_size))
-            best_b, best_c = None, None
-            for blk in cands:
-                cost = config_cost(
-                    prog, binding=b, shapes=shapes, params=params,
-                    directions=directions, n_nodes=n_nodes,
-                    memory_budget=budget, cache_budget=cache_budget,
-                    tile_sizes={**tiles, nest.name: blk}, cb_nodes=cb,
-                    edges=edges,
-                )
-                c = cost.total_s
-                if best_c is None or c < best_c - 1e-12:
-                    best_b, best_c = blk, c
-            if best_b is not None:
-                tiles[nest.name] = best_b
-        final = config_cost(
-            prog, binding=b, shapes=shapes, params=params,
-            directions=directions, n_nodes=n_nodes,
-            memory_budget=budget, cache_budget=cache_budget,
-            tile_sizes=tiles, cb_nodes=cb, edges=edges,
-        )
-        return final.total_s, tiles, final
-
     cache_cands = cache_candidates()
     if not cache_cands:
         raise TuneSpaceError(
@@ -256,9 +241,9 @@ def solve_joint(
         )
     if space.cache_budget_elements is not None:
         min_tile = min(
-            plan_for(nest, b, shapes, max(
-                1, budget - space.cache_budget_elements
-            ), 1, edges[nest.name]).footprint_elements
+            plan(
+                nest, budget - space.cache_budget_elements, 1
+            ).footprint_elements
             for nest in prog.nests
         )
         if space.cache_budget_elements < min_tile:
@@ -268,28 +253,68 @@ def solve_joint(
             )
     cb_cands = space.cb_candidates(n_nodes)
 
+    pricing = dict(
+        binding=b, shapes=shapes, params=params, n_nodes=n_nodes
+    )
+    warm = warm_nests(prog)
+
+    def better(cost, incumbent) -> bool:
+        return incumbent is None or cost.total_s < incumbent.total_s - 1e-12
+
     best = None
     for cache_budget in cache_cands:
+        plan_budget = budget - cache_budget
+        # planned before the cb_nodes sweep: a plan does not depend on
+        # the aggregator count
+        cands = {
+            nest.name: [
+                (blk, plan(nest, plan_budget, blk))
+                for blk in space.tile_candidates(
+                    nest.name,
+                    max(1, plan(nest, plan_budget, None).tile_size),
+                )
+            ]
+            for nest in prog.nests
+        }
         for cb in cb_cands:
-            total, tiles, cost = evaluate(cache_budget, cb)
-            if best is None or total < best[0] - 1e-12:
-                best = (total, cache_budget, cb, tiles, cost)
+            # with the cache share and cb fixed a nest's cost depends on
+            # its own block only: choose per nest, then assemble
+            tiles: dict[str, int] = {}
+            per_nest = []
+            for nest in prog.nests:
+                pick = None
+                for blk, nest_plan in cands[nest.name]:
+                    c = nest_config_cost(
+                        nest_plan, directions=directions,
+                        cache_budget=cache_budget, cb_nodes=cb,
+                        warm=warm[nest.name], **pricing,
+                    )
+                    if better(c, pick):
+                        pick, tiles[nest.name] = c, blk
+                per_nest.append(pick)
+            cost = ConfigCost(tuple(per_nest))
+            if better(cost, best and best[0]):
+                best = (cost, cache_budget, cb, tiles)
     assert best is not None
-    total_s, cache_budget, cb, tiles, cost = best
+    cost, cache_budget, cb, tiles = best
+    total_s = cost.total_s
 
     # -- per-knob provenance: cost of reverting each knob --------------
     def revert(
-        dirs=None, cache=None, cb_nodes="keep", tile_sizes="keep"
+        dirs=directions, cache=cache_budget, cb_nodes=cb, tile_sizes=tiles
     ) -> float:
+        """Modeled seconds added by the chosen configuration with the
+        given knobs put back to their defaults."""
+        plan_budget = budget - cache
         return config_cost(
-            prog, binding=b, shapes=shapes, params=params,
-            directions=dirs if dirs is not None else directions,
-            n_nodes=n_nodes, memory_budget=budget,
-            cache_budget=cache if cache is not None else cache_budget,
-            tile_sizes=tiles if tile_sizes == "keep" else tile_sizes,
-            cb_nodes=cb if cb_nodes == "keep" else cb_nodes,
-            edges=edges,
-        ).total_s
+            prog,
+            {
+                nest.name: plan(nest, plan_budget, tile_sizes.get(nest.name))
+                for nest in prog.nests
+            },
+            directions=dirs, cache_budget=cache, cb_nodes=cb_nodes,
+            **pricing,
+        ).total_s - total_s
 
     knobs = [
         KnobChoice(
@@ -297,20 +322,20 @@ def solve_joint(
             {a: list(d) for a, d in sorted(directions.items())},
             ("ilp", "row-major"),
             total_s,
-            revert(dirs=_row_directions(prog)) - total_s,
+            revert(dirs=_row_directions(prog)),
         ),
         KnobChoice(
             "tile_sizes", dict(sorted(tiles.items())),
             tuple(space.tile_fractions), total_s,
-            revert(tile_sizes=None) - total_s,
+            revert(tile_sizes={}),
         ),
         KnobChoice(
             "cache_budget", cache_budget, tuple(cache_cands), total_s,
-            revert(cache=0) - total_s,
+            revert(cache=0),
         ),
         KnobChoice(
             "cb_nodes", cb, cb_cands, total_s,
-            revert(cb_nodes=None) - total_s,
+            revert(cb_nodes=None),
         ),
     ]
 

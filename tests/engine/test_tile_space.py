@@ -140,12 +140,12 @@ def test_triangular_window_product_overcounts_the_walk():
 )
 def test_model_tile_count_is_the_plans(shape, n, depth, n_nodes, force, budget):
     nest, binding, shapes = _nest(shape, n, depth)
-    cost = nest_config_cost(
-        nest, binding=binding, shapes=shapes, params=MachineParams(),
-        directions={}, n_nodes=n_nodes, plan_budget=budget, cache_budget=0,
-        tile_size=force, cb_nodes=None,
-    )
     plan = plan_for(nest, binding, shapes, budget, force)
+    cost = nest_config_cost(
+        plan, binding=binding, shapes=shapes, params=MachineParams(),
+        directions={}, n_nodes=n_nodes, cache_budget=0, cb_nodes=None,
+        warm=False,
+    )
     space = TileSpace(plan, binding, shapes, (0, n_nodes))
     assert cost.tile_size == plan.tile_size
     assert cost.n_tiles == len(space) == math.prod(
