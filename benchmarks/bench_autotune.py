@@ -1,6 +1,6 @@
 """Joint co-optimization and the drift-recalibration loop, measured.
 
-Three findings, all asserted:
+Four findings, all asserted:
 
 - **Joint beats each baseline alone.**  On the blocked stencil (adi)
   and the multi-stage analytics pipeline, the joint decision — layouts
@@ -23,6 +23,14 @@ Three findings, all asserted:
   true machine's to machine precision (the simulated pricing is
   exactly linear) and the follow-up drift lands inside the threshold.
 
+- **The model is the runtime's arithmetic, and a solve plans once.**
+  Per program: |predicted − measured| / measured of the decided run,
+  with the default space (the cache credit in play) and with cache and
+  aggregators off (only the representative tile is modelled), recorded
+  — not thresholded per program — next to the ``plan_nest`` calls of
+  the solve, which are asserted to be its distinct (nest, plan budget,
+  block) triples.
+
 Leaf keys entering the regression gate: ``*_time_s``, ``makespan``
 (lower-better), ``predicted_cost_s``/``cost_drift``/``drift_before``/
 ``drift_after`` (lower-better via the ``predicted_cost``/``drift``
@@ -37,14 +45,16 @@ from dataclasses import replace
 
 from conftest import run_once
 
-from repro.autotune import AutotuneConfig, Autotuner, solve_joint
+import repro.autotune.model as model
+from repro.autotune import AutotuneConfig, Autotuner, TuneSpace, solve_joint
 from repro.experiments.harness import _scaled_params
 from repro.obs import Observability
+from repro.obs.profile import WORK
 from repro.optimizer import build_version, optimize_program_ilp
 from repro.optimizer.strategies import VersionConfig
 from repro.parallel import run_version_parallel
 from repro.transforms.tiling import ooc_tiling
-from repro.workloads import build_analytics, build_workload
+from repro.workloads import WORKLOADS, build_analytics, build_workload
 from repro.workloads.registry import workload_names
 
 SWEEP_N = 32
@@ -196,6 +206,83 @@ def test_drift_recovery(benchmark, smoke, json_out):
         <= 1e-9 * row["true_bandwidth_bps"]
     if not smoke:
         _SECTIONS["drift"] = {"n": n, "nodes": N_NODES, "row": row}
+        _write_artifact()
+
+
+def _counted_solve(prog, params, space):
+    """``solve_joint`` plus its ``plan_nest`` call count — asserted to
+    be the distinct (nest, plan budget, block) triples it asked for."""
+    asked = []
+    plan_nest = model.plan_nest
+
+    def spy(nest, spec, memory_budget, *args, force_block=None, **kw):
+        asked.append((nest.name, memory_budget, force_block))
+        return plan_nest(
+            nest, spec, memory_budget, *args, force_block=force_block, **kw
+        )
+
+    before = WORK.plan_nest_calls
+    model.plan_nest = spy
+    try:
+        decision = solve_joint(
+            prog, params=params, n_nodes=N_NODES, space=space
+        )
+    finally:
+        model.plan_nest = plan_nest
+    planned = WORK.plan_nest_calls - before
+    assert planned == len(set(asked)), (
+        f"{prog.name}: {planned} plan_nest calls for {len(set(asked))} "
+        f"distinct (nest, budget, block) plans"
+    )
+    return decision, planned
+
+
+def test_model_accuracy(benchmark, smoke, json_out):
+    """Prediction error of the decided run per program, cached and
+    uncached, and the planning work of each solve."""
+    n = SWEEP_N  # as above: the knobs stop mattering at smoke sizes
+    programs = (*WORKLOADS, "pipeline")
+    spaces = {
+        "": None,
+        "uncached_": TuneSpace(cache_fractions=(0.0,), cb_nodes=(None,)),
+    }
+
+    def sweep():
+        params = _params(n)
+        rows = {}
+        for wl in programs:
+            prog = _program(wl, n)
+            rows[wl] = row = {}
+            for prefix, space in spaces.items():
+                decision, planned = _counted_solve(prog, params, space)
+                run = _measure(
+                    decision.version_config(), params,
+                    **decision.run_kwargs()
+                )
+                row[f"{prefix}pred_err"] = (
+                    abs(decision.predicted_cost_s - run.time_s) / run.time_s
+                )
+                row[f"{prefix}plan_nest_calls"] = planned
+        return rows
+
+    rows = run_once(benchmark, sweep)
+    means = {
+        f"mean_{prefix}pred_err":
+            sum(r[f"{prefix}pred_err"] for r in rows.values()) / len(rows)
+        for prefix in spaces
+    }
+    json_out("autotune_model", {"rows": rows, **means},
+             n=n, nodes=N_NODES, programs=programs)
+    print()
+    for wl, r in rows.items():
+        print(f"  {wl:9s} pred_err={r['pred_err']:.3f} "
+              f"uncached={r['uncached_pred_err']:.3f} "
+              f"plan_nest={r['plan_nest_calls']}"
+              f"/{r['uncached_plan_nest_calls']}")
+    print(f"  mean      pred_err={means['mean_pred_err']:.3f} "
+          f"uncached={means['mean_uncached_pred_err']:.3f}")
+    if not smoke:
+        _SECTIONS["model"] = {"n": n, "nodes": N_NODES, "rows": rows, **means}
         _write_artifact()
 
 

@@ -129,9 +129,9 @@ class Autotuner:
         self.recalibrations = 0
         self.resolves = 0
         self.drift_events = 0
-        #: multiplicative model-bias correction: the analytic config
-        #: model has structural error against the executor (its tile
-        #: traffic is an estimate); each recalibration refits this
+        #: multiplicative model-bias correction: the config model has
+        #: structural error against the executor (one representative
+        #: tile, a crude cache credit); each recalibration refits this
         #: scale from the same run the parameters were fitted from, so
         #: drift afterwards measures *change since calibration*, not
         #: the model's standing bias
@@ -331,7 +331,7 @@ class Autotuner:
                 shapes, tile_sizes=d.tile_sizes, edges=d.edges,
             ),
             binding=b, shapes=shapes, params=params,
-            directions=d.decision.directions, n_nodes=d.n_nodes,
+            layouts=d.layout_objects(), n_nodes=d.n_nodes,
             cache_budget=d.cache_budget, cb_nodes=d.cb_nodes,
         )
         return c.io_s + c.net_s

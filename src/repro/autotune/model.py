@@ -8,9 +8,10 @@ seconds, so the remaining knobs can be priced against each other:
 
 - **tiles**: each tile visit bounding-box-reads every touched array
   (and writes back the written ones) exactly like the executor, so a
-  block size ``B`` turns into ``n_tiles(B)`` fetches of the per-tile
-  footprint; run lengths follow the array's fast direction and are
-  split at ``max_request_elements``, mirroring ``plan_runs``;
+  block size ``B`` turns into ``n_tiles(B)`` transfers of the
+  representative tile, and a transfer is priced by the runtime's own
+  decomposition — the layout's ``AddressMap.runs`` of the tile's box,
+  sieved and split by ``plan_runs``, timed by ``batch_time``;
 - **cache**: a budget carved from the memory budget shrinks the
   planner's feasible blocks (more tiles) but retains a
   ``min(1, cache/data)`` fraction of a nest's per-node data, saving
@@ -41,10 +42,11 @@ from ..dependence import DependenceEdge
 from ..engine.plan import NestPlan, TileSpace, plan_nest, tile_box
 from ..ir.nest import LoopNest
 from ..ir.program import Program
-from ..layout import temporal_locality_ok
-from ..optimizer.cost import access_is_spatial
+from ..layout import Layout
+from ..optimizer.cost import access_is_spatial, layout_directions
 from ..runtime import MachineParams
-from ..runtime.ooc_array import region_size
+from ..runtime.ooc_array import Region, region_size
+from ..runtime.stats import plan_runs
 from ..transforms.tiling import ooc_tiling
 
 
@@ -91,36 +93,14 @@ class ConfigCost:
         return sum(n.total_s for n in self.per_nest)
 
 
-def _fast_axis(direction: Sequence[int] | None, rank: int) -> int | None:
-    """The array axis consecutive file elements walk, if the fast
-    direction is axis-aligned (row-major default: the last axis)."""
-    if direction is None:
-        return rank - 1
-    nz = [i for i, v in enumerate(direction) if v]
-    if len(nz) == 1 and abs(direction[nz[0]]) == 1:
-        return nz[0]
-    return None
-
-
-def _tile_calls(
-    region: tuple[tuple[int, int], ...],
-    direction: Sequence[int] | None,
-    cap: int,
-) -> float:
-    """File runs needed for one bounding-box region: one run per line
-    along the fast axis, each split at the request cap (the analytic
-    mirror of ``runs_of`` + ``plan_runs`` on the actual addresses)."""
-    fp = region_size(region)
-    if fp <= 0:
-        return 0.0
-    axis = _fast_axis(direction, len(region))
-    if axis is None:
-        run_len = 1
-    else:
-        lo, hi = region[axis]
-        run_len = max(1, hi - lo + 1)
-    lines = fp / run_len
-    return lines * math.ceil(run_len / max(1, cap))
+def tile_io(
+    params: MachineParams, layout: Layout, shape: Sequence[int], region: Region
+) -> tuple[int, int]:
+    """``(calls, elements)`` of moving ``region`` of an array stored
+    under ``layout`` once: the region's contiguous file runs, sieved and
+    split at the request cap — the arithmetic a run is charged with."""
+    _, lengths = plan_runs(params, *layout.address_map(shape).runs(region))
+    return lengths.size, int(lengths.sum())
 
 
 def plan_for(
@@ -147,123 +127,108 @@ def nest_config_cost(
     binding: Mapping[str, int],
     shapes: Mapping[str, tuple[int, ...]],
     params: MachineParams,
-    directions: Mapping[str, Sequence[int] | None],
+    layouts: Mapping[str, Layout],
     n_nodes: int,
     cache_budget: int,
     cb_nodes: int | None,
     warm: bool,
 ) -> NestConfigCost:
     """Modeled per-node seconds for one planned nest under the given
-    knobs.  ``warm`` carries the cross-nest state (:func:`warm_nests`):
-    every array the nest touches was already loaded by an earlier nest
-    of the same configuration, so its first repetition gets the
+    knobs.  ``layouts`` are the file layouts the run would execute (one
+    per array, as ``TuneDecision.layout_objects()`` builds them).
+    ``warm`` carries the cross-nest state (:func:`warm_nests`): every
+    array the nest touches was already loaded by an earlier nest of the
+    same configuration, so its first repetition gets the
     cache-retention discount too.
+
+    Computed exactly: the tile geometry, each array's runs, sieve and
+    request-cap split, their seconds, the compute charge.  Modeled: one
+    representative tile stands for all ``n_tiles``, ``n_tiles`` counts
+    windows a triangular nest leaves empty, the cache credit ``rho``,
+    and the two-phase term.
     """
     nest = plan.nest
     p = max(1, n_nodes)
-    cap = max(1, params.max_request_elements)
     # the tile count and the representative (middle-anchor) tile are the
     # plan's own geometry for rank 0; the count is the window product,
     # so windows a triangular nest leaves empty are priced as tiles
     space = TileSpace(plan, binding, shapes, (0, p))
     n_tiles = len(space)
     fps = space.footprints(tile_box(space.full, space.blocks, 0.5))
-    whole = space.footprints(space.full)
+    whole = [
+        region_size(region)
+        for region, _, _ in space.footprints(space.full).values()
+    ]
     w = max(1, nest.weight)
 
-    # per-repetition per-node tile traffic
-    read_calls = write_calls = 0.0
-    elements = 0.0
-    node_data = 0
+    # one repetition's tile traffic on this node: every touched array is
+    # read (read-modify-write of the bounding box), the written ones go
+    # back through the same runs
+    read_calls = read_elems = write_calls = write_elems = 0
     for name, (region, _is_read, is_write) in fps.items():
-        d = directions.get(name)
-        calls = _tile_calls(region, d, cap) * n_tiles
-        fp = region_size(region) * n_tiles
-        read_calls += calls  # read-modify-write: every touched array
-        elements += fp
+        calls, elems = tile_io(params, layouts[name], shapes[name], region)
+        read_calls += calls * n_tiles
+        read_elems += elems * n_tiles
         if is_write:
-            write_calls += calls
-            elements += fp
-        node_data += region_size(whole[name][0]) // p
+            write_calls += calls * n_tiles
+            write_elems += elems * n_tiles
 
     # cache retention: rho of this nest's per-node data survives to the
     # next touch; repetitions 2..w (and a first touch of an array some
     # earlier nest already loaded) re-read only the (1 - rho) remainder
+    node_data = sum(size // p for size in whole)
     rho = 0.0
     if cache_budget > 0 and node_data > 0:
         rho = min(1.0, cache_budget / node_data)
     warm_reps = (w - 1) + (1 if warm else 0)
-    cold_reps = w - warm_reps
-    eff_read_calls = read_calls * (cold_reps + warm_reps * (1.0 - rho))
-    read_elems = sum(
-        region_size(r) * n_tiles for r, _, _ in fps.values()
-    )
-    write_elems = elements - read_elems
-    eff_read_elems = read_elems * (cold_reps + warm_reps * (1.0 - rho))
-    total_calls = eff_read_calls + write_calls * w
-    total_elems = eff_read_elems + write_elems * w
-
-    esz = params.element_size
-    io_s = total_calls * params.io_latency_s \
-        + total_elems * esz / params.io_bandwidth_bps
+    paid_reps = (w - warm_reps) + warm_reps * (1.0 - rho)
+    read_calls, read_elems = read_calls * paid_reps, read_elems * paid_reps
+    write_calls, write_elems = write_calls * w, write_elems * w
+    t_reads = params.batch_time(read_calls, read_elems)
     net_s = 0.0
     two_phase = False
 
     # two-phase collective: worthwhile only when some read reference is
     # neither temporal nor spatial under the chosen layout
-    if cb_nodes is not None:
-        q_last = (0,) * (nest.depth - 1) + (1,)
-        non_conforming = False
-        for _, ref, is_wr in nest.refs():
-            if is_wr or ref.rank < 2:
-                continue
-            l = nest.access_matrix(ref)
-            if temporal_locality_ok(l, q_last):
-                continue
-            if not access_is_spatial(
-                l, q_last, directions.get(ref.array.name)
-            ):
-                non_conforming = True
-                break
-        if non_conforming:
-            k = max(1, min(cb_nodes, p))
-            d_total = sum(
-                region_size(whole[name][0]) for name in whole
-            )
-            agg_calls = sum(
-                math.ceil(region_size(whole[name][0]) / cap)
-                for name in whole
-            )
-            fan = max(1, min(k, params.n_io_nodes))
-            t_read = (
-                agg_calls * params.io_latency_s
-                + d_total * esz / params.io_bandwidth_bps
-            ) / fan
-            t_net = (p * k) * params.net_latency_s \
-                + d_total * esz / params.net_bandwidth_bps
-            t_2p = (t_read + t_net) * w
-            t_indep = eff_read_calls * params.io_latency_s \
-                + eff_read_elems * esz / params.io_bandwidth_bps
-            if t_2p < t_indep:
-                two_phase = True
-                io_s = io_s - t_indep + t_read * w
-                net_s = t_net * w
-                total_calls = total_calls - eff_read_calls + agg_calls * w
+    if cb_nodes is not None and _non_conforming_read(nest, layouts):
+        k = max(1, min(cb_nodes, p))
+        cap = max(1, params.max_request_elements)
+        data = sum(whole)
+        t_agg = params.batch_time(
+            sum(math.ceil(size / cap) for size in whole), data
+        ) / max(1, min(k, params.n_io_nodes))
+        t_net = (p * k) * params.net_latency_s \
+            + data * params.element_size / params.net_bandwidth_bps
+        if (t_agg + t_net) * w < t_reads:
+            two_phase = True
+            t_reads = t_agg * w
+            net_s = t_net * w
 
     iters = max(1, nest.estimated_iterations(binding))
-    compute_s = w * (iters / p) * params.compute_per_element_s
-
     return NestConfigCost(
         nest=nest.name,
         tile_size=plan.tile_size,
         n_tiles=n_tiles,
-        read_calls=eff_read_calls,
-        write_calls=write_calls * w,
-        elements=total_elems,
-        io_s=io_s,
+        read_calls=read_calls,
+        write_calls=write_calls,
+        elements=read_elems + write_elems,
+        io_s=t_reads + params.batch_time(write_calls, write_elems),
         net_s=net_s,
-        compute_s=compute_s,
+        compute_s=params.compute_time(w * (iters / p), len(nest.body)),
         two_phase=two_phase,
+    )
+
+
+def _non_conforming_read(nest: LoopNest, layouts: Mapping[str, Layout]) -> bool:
+    """Does the innermost loop walk some read reference neither
+    temporally nor along its array's file-fastest direction?"""
+    directions = layout_directions(layouts)
+    q_last = (0,) * (nest.depth - 1) + (1,)
+    return any(
+        not is_write and ref.rank >= 2 and not access_is_spatial(
+            nest.access_matrix(ref), q_last, directions[ref.array.name]
+        )
+        for _, ref, is_write in nest.refs()
     )
 
 
@@ -287,7 +252,7 @@ def config_cost(
     binding: Mapping[str, int],
     shapes: Mapping[str, tuple[int, ...]],
     params: MachineParams,
-    directions: Mapping[str, Sequence[int] | None],
+    layouts: Mapping[str, Layout],
     n_nodes: int,
     cache_budget: int = 0,
     cb_nodes: int | None = None,
@@ -303,7 +268,7 @@ def config_cost(
             binding=binding,
             shapes=shapes,
             params=params,
-            directions=directions,
+            layouts=layouts,
             n_nodes=n_nodes,
             cache_budget=cache_budget,
             cb_nodes=cb_nodes,
@@ -319,5 +284,6 @@ __all__ = [
     "config_cost",
     "nest_config_cost",
     "plan_for",
+    "tile_io",
     "warm_nests",
 ]

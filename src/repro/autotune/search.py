@@ -29,7 +29,7 @@ from ..dependence import DependenceEdge
 from ..engine.plan import NestPlan, program_edges
 from ..ir.nest import LoopNest
 from ..ir.program import Program
-from ..layout import Layout
+from ..layout import Layout, row_major
 from ..optimizer.global_opt import GlobalDecision, ReportEvent
 from ..optimizer.ilp import SOLVERS, optimize_program_ilp
 from ..optimizer.strategies import VersionConfig
@@ -153,15 +153,6 @@ class TuneDecision:
         }
 
 
-def _row_directions(program: Program) -> dict[str, tuple[int, ...]]:
-    """The untuned default: row-major fast directions for every array."""
-    return {
-        a.name: (0,) * (a.rank - 1) + (1,)
-        for a in program.arrays
-        if a.rank >= 2
-    }
-
-
 def solve_joint(
     program: Program,
     *,
@@ -202,14 +193,16 @@ def solve_joint(
     budget = params.memory_budget(
         sum(math.prod(s) for s in shapes.values()), memory_budget
     )
-    directions = dict(gd.directions)
-    # every candidate below re-plans the same nests under another budget
-    # or tile size; their dependence edges are analysed once, here
+    layouts = gd.layout_objects()
+    # the candidates below plan the same nests under other budgets and
+    # tile sizes: their dependence edges are analysed once, here, and
+    # each (nest, plan budget, block) is planned once per solve
     edges = program_edges(prog)
-    # ... and each (nest, plan budget, block) is planned once per solve
     plans: dict[tuple[str, int, int | None], NestPlan] = {}
 
-    def plan(nest: LoopNest, plan_budget: int, blk: int | None) -> NestPlan:
+    def plan(
+        nest: LoopNest, plan_budget: int, blk: int | None = None
+    ) -> NestPlan:
         key = (nest.name, plan_budget, blk)
         if key not in plans:
             plans[key] = plan_for(
@@ -264,18 +257,6 @@ def solve_joint(
     best = None
     for cache_budget in cache_cands:
         plan_budget = budget - cache_budget
-        # planned before the cb_nodes sweep: a plan does not depend on
-        # the aggregator count
-        cands = {
-            nest.name: [
-                (blk, plan(nest, plan_budget, blk))
-                for blk in space.tile_candidates(
-                    nest.name,
-                    max(1, plan(nest, plan_budget, None).tile_size),
-                )
-            ]
-            for nest in prog.nests
-        }
         for cb in cb_cands:
             # with the cache share and cb fixed a nest's cost depends on
             # its own block only: choose per nest, then assemble
@@ -283,9 +264,11 @@ def solve_joint(
             per_nest = []
             for nest in prog.nests:
                 pick = None
-                for blk, nest_plan in cands[nest.name]:
+                for blk in space.tile_candidates(
+                    nest.name, max(1, plan(nest, plan_budget).tile_size)
+                ):
                     c = nest_config_cost(
-                        nest_plan, directions=directions,
+                        plan(nest, plan_budget, blk), layouts=layouts,
                         cache_budget=cache_budget, cb_nodes=cb,
                         warm=warm[nest.name], **pricing,
                     )
@@ -301,28 +284,27 @@ def solve_joint(
 
     # -- per-knob provenance: cost of reverting each knob --------------
     def revert(
-        dirs=directions, cache=cache_budget, cb_nodes=cb, tile_sizes=tiles
+        layouts=layouts, cache=cache_budget, cb_nodes=cb, tile_sizes=tiles
     ) -> float:
-        """Modeled seconds added by the chosen configuration with the
-        given knobs put back to their defaults."""
-        plan_budget = budget - cache
+        """Modeled seconds added by putting the given knobs of the
+        chosen configuration back to their defaults."""
         return config_cost(
             prog,
             {
-                nest.name: plan(nest, plan_budget, tile_sizes.get(nest.name))
+                nest.name: plan(nest, budget - cache, tile_sizes.get(nest.name))
                 for nest in prog.nests
             },
-            directions=dirs, cache_budget=cache, cb_nodes=cb_nodes,
+            layouts=layouts, cache_budget=cache, cb_nodes=cb_nodes,
             **pricing,
         ).total_s - total_s
 
     knobs = [
         KnobChoice(
             "layouts",
-            {a: list(d) for a, d in sorted(directions.items())},
+            {a: list(d) for a, d in sorted(gd.directions.items())},
             ("ilp", "row-major"),
             total_s,
-            revert(dirs=_row_directions(prog)),
+            revert(layouts={a.name: row_major(a.rank) for a in prog.arrays}),
         ),
         KnobChoice(
             "tile_sizes", dict(sorted(tiles.items())),

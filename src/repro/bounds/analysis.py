@@ -524,12 +524,13 @@ def program_bounds(
     (:meth:`~repro.runtime.MachineParams.memory_budget`) is applied so
     the static bound matches what a default run would be charged against.
     """
+    from ..runtime.params import MachineParams, check_n_nodes
+
+    check_n_nodes(n_nodes)
     b = program.binding(binding)
     shapes = {a.name: a.shape(b) for a in program.arrays}
     if memory_elements is None:
         if params is None:
-            from ..runtime.params import MachineParams
-
             params = MachineParams()
         total = sum(math.prod(s) for s in shapes.values())
         memory_elements = params.memory_budget(total)

@@ -129,7 +129,10 @@ def _observed_run(args: argparse.Namespace, cfg, *, journal=None, **run_kw):
     from ..collective import CollectiveConfig
     from ..experiments.harness import _scaled_params
     from ..parallel import run_version_parallel
+    from ..runtime.params import check_n_nodes
 
+    # before the journal file is created: a usage error leaves nothing
+    check_n_nodes(args.nodes)
     collective = CollectiveConfig(mode=args.mode) if args.collective else None
     with Observability(journal=journal) as obs:
         run = run_version_parallel(

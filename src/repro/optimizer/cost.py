@@ -48,6 +48,31 @@ def access_is_spatial(
     return primitive(v) == primitive(direction)
 
 
+def ref_calls(
+    iterations: float,
+    l: IMat,
+    rank: int,
+    q_last: Sequence[int],
+    direction: Sequence[int] | None,
+    inner_trip: int,
+    run_cap: int = 4096,
+) -> float:
+    """Estimated I/O calls of one reference over ``iterations``
+    iterations of its nest (the module docstring's temporal / spatial /
+    neither) — the one per-reference term the greedy and the ILP
+    objectives share.  The caller chooses what ``iterations`` carries:
+    the bare count, or the count already scaled by the nest weight."""
+    run = min(inner_trip, run_cap)
+    v = l.matvec(q_last)
+    if not any(v):
+        return iterations / (inner_trip * run)
+    if rank == 1:
+        spatial = abs(v[0]) == 1
+    else:
+        spatial = access_is_spatial(l, q_last, direction)
+    return iterations / run if spatial else float(iterations)
+
+
 def _ref_io_terms(
     nest: LoopNest,
     directions: Mapping[str, Sequence[int] | None],
@@ -60,24 +85,13 @@ def _ref_io_terms(
     :func:`estimate_nest_io_breakdown`."""
     iters = max(1, nest.estimated_iterations(binding))
     inner_trip = nest.innermost_trip(binding)
-    run = min(inner_trip, run_cap)
-    terms: list[tuple[str, float]] = []
-    for _, ref, _ in nest.refs():
-        l = nest.access_matrix(ref)
-        if temporal_locality_ok(l, q_last):
-            terms.append((ref.array.name, iters / (inner_trip * run)))
-            continue
-        if ref.rank == 1:
-            stride = l.matvec(q_last)[0]
-            spatial = abs(stride) == 1
-        else:
-            spatial = access_is_spatial(
-                l, q_last, directions.get(ref.array.name)
-            )
-        terms.append(
-            (ref.array.name, iters / run if spatial else float(iters))
-        )
-    return terms
+    return [
+        (ref.array.name, ref_calls(
+            iters, nest.access_matrix(ref), ref.rank, q_last,
+            directions.get(ref.array.name), inner_trip, run_cap,
+        ))
+        for _, ref, _ in nest.refs()
+    ]
 
 
 def estimate_nest_io(

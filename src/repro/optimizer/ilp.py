@@ -36,7 +36,7 @@ from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..linalg import IMat, primitive
 from ..transforms import apply_loop_transform, normalize_program
-from .cost import access_is_spatial
+from .cost import access_is_spatial, ref_calls
 from .global_opt import GlobalDecision, ReportEvent
 from .locality import (
     _elementary,
@@ -75,15 +75,12 @@ def _ref_cost(
     binding: Mapping[str, int],
     inner_trip: int,
 ) -> float:
+    """The reference's weighted term of the objective:
+    :func:`repro.optimizer.cost.ref_calls` — the greedy algorithm's own
+    per-reference model, request cap included — on the weight-scaled
+    iteration count."""
     iters = max(1, nest.estimated_iterations(binding))
-    v = l.matvec(q)
-    if not any(v):
-        return nest.weight * iters / (inner_trip * inner_trip)
-    if rank == 1:
-        spatial = abs(v[0]) == 1
-    else:
-        spatial = direction is not None and access_is_spatial(l, q, direction)
-    return nest.weight * (iters / inner_trip if spatial else float(iters))
+    return ref_calls(nest.weight * iters, l, rank, q, direction, inner_trip)
 
 
 def _build_models(
@@ -220,7 +217,6 @@ def solve_milp(
     pair_cost: dict[tuple[int, int], float] = {}
     for m in models:
         trip = m.nest.innermost_trip(binding)
-        iters = max(1, m.nest.estimated_iterations(binding))
         for q in m.q_options:
             xi = x_index[(m.nest.name, q)]
             for _, ref, _ in m.nest.refs():
@@ -234,12 +230,14 @@ def solve_milp(
                 name = ref.array.name
                 # bad unless the chosen direction matches: model as
                 # bad-cost on x, plus a (negative) discount on the pair
-                bad = m.nest.weight * float(iters)
-                good = m.nest.weight * iters / trip
+                bad = _ref_cost(m.nest, l, ref.rank, q, None, binding, trip)
                 x_cost[xi] += bad
                 for d in dirs.get(name, []):
                     if access_is_spatial(l, q, d):
                         yi = y_index[(name, d)]
+                        good = _ref_cost(
+                            m.nest, l, ref.rank, q, d, binding, trip
+                        )
                         pair_cost[(xi, yi)] = (
                             pair_cost.get((xi, yi), 0.0) + good - bad
                         )

@@ -120,6 +120,14 @@ class MachineParams:
             n_elems * self.element_size / self.io_bandwidth_bps
         )
 
+    def compute_time(
+        self, iterations: float, ops_per_iteration: int = 1
+    ) -> float:
+        """Seconds of ``iterations`` loop-body executions of
+        ``ops_per_iteration`` statements each — what the executor
+        charges per tile and the autotune model per nest."""
+        return iterations * ops_per_iteration * self.compute_per_element_s
+
     def net_time(self, nbytes: int) -> float:
         """Cost of one interconnect message (redistribution phase)."""
         return self.net_latency_s + nbytes / self.net_bandwidth_bps

@@ -453,8 +453,8 @@ class IOContext:
 
     def record_compute(self, n_iterations: int, ops_per_iteration: int = 1) -> None:
         _prof.WORK.add_loop_iters("element", int(n_iterations))
-        self.stats.compute_time_s += (
-            n_iterations * ops_per_iteration * self.params.compute_per_element_s
+        self.stats.compute_time_s += self.params.compute_time(
+            n_iterations, ops_per_iteration
         )
 
     def reset(self) -> None:

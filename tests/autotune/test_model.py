@@ -6,16 +6,27 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.autotune.model as model
 from repro.autotune import TuneSpace, solve_joint
-from repro.autotune.model import config_cost, plan_for
+from repro.autotune.model import config_cost, plan_for, tile_io
 from repro.engine.plan import program_edges
 from repro.experiments.harness import _scaled_params
 from repro.obs.profile import WORK
 from repro.optimizer.ilp import optimize_program_ilp
+from repro.parallel import run_version_parallel
+from repro.runtime import (
+    IOContext,
+    MachineParams,
+    OutOfCoreArray,
+    ParallelFileSystem,
+)
 from repro.workloads import WORKLOADS, build_analytics, build_workload
 from repro.workloads.registry import workload_names
+
+from ..layout.strategies import map_cases
 
 N = 32
 N_NODES = 4
@@ -49,7 +60,7 @@ def _whole_program_search(program, space):
         }
         return config_cost(
             prog, plans, binding=b, shapes=shapes, params=PARAMS,
-            directions=gd.directions, n_nodes=N_NODES,
+            layouts=gd.layout_objects(), n_nodes=N_NODES,
             cache_budget=cache_budget, cb_nodes=cb,
         ).total_s
 
@@ -105,3 +116,68 @@ def test_a_solve_plans_each_nest_budget_block_once(code, monkeypatch):
     solve_joint(_program(code), params=PARAMS, n_nodes=N_NODES)
     assert asked
     assert WORK.plan_nest_calls - before == len(asked) == len(set(asked))
+
+
+# -- the model's numbers against the runtime's own accounting ----------
+
+#: small stripes and requests, so runs get sieved and split at the cap
+MACHINE = dict(
+    n_io_nodes=3, stripe_bytes=4 * 8, max_request_bytes=5 * 8,
+    sieve_buffer_bytes=6 * 8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_cases(), st.sampled_from([0, 2 * 8]), st.booleans())
+def test_tile_io_is_what_the_enumerating_oracle_accounts(
+    case, sieve_gap, is_write
+):
+    layout, shape, region = case
+    params = MachineParams(sieve_gap_bytes=sieve_gap, **MACHINE)
+    arr = OutOfCoreArray.create(
+        "A", shape, layout, ParallelFileSystem(params), real=False
+    )
+    ctx = IOContext(params)
+    arr.count_tile_io(region, ctx, is_write)
+    calls, elements = tile_io(params, layout, shape, region)
+    assert (calls, elements) == (ctx.stats.calls, ctx.stats.elements_moved)
+    assert params.batch_time(calls, elements) == ctx.stats.io_time_s
+
+
+UNCACHED = TuneSpace(cache_fractions=(0.0,), cb_nodes=(None,))
+
+
+@pytest.mark.parametrize("code", ["trans", "emit", "gfunp"])
+def test_congruent_tiles_are_priced_exactly(code):
+    """Without cache and aggregators nothing but the representative
+    tile is modelled; where every tile of a nest is congruent to it,
+    the modelled calls are rank 0's measured calls."""
+    decision = solve_joint(
+        _program(code), params=PARAMS, n_nodes=N_NODES, space=UNCACHED
+    )
+    run = run_version_parallel(
+        decision.version_config(), N_NODES, params=PARAMS,
+        **decision.run_kwargs(),
+    )
+    measured = {
+        nr.nest_name: nr.stats for nr in run.node_results[0].nest_runs
+    }
+    for cost in decision.predicted.per_nest:
+        assert cost.read_calls == measured[cost.nest].read_calls
+        assert cost.write_calls == measured[cost.nest].write_calls
+
+
+@pytest.mark.parametrize("code", ["btrix", "emit"])
+def test_compute_term_charges_every_statement_of_the_body(code):
+    """``btrix.coef`` has 25 statements, ``emit.tail`` 6: the model and
+    the executor both charge ``MachineParams.compute_time``."""
+    decision = solve_joint(_program(code), params=PARAMS, n_nodes=N_NODES)
+    assert max(len(nest.body) for nest in decision.program.nests) > 1
+    run = run_version_parallel(
+        decision.version_config(), N_NODES, params=PARAMS,
+        **decision.run_kwargs(),
+    )
+    # rank 0 owns the ceiling share of a slab the model divides evenly
+    assert decision.predicted.compute_s == pytest.approx(
+        run.node_results[0].stats.compute_time_s, rel=0.05
+    )

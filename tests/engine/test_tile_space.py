@@ -13,6 +13,7 @@ from repro.engine.plan import NestPlan, TileSpace, tile_box
 from repro.ir import ProgramBuilder
 from repro.ir.affine import AffineExpr
 from repro.ir.loops import Bound, Loop
+from repro.layout import row_major
 from repro.runtime import MachineParams
 from repro.runtime.ooc_array import region_size
 from repro.transforms import TilingSpec, ooc_tiling
@@ -143,7 +144,8 @@ def test_model_tile_count_is_the_plans(shape, n, depth, n_nodes, force, budget):
     plan = plan_for(nest, binding, shapes, budget, force)
     cost = nest_config_cost(
         plan, binding=binding, shapes=shapes, params=MachineParams(),
-        directions={}, n_nodes=n_nodes, cache_budget=0, cb_nodes=None,
+        layouts={"A": row_major(depth)}, n_nodes=n_nodes, cache_budget=0,
+        cb_nodes=None,
         warm=False,
     )
     space = TileSpace(plan, binding, shapes, (0, n_nodes))

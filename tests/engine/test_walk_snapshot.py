@@ -9,7 +9,9 @@ geometry moved behind :class:`repro.engine.plan.TileSpace`:
   lone real-mode executor's array contents;
 - per ``autotune_joint`` program (perfbench's eleven, n=32, 4 nodes):
   ``solve_joint().to_dict()`` — the model's tile count and
-  representative tile feed every priced configuration;
+  representative tile feed every priced configuration (these eleven
+  were re-recorded when the model began pricing that tile with the
+  runtime's ``runs`` → ``plan_runs`` → ``batch_time``);
 - per workload: h-opt's ``storage_spec`` at 1, 4 and 16 nodes — chunk
   shapes and origins are the start-anchor tile's footprints.
 

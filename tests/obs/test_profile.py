@@ -557,6 +557,31 @@ class TestProfileCLI:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["capture", "profile"])
+    def test_bad_nodes_leaves_no_journal(self, command, tmp_path, capsys):
+        from repro.obs.cli import main
+
+        journal = tmp_path / "run.jsonl"
+        assert main([
+            command, "--workload", "adi", "--n", "8", "--nodes", "0",
+            "--journal", str(journal),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: n_nodes must be")
+        assert not journal.exists()
+
+    def test_static_bounds_bad_nodes_exits_2(self, capsys):
+        from repro.obs.cli import main
+
+        assert main([
+            "bounds", "--workload", "adi", "--n", "8", "--static",
+            "--nodes", "0",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: n_nodes must be a positive integer, got 0\n"
+        )
+
     def test_top_zero_exits_2(self, tmp_path, capsys):
         from repro.obs.cli import main
 

@@ -78,3 +78,22 @@ def test_descent_is_deterministic():
     _, b, models, dirs = _models("adi", False)
     assert solve_descent(models, dirs, b) == \
         solve_descent(models, dirs, b)
+
+
+@pytest.mark.parametrize("n", [64, 8192])
+def test_ilp_objective_is_the_greedy_cost_model(n):
+    """One per-reference call model: the ILP's objective of an
+    assignment is what the greedy algorithm's ``estimate_nest_io``
+    scores it — also past the request cap (innermost trip > 4096),
+    where a copy of the model without ``run_cap`` used to diverge."""
+    from repro.optimizer.cost import estimate_nest_io
+    from repro.optimizer.ilp import solve_milp
+
+    _, b, models, dirs = _models("trans", False, n=n)
+    assert (models[0].nest.innermost_trip(b) > 4096) == (n > 4096)
+    for solve in (solve_exhaustive, solve_milp):
+        q, d, cost = solve(models, dirs, b)
+        greedy = sum(
+            estimate_nest_io(m.nest, d, q[m.nest.name], b) for m in models
+        )
+        assert cost == pytest.approx(greedy, rel=1e-12)
