@@ -19,7 +19,6 @@ setting was picked, and a benchmark can assert *which* solver ran.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -190,9 +189,7 @@ def solve_joint(
     prog = gd.program
     b = prog.binding(binding)
     shapes = {a.name: a.shape(b) for a in prog.arrays}
-    budget = params.memory_budget(
-        sum(math.prod(s) for s in shapes.values()), memory_budget
-    )
+    budget = params.memory_budget(prog.total_elements(b), memory_budget)
     layouts = gd.layout_objects()
     # the candidates below plan the same nests under other budgets and
     # tile sizes: their dependence edges are analysed once, here, and

@@ -532,8 +532,7 @@ def program_bounds(
     if memory_elements is None:
         if params is None:
             params = MachineParams()
-        total = sum(math.prod(s) for s in shapes.values())
-        memory_elements = params.memory_budget(total)
+        memory_elements = params.memory_budget(program.total_elements(b))
     return [
         nest_lower_bound(
             nest,

@@ -64,19 +64,7 @@ class CacheMetrics:
 
     def merge(self, other: "CacheMetrics") -> "CacheMetrics":
         return CacheMetrics(
-            self.hits + other.hits,
-            self.misses + other.misses,
-            self.partial_hits + other.partial_hits,
-            self.evictions + other.evictions,
-            self.dirty_evictions + other.dirty_evictions,
-            self.flushed_tiles + other.flushed_tiles,
-            self.prefetch_issued + other.prefetch_issued,
-            self.prefetch_used + other.prefetch_used,
-            self.read_calls_saved + other.read_calls_saved,
-            self.elements_saved + other.elements_saved,
-            self.prefetch_io_s + other.prefetch_io_s,
-            self.overlapped_io_s + other.overlapped_io_s,
-            self.exposed_prefetch_io_s + other.exposed_prefetch_io_s,
+            **{k: v + getattr(other, k) for k, v in asdict(self).items()}
         )
 
     def to_dict(self) -> dict:

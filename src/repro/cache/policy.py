@@ -1,10 +1,10 @@
 """Pluggable eviction policies for the tile cache.
 
 A policy ranks resident entries for eviction; the cache owns residency,
-budgets and dirty state.  The cache stamps every entry with a logical
-access clock (``last_access``) and an access count (``accesses``), and
-calls the policy's hooks so stateful policies (the cost-aware one keeps
-an aging clock) can maintain per-entry priorities.
+budgets and dirty state.  The cache offers ``victim`` its entries least
+recently used first (recency is that order, so ``min`` returning the
+*first* minimum is the LRU tie-break), counts ``accesses`` per entry and
+calls the hooks the cost-aware policy keeps its priorities with.
 
 Three policies ship:
 
@@ -40,25 +40,23 @@ class EvictionPolicy:
     def on_access(self, entry: "CacheEntry") -> None:
         pass
 
-    def on_remove(self, entry: "CacheEntry") -> None:
-        pass
-
-    def victim(self, entries: Iterable["CacheEntry"]) -> "CacheEntry":
+    def victim(self, entries: Iterable["CacheEntry"]) -> "CacheEntry | None":
+        """The entry to evict among ``entries``; ``None`` of none."""
         raise NotImplementedError
 
 
 class LRUPolicy(EvictionPolicy):
     name = "lru"
 
-    def victim(self, entries: Iterable["CacheEntry"]) -> "CacheEntry":
-        return min(entries, key=lambda e: e.last_access)
+    def victim(self, entries: Iterable["CacheEntry"]) -> "CacheEntry | None":
+        return next(iter(entries), None)
 
 
 class LFUPolicy(EvictionPolicy):
     name = "lfu"
 
-    def victim(self, entries: Iterable["CacheEntry"]) -> "CacheEntry":
-        return min(entries, key=lambda e: (e.accesses, e.last_access))
+    def victim(self, entries: Iterable["CacheEntry"]) -> "CacheEntry | None":
+        return min(entries, key=lambda e: e.accesses, default=None)
 
 
 class CostAwarePolicy(EvictionPolicy):
@@ -78,15 +76,15 @@ class CostAwarePolicy(EvictionPolicy):
     def _priority(self, entry: "CacheEntry") -> float:
         return self._clock + entry.accesses * entry.cost_s / max(1, entry.size)
 
-    def on_insert(self, entry: "CacheEntry") -> None:
-        entry.priority = self._priority(entry)
-
     def on_access(self, entry: "CacheEntry") -> None:
         entry.priority = self._priority(entry)
 
-    def victim(self, entries: Iterable["CacheEntry"]) -> "CacheEntry":
-        v = min(entries, key=lambda e: (e.priority, e.last_access))
-        self._clock = v.priority
+    on_insert = on_access
+
+    def victim(self, entries: Iterable["CacheEntry"]) -> "CacheEntry | None":
+        v = min(entries, key=lambda e: e.priority, default=None)
+        if v is not None:
+            self._clock = v.priority
         return v
 
 

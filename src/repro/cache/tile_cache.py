@@ -10,6 +10,9 @@ the store's accounted write path.  That keeps one authority for I/O
 accounting (``IOContext``) and lets the cache serve linear and
 interleaved stores alike.
 
+Residency is one record: the entry dict's order is the recency (least
+recently used first; a touch re-appends) and ``in_use`` is a counter.
+
 Memory honesty: the cache's budget is carved out of the executor's
 :class:`~repro.runtime.memory.MemoryManager`, and every resident element
 is allocated from it, so the peak-memory assertions of the seed tests
@@ -30,7 +33,7 @@ and clean-but-stale overlaps are dropped after a write
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -83,7 +86,6 @@ class CacheEntry:
     dirty: bool = False
     prefetched: bool = False
     accesses: int = 0
-    last_access: int = 0
     #: estimated seconds to re-fetch this tile from its layout's runs
     cost_s: float = 0.0
     #: scratch slot for stateful policies (GDSF priority)
@@ -162,8 +164,10 @@ class TileCache:
         self.policy = make_policy(policy)
         self.memory = memory
         self.metrics = metrics or CacheMetrics()
+        #: resident entries, least recently used first
         self._entries: dict[TileKey, CacheEntry] = {}
-        self._clock = 0
+        #: resident elements, moved by `insert` and `_remove` only
+        self.in_use = 0
 
     # -- introspection ------------------------------------------------------
 
@@ -179,11 +183,8 @@ class TileCache:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[CacheEntry]:
+        """Resident entries, least recently used first."""
         return iter(self._entries.values())
-
-    @property
-    def in_use(self) -> int:
-        return sum(e.size for e in self._entries.values())
 
     def fits(self, region: Region) -> bool:
         return region_size(region) <= self.budget
@@ -290,33 +291,32 @@ class TileCache:
             return False, writeback
         entry = CacheEntry(
             name, region, size, data,
-            dirty=dirty, prefetched=prefetched,
-            accesses=1, last_access=self._tick(), cost_s=cost_s,
+            dirty=dirty, prefetched=prefetched, accesses=1, cost_s=cost_s,
         )
         self._entries[entry.key] = entry
+        self.in_use += size
         if self.memory is not None:
             self.memory.allocate(size)
         self.policy.on_insert(entry)
         return True, writeback
 
-    def evict_entry(self, name: str, region: Region) -> CacheEntry | None:
-        """Explicitly evict one resident entry, counting the eviction.
+    def victim(
+        self, eligible: Callable[[CacheEntry], bool] | None = None
+    ) -> CacheEntry | None:
+        """The policy's choice among the resident entries ``eligible``
+        admits (all of them by default), offered least recently used
+        first; ``None`` when there is none."""
+        return self.policy.victim(filter(eligible, self._entries.values()))
 
-        Shared-pool coordinators (:class:`repro.serve.SharedTileCache`)
-        pick quota-aware victims themselves and need an eviction that
-        bypasses the policy's own choice.  Returns the entry when it was
-        dirty — the caller owes the write-back — else ``None``; a miss
-        (the entry is not resident) is a silent no-op returning ``None``.
+    def evict_entry(self, name: str, region: Region) -> CacheEntry | None:
+        """Evict one resident entry by key, counting the eviction — how a
+        shared-pool coordinator (:class:`repro.serve.SharedTileCache`)
+        evicts the quota-legal :meth:`victim` it asked for.  Returns the
+        entry when it was dirty — the caller owes the write-back — else
+        ``None``; a miss (not resident) is a silent no-op returning ``None``.
         """
         entry = self._entries.get((name, region))
-        if entry is None:
-            return None
-        was_dirty = entry.dirty
-        self.metrics.evictions += 1
-        if was_dirty:
-            self.metrics.dirty_evictions += 1
-        self._remove(entry, count_eviction=False)
-        return entry if was_dirty else None
+        return None if entry is None else self._evict(entry)
 
     # -- coherence and flushing --------------------------------------------
 
@@ -354,7 +354,7 @@ class TileCache:
         ]
         dirty = [e for e in victims if e.dirty]
         for e in victims:
-            self._remove(e, count_eviction=False)
+            self._remove(e)
         return dirty
 
     def flush_all(self) -> list[CacheEntry]:
@@ -371,18 +371,14 @@ class TileCache:
         """Drop everything; returns dirty entries for write-back."""
         dirty = [e for e in self._entries.values() if e.dirty]
         for e in list(self._entries.values()):
-            self._remove(e, count_eviction=False)
+            self._remove(e)
         return dirty
 
     # -- internals ----------------------------------------------------------
 
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
     def _touch(self, entry: CacheEntry) -> None:
         entry.accesses += 1
-        entry.last_access = self._tick()
+        self._entries[entry.key] = self._entries.pop(entry.key)
         self.policy.on_access(entry)
 
     def _need_room(self, size: int) -> bool:
@@ -398,19 +394,22 @@ class TileCache:
 
     def _make_room(self, size: int) -> tuple[bool, list[CacheEntry]]:
         writeback: list[CacheEntry] = []
-        while self._entries and self._need_room(size):
-            victim = self.policy.victim(self._entries.values())
-            self.metrics.evictions += 1
-            if victim.dirty:
-                self.metrics.dirty_evictions += 1
+        while self._need_room(size) and (victim := self.victim()) is not None:
+            if self._evict(victim) is not None:
                 writeback.append(victim)
-            self._remove(victim, count_eviction=False)
         return not self._need_room(size), writeback
 
-    def _remove(self, entry: CacheEntry, *, count_eviction: bool) -> None:
-        if count_eviction:
-            self.metrics.evictions += 1
+    def _evict(self, entry: CacheEntry) -> CacheEntry | None:
+        """The one eviction step: count it, drop the entry, hand it back
+        when it was dirty (the caller owes the write-back)."""
+        self.metrics.evictions += 1
+        if entry.dirty:
+            self.metrics.dirty_evictions += 1
+        self._remove(entry)
+        return entry if entry.dirty else None
+
+    def _remove(self, entry: CacheEntry) -> None:
         del self._entries[entry.key]
+        self.in_use -= entry.size
         if self.memory is not None:
             self.memory.free(entry.size)
-        self.policy.on_remove(entry)

@@ -532,9 +532,8 @@ class OOCExecutor:
         self.shapes = {
             a.name: a.shape(self.binding) for a in program.arrays
         }
-        total_elements = sum(int(np.prod(s)) for s in self.shapes.values())
         self.memory_budget = self.params.memory_budget(
-            total_elements, memory_budget
+            program.total_elements(self.binding), memory_budget
         )
         # tile cache + prefetch (repro.cache); the cache budget is carved
         # out of the memory budget, so resident cache tiles plus in-flight

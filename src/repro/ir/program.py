@@ -61,6 +61,11 @@ class Program:
             raise ValueError(f"unbound parameters {missing} for {self.name}")
         return b
 
+    def total_elements(self, binding: Mapping[str, int]) -> int:
+        """The program's data size in elements — what the default memory
+        budget (:meth:`MachineParams.memory_budget`) is a fraction of."""
+        return sum(a.size(binding) for a in self.arrays)
+
     def total_array_bytes(self, overrides: Mapping[str, int] | None = None) -> int:
         b = self.binding(overrides)
         return sum(a.bytes(b) for a in self.arrays)

@@ -8,12 +8,14 @@ optimizes each component independently.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..ir.program import Program
 
 
-def interference_graph(program: Program) -> nx.Graph:
+def interference_graph(program: Program):
+    """The graph itself, as an ``nx.Graph`` (imported here: nothing in
+    the package needs networkx to *use* the components)."""
+    import networkx as nx
+
     g = nx.Graph()
     for nest in program.nests:
         g.add_node(("nest", nest.name), kind="nest")
@@ -28,15 +30,17 @@ def connected_components(
 ) -> list[tuple[list[str], list[str]]]:
     """Connected components as ``(nest_names, array_names)`` pairs, in
     program order of their first nest."""
-    g = interference_graph(program)
-    comps = []
-    for comp in nx.connected_components(g):
-        nests = [name for kind, name in comp if kind == "nest"]
-        arrays = sorted(name for kind, name in comp if kind == "array")
-        order = {n.name: k for k, n in enumerate(program.nests)}
-        nests.sort(key=lambda n: order[n])
-        comps.append((nests, arrays))
-    comps.sort(key=lambda c: min(
-        k for k, n in enumerate(program.nests) if n.name in c[0]
-    ) if c[0] else 10**9)
-    return comps
+    # (nest positions, arrays) per component: a nest joins — and thereby
+    # merges — every component it shares an array with
+    comps: list[tuple[set[int], set[str]]] = []
+    for k, nest in enumerate(program.nests):
+        comp = ({k}, set(nest.arrays()))
+        for other in [c for c in comps if c[1] & comp[1]]:
+            comps.remove(other)
+            comp[0].update(other[0])
+            comp[1].update(other[1])
+        comps.append(comp)
+    return [
+        ([program.nests[k].name for k in sorted(ks)], sorted(arrays))
+        for ks, arrays in sorted(comps, key=lambda c: min(c[0]))
+    ]

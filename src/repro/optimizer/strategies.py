@@ -15,7 +15,6 @@ are tiled (traditional tiling), exactly as in the paper's methodology.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -166,7 +165,7 @@ def build_version(
     # arrays co-accessed by the costliest nest that touches them.
     shapes = {a.name: a.shape(b) for a in decision.program.arrays}
     budget = params.memory_budget(
-        sum(math.prod(s) for s in shapes.values()), memory_budget
+        decision.program.total_elements(b), memory_budget
     )
     # Per nest: the start-anchor tile's footprint of each array it touches.
     per_nest_fp: dict[str, dict[str, tuple[tuple[int, int], ...]]] = {}

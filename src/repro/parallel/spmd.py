@@ -159,9 +159,7 @@ def run_version_parallel(
     check_n_nodes(n_nodes)
     params = params or MachineParams()
     b = cfg.program.binding(binding)
-    total_elements = sum(
-        int(np.prod(a.shape(b))) for a in cfg.program.arrays
-    )
+    total_elements = cfg.program.total_elements(b)
     budget = params.memory_budget(total_elements, memory_per_node)
     results: list[RunResult] = []
     file_maps: list[dict[int, str]] = []

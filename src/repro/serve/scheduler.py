@@ -635,8 +635,7 @@ class JobScheduler:
         """The admission-control footprint: every rank gets the same
         default budget :func:`repro.parallel.run_version_parallel`
         computes (the paper's memory fraction of the program's data)."""
-        b = program.binding(None)
-        total = sum(int(np.prod(a.shape(b))) for a in program.arrays)
+        total = program.total_elements(program.binding(None))
         return spec.n_nodes * self.profile.params.memory_budget(total)
 
     def _job_faults(self, job: Job) -> FaultConfig | None:

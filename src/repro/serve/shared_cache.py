@@ -1,7 +1,7 @@
 """A shared, isolation-aware tile cache for multi-tenant serving.
 
 One :class:`~repro.cache.tile_cache.TileCache` holds every tenant's
-tiles (one budget, one recency clock, one eviction policy), but the
+tiles (one budget, one recency order, LRU eviction), but the
 serving layer cannot let tenants fight over it freely: a tenant that
 storms the cache with a huge working set would evict everyone else and
 convert *their* hits back into file I/O.  :class:`SharedTileCache`
@@ -15,23 +15,25 @@ wraps the pool with the two rules that make sharing safe:
 - **namespacing** — keys are ``tenant ⊕ array``, so tenants never
   alias each other's tiles even when they run the same workload.
 
-Within those constraints the victim *choice* is still delegated to the
-pool's normal eviction policy (LRU by default) over the legally
-evictable candidates, so the shared cache inherits the single-tenant
-cache's behavior exactly when only one tenant is active.
+Within those constraints the victim *choice* is the pool's own
+(:meth:`TileCache.victim`: the least recently used entry the isolation
+rule admits), so the shared cache inherits the single-tenant cache's
+behavior exactly when only one tenant is active.
 
 The serving cache holds **clean read tiles only** (the scheduler
-invalidates on writes), so evictions never owe write-backs and the
-wrapper never performs I/O — same division of authority as the
-underlying :class:`TileCache`.
+invalidates on writes — an invalidation drops a tile without counting
+an eviction), so evictions never owe write-backs and the wrapper never
+performs I/O — same division of authority as the underlying
+:class:`TileCache`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from ..cache import CacheBudgetError, TileCache, regions_overlap
+from ..cache import CacheBudgetError, TileCache
 from ..cache.tile_cache import CacheEntry
 from ..runtime.ooc_array import Region, region_size
 
@@ -75,15 +77,7 @@ class TenantCacheStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "rejected": self.rejected,
-            "evictions": self.evictions,
-            "evicted_by_others": self.evicted_by_others,
-            "saved_io_s": self.saved_io_s,
-        }
+        return asdict(self)
 
 
 class SharedTileCache:
@@ -94,14 +88,8 @@ class SharedTileCache:
     validated with named :class:`~repro.cache.CacheBudgetError`\\ s.
     """
 
-    def __init__(
-        self,
-        budget_elements: int,
-        quotas: Mapping[str, int],
-        *,
-        policy: str = "lru",
-    ):
-        self._cache = TileCache(budget_elements, policy)
+    def __init__(self, budget_elements: int, quotas: Mapping[str, int]):
+        self._cache = TileCache(budget_elements, "lru")
         self.quotas: dict[str, int] = {}
         for tenant, quota in quotas.items():
             try:
@@ -217,25 +205,24 @@ class SharedTileCache:
         """Drop this tenant's entries overlapping a written region;
         returns how many were dropped.  Never touches other tenants."""
         tenant = self._known(tenant)
-        key = _ns(tenant, name)
-        victims = [
-            e
-            for e in self._cache
-            if e.name == key and regions_overlap(e.region, region)
-        ]
-        for e in victims:
-            self._cache.evict_entry(e.name, e.region)
-            self._usage[tenant] -= e.size
-        return len(victims)
+        cache = self._cache
+        resident, in_use = len(cache), cache.in_use
+        cache.invalidate_overlapping(_ns(tenant, name), region)
+        self._usage[tenant] -= in_use - cache.in_use
+        return resident - len(cache)
 
-    def _evictable(self, by: str, entry: CacheEntry) -> bool:
+    def _evictable(self, by: str, own_only: bool, entry: CacheEntry) -> bool:
         """May an insertion by tenant ``by`` evict this entry?  Own
         entries always; a foreign owner only while eviction leaves it at
-        or above its reservation."""
+        or above its reservation — and never when ``by`` is over its own
+        limit (``own_only``: only shrinking its own residency helps)."""
         owner = _owner(entry)
         if owner == by:
             return True
-        return self._usage[owner] - entry.size >= self.quotas[owner]
+        return (
+            not own_only
+            and self._usage[owner] - entry.size >= self.quotas[owner]
+        )
 
     def _make_room(self, tenant: str, size: int) -> bool:
         cache = self._cache
@@ -244,14 +231,9 @@ class SharedTileCache:
             over_own = self._usage[tenant] + size > self.limit(tenant)
             if not over_pool and not over_own:
                 return True
-            if over_own:
-                # only shrinking its own residency helps
-                candidates = [e for e in cache if _owner(e) == tenant]
-            else:
-                candidates = [e for e in cache if self._evictable(tenant, e)]
-            if not candidates:
+            victim = cache.victim(partial(self._evictable, tenant, over_own))
+            if victim is None:
                 return False
-            victim = cache.policy.victim(candidates)
             owner = _owner(victim)
             cache.evict_entry(victim.name, victim.region)
             self._usage[owner] -= victim.size

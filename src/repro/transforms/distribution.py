@@ -8,8 +8,6 @@ topological order — statements in a dependence cycle must stay together
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..dependence import analyze_nest
 from ..ir.nest import LoopNest
 
@@ -22,21 +20,11 @@ def distribute(nest: LoopNest) -> list[LoopNest]:
     """
     if len(nest.body) <= 1:
         return [nest]
-    g = nx.DiGraph()
-    g.add_nodes_from(range(len(nest.body)))
+    succ: dict[int, set[int]] = {s: set() for s in range(len(nest.body))}
     for edge in analyze_nest(nest):
         if edge.src_stmt != edge.dst_stmt:
-            g.add_edge(edge.src_stmt, edge.dst_stmt)
-    components = list(nx.strongly_connected_components(g))
-    cond = nx.condensation(g, components)
-    order = list(nx.topological_sort(cond))
-    # stable order: among independent components keep original textual order
-    groups = sorted(
-        (sorted(cond.nodes[c]["members"]) for c in order),
-        key=lambda member_list: min(member_list),
-    )
-    # re-apply a valid topological order after the stable sort
-    groups = _stable_topological(groups, g)
+            succ[edge.src_stmt].add(edge.dst_stmt)
+    groups = statement_groups(succ)
     if len(groups) == 1:
         return [nest]
     out = []
@@ -50,19 +38,32 @@ def distribute(nest: LoopNest) -> list[LoopNest]:
     return out
 
 
-def _stable_topological(
-    groups: list[list[int]], g: nx.DiGraph
-) -> list[list[int]]:
-    """Topologically order statement groups, breaking ties by original
+def _reachable(succ: dict[int, set[int]], s: int) -> set[int]:
+    seen, stack = {s}, [s]
+    while stack:
+        new = succ[stack.pop()] - seen
+        seen |= new
+        stack.extend(new)
+    return seen
+
+
+def statement_groups(succ: dict[int, set[int]]) -> list[list[int]]:
+    """The strongly connected components of a statement dependence graph
+    ``{stmt: successors}`` in topological order, ties broken by original
     statement position (keeps output deterministic and readable)."""
-    remaining = [set(grp) for grp in groups]
+    # a dependence cycle = mutual reachability; a few dozen statements at
+    # most, so the closure is taken per statement.  Groups are collected
+    # by first member: textual order among independent ones
+    reach = {s: _reachable(succ, s) for s in succ}
+    remaining: list[set[int]] = []
+    for s in succ:
+        if not any(s in grp for grp in remaining):
+            remaining.append({t for t in reach[s] if s in reach[t]})
     placed: list[list[int]] = []
     used: set[int] = set()
     while remaining:
         for idx, grp in enumerate(remaining):
-            preds = {
-                p for m in grp for p in g.predecessors(m) if p not in grp
-            }
+            preds = {p for p, ts in succ.items() if p not in grp and ts & grp}
             if preds <= used:
                 placed.append(sorted(grp))
                 used |= grp

@@ -145,3 +145,27 @@ class TestReporting:
         c.publish_metrics(reg)
         d = reg.to_dict()
         assert any(k.startswith("serve.cache") for k in d)
+
+
+class TestEvictionsVsInvalidations:
+    def test_a_write_invalidates_without_evicting(self):
+        """A written region drops the tenant's overlapping tiles; only
+        making room is an eviction, so the pool's count is the sum of
+        its tenants' counts."""
+        c = SharedTileCache(40, {"a": 20, "b": 20})
+        for i in range(3):  # a's third tile evicts its own first
+            assert c.insert("a", "A", R(10 * i, 10 * i + 9))
+        assert c.insert("b", "A", R(0, 9))
+        assert c.evictions == 1
+        dropped = c.invalidate("a", "A", R(15, 24))  # both of a's tiles
+        assert dropped == 2
+        assert c.usage("a") == 0 and c.in_use == c.usage("b") == 10
+        assert c.invalidate("a", "A", R(15, 24)) == 0
+        assert c.evictions == 1 == sum(
+            s.evictions for s in c.tenant_stats.values()
+        )
+        assert c.summary_dict()["evictions"] == 1
+
+    def test_the_pool_is_lru_by_construction(self):
+        with pytest.raises(TypeError):
+            SharedTileCache(100, {"a": 40}, policy="lfu")

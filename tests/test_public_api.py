@@ -42,3 +42,16 @@ class TestPublicAPI:
         assert repro.VERSION_NAMES == (
             "col", "row", "l-opt", "d-opt", "c-opt", "h-opt",
         )
+
+    def test_import_does_not_load_networkx(self):
+        """The two graphs the optimizer needs (statement SCCs, nest/array
+        components) are a few dozen nodes of plain dicts; only
+        ``interference_graph()`` itself hands out an ``nx.Graph``."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = "import repro, sys; sys.exit('networkx' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
