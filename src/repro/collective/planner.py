@@ -41,10 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from ..runtime.params import MachineParams
-from ..runtime.stats import io_node_loads, plan_runs
-
-#: one traced I/O call: (file_base_elem, offset_elem, n_elems, is_write)
-TraceEntry = tuple[int, int, int, bool]
+from ..runtime.stats import CallTable, io_node_loads, plan_runs
 
 
 @dataclass(frozen=True)
@@ -227,17 +224,20 @@ def _clip_runs(
 def plan_nest_collective(
     params: MachineParams,
     nest_name: str,
-    traces: Sequence[Sequence[TraceEntry]],
+    traces: Sequence[CallTable],
     *,
     weight: int = 1,
     cb_nodes: int | None = None,
 ) -> NestCollectivePlan | None:
-    """Plan two-phase I/O for one nest from its per-node call traces.
+    """Plan two-phase I/O for one nest from its per-node call traces
+    (one :class:`~repro.runtime.stats.CallTable` per rank; sequences of
+    row tuples are coerced).
 
     Returns ``None`` when no node issued any I/O (nothing to plan).
     Costs cover the I/O and redistribution phases only — compute is
     identical under both paths and cancels out of the decision.
     """
+    traces = [CallTable.of(t) for t in traces]
     n_nodes = len(traces)
     if n_nodes == 0 or all(len(t) == 0 for t in traces):
         return None
@@ -251,15 +251,18 @@ def plan_nest_collective(
     ind_elements = 0
     all_off: list[np.ndarray] = []
     all_len: list[np.ndarray] = []
-    for rank, trace in enumerate(traces):
-        if not trace:
+    for rank, t in enumerate(traces):
+        if not len(t):
             continue
-        per_file: dict[tuple[int, bool], list[tuple[int, int]]] = {}
-        for base, off, ln, is_write in trace:
-            per_file.setdefault((base, is_write), []).append((base + off, ln))
-        for key, runs in per_file.items():
-            off = np.array([o for o, _ in runs], dtype=np.int64)
-            ln = np.array([l for _, l in runs], dtype=np.int64)
+        _, first, group = np.unique(
+            2 * t.base + t.is_write, return_index=True, return_inverse=True
+        )
+        # a rank's groups in first-call order: ind_time is a float sum
+        # over them and io_node_loads accumulates in call order
+        for g in np.argsort(first):
+            calls = t.select(group == g)
+            off, ln = calls.base + calls.offset, calls.length
+            key = (int(calls.base[0]), bool(calls.is_write[0]))
             groups.setdefault(key, []).append((rank, off, ln))
             ind_calls += off.size
             ind_elements += int(ln.sum())

@@ -27,6 +27,10 @@ is arrival order.  When queues never overlap, every request starts the
 moment it arrives and a node's finish time is its serial
 ``compute + io`` total — the simulation reduces to ``makespan()``
 exactly; contention only ever pushes times later.
+
+A timeline is an :class:`OpTable` — columns, which its producers fill by
+array arithmetic over a :class:`~repro.runtime.stats.CallTable`;
+:class:`SimOp` is a *row* of it, built only for tests and debugging.
 """
 
 from __future__ import annotations
@@ -41,9 +45,14 @@ from ..cache.prefetch import overlap_credit
 from ..engine.executor import RunResult
 from ..obs import profile as _prof
 from ..runtime.params import MachineParams
+from ..runtime.stats import CallTable, ColumnTable
 
 #: resource id of the shared interconnect channel
 NET = -1
+
+#: op kinds; an :class:`OpTable` stores a kind as its index here
+KINDS = ("compute", "io", "net")
+K_COMPUTE, K_IO, K_NET = range(3)
 
 
 @dataclass(frozen=True)
@@ -58,13 +67,71 @@ class SimOp:
     is_write: bool = False    # io only: direction, for fault error draws
 
 
+class OpTable(ColumnTable):
+    """Timeline ops in issue order: ``kind`` (index into ``KINDS``),
+    ``resource`` (I/O node of an ``io`` op, ``NET`` for ``net``),
+    ``seconds`` (a compute op's duration, an ``io``/``net`` op's
+    service time) and ``is_write``.  Rows are :class:`SimOp`."""
+
+    COLUMNS = dict(
+        kind=np.int64, resource=np.int64, seconds=np.float64,
+        is_write=np.bool_,
+    )
+
+    @classmethod
+    def of(cls, ops):
+        if isinstance(ops, cls):
+            return ops
+        rows = []
+        for k, op in enumerate(ops):
+            if op.kind not in KINDS:
+                raise ValueError(f"op {k}: unknown kind {op.kind!r}")
+            seconds = op.duration_s if op.kind == "compute" else op.service_s
+            rows.append(
+                (KINDS.index(op.kind), op.resource, seconds, op.is_write)
+            )
+        return super().of(rows)
+
+    def rows(self) -> list[SimOp]:
+        return [
+            SimOp("compute", duration_s=s) if k == K_COMPUTE
+            else SimOp(KINDS[k], resource=r, service_s=s, is_write=w)
+            for k, r, s, w in super().rows()
+        ]
+
+    def check(self, n_io_nodes: int, node: int) -> None:
+        """Reject ops the event loop would mis-serve: a kind outside
+        ``KINDS``, an ``io`` op on an I/O node the machine does not
+        have (a negative index would silently wrap), negative or
+        non-finite seconds."""
+        bad = (
+            (self.kind < 0) | (self.kind >= len(KINDS))
+            | ((self.kind == K_IO)
+               & ((self.resource < 0) | (self.resource >= n_io_nodes)))
+            | ~(np.isfinite(self.seconds) & (self.seconds >= 0.0))
+        )
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(
+                f"node {node} op {k}: {[c[k].item() for c in self.cols]} "
+                f"cannot be served ({n_io_nodes} I/O nodes, kinds {KINDS})"
+            )
+
+
 @dataclass
 class NodeTimeline:
     node: int
-    ops: list[SimOp] = field(default_factory=list)
+    #: an :class:`OpTable`; a sequence of :class:`SimOp` is coerced
+    ops: OpTable = field(default_factory=list)
     #: prefetch overlap budget (seconds of blocked time hidden under
     #: compute by double buffering)
     overlap_credit_s: float = 0.0
+
+    def __post_init__(self):
+        try:
+            self.ops = OpTable.of(self.ops)
+        except ValueError as e:
+            raise ValueError(f"node {self.node}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -143,6 +210,10 @@ def simulate(
     to ``None`` — no recording, bit-identical results.
     """
     n = len(timelines)
+    for tl in timelines:
+        tl.ops.check(params.n_io_nodes, tl.node)
+    # each rank's columns, read once as python lists
+    cols = [tl.ops.lists() for tl in timelines]
     inj = faults
     inj_base = (
         (inj.injected, inj.retries, inj.retry_delay_s)
@@ -163,16 +234,16 @@ def simulate(
 
     def schedule(i: int) -> None:
         """Advance node i through compute ops; queue its next request."""
-        tl = timelines[i]
+        kind, _, seconds, _ = cols[i]
         t, j = clock[i], ptr[i]
-        while j < len(tl.ops) and tl.ops[j].kind == "compute":
-            d = tl.ops[j].duration_s
+        while j < len(kind) and kind[j] == K_COMPUTE:
+            d = seconds[j]
             if events is not None and d > 0.0:
                 events.append(SimEvent(i, "compute", 0, t, t, t + d))
             t += d
             j += 1
         clock[i], ptr[i] = t, j
-        if j < len(tl.ops):
+        if j < len(kind):
             heapq.heappush(heap, (t, i))
         else:
             finish[i] = t
@@ -182,17 +253,19 @@ def simulate(
     try:
         while heap:
             arrival, i = heapq.heappop(heap)
-            op = timelines[i].ops[ptr[i]]
-            if op.kind == "net":
+            kinds, resources, seconds, writes = cols[i]
+            j = ptr[i]
+            kind, res, service_s = kinds[j], resources[j], seconds[j]
+            if kind == K_NET:
                 start = max(arrival, net_free)
-                done = start + op.service_s
+                done = start + service_s
                 net_free = done
-                net_busy += op.service_s
+                net_busy += service_s
             elif inj is None:
-                start = max(arrival, io_free[op.resource])
-                done = start + op.service_s
-                io_free[op.resource] = done
-                io_busy[op.resource] += op.service_s
+                start = max(arrival, io_free[res])
+                done = start + service_s
+                io_free[res] = done
+                io_busy[res] += service_s
             else:
                 # perturbed, fallible request: each attempt waits for the
                 # queue and any outage covering it, occupies the I/O node
@@ -200,22 +273,21 @@ def simulate(
                 # backs off before re-queueing.  The recorded wait spans
                 # arrival to the *first* attempt's start; retries extend
                 # ``done`` (and the node's blocked time) instead.
-                res = op.resource
                 t, n_failed = arrival, 0
                 start = done = arrival
                 while True:
                     start_a = inj.sim_defer(res, max(t, io_free[res]))
-                    svc = op.service_s * inj.sim_multiplier(res, start_a)
+                    svc = service_s * inj.sim_multiplier(res, start_a)
                     done = start_a + svc
                     io_free[res] = done
                     io_busy[res] += svc
                     if n_failed == 0:
                         start = start_a
-                    if not inj.sim_error(res, op.is_write, start_a):
+                    if not inj.sim_error(res, writes[j], start_a):
                         break
                     n_failed += 1
                     if n_failed > inj.policy.max_retries:
-                        inj.sim_give_up(res, op.is_write, done, n_failed)
+                        inj.sim_give_up(res, writes[j], done, n_failed)
                     t = done + inj.sim_retry_delay(n_failed, done)
             if start > arrival:
                 waited += 1
@@ -224,8 +296,8 @@ def simulate(
                 events.append(
                     SimEvent(
                         i,
-                        op.kind,
-                        op.resource if op.kind == "io" else NET,
+                        KINDS[kind],
+                        res if kind == K_IO else NET,
                         arrival,
                         start,
                         done,
@@ -236,9 +308,9 @@ def simulate(
                     (start - arrival) * 1e6
                 )
                 metrics.histogram("sim.service_us").observe(
-                    op.service_s * 1e6
+                    service_s * 1e6
                 )
-                metrics.counter(f"sim.{op.kind}_requests").inc()
+                metrics.counter(f"sim.{KINDS[kind]}_requests").inc()
             # double-buffered prefetch: spend overlap credit to hide
             # blocked time under the preceding compute (the data was
             # fetched early)
@@ -267,50 +339,71 @@ def simulate(
     return result
 
 
-def io_node_of(params: MachineParams, global_elem: int) -> int:
+def io_node_of(params: MachineParams, global_elem):
     """The I/O node servicing a request's first stripe — where the
     closed-form model charges the latency, and where the event model
-    queues the whole request."""
+    queues the whole request (an int, or an array of them)."""
     return (global_elem // params.stripe_elements) % params.n_io_nodes
 
 
-def nest_ops(params: MachineParams, nest_run, keep=None) -> list[SimOp]:
+def io_ops(params: MachineParams, calls: CallTable) -> OpTable:
+    """One blocking ``io`` op per traced call: queued whole at the I/O
+    node of its first stripe (:func:`io_node_of`), for its serial
+    ``call_time``."""
+    return OpTable(
+        K_IO,
+        io_node_of(params, calls.base + calls.offset),
+        params.call_time(calls.length * params.element_size),
+        calls.is_write,
+    )
+
+
+def nest_ops(params: MachineParams, nest_run, keep=None) -> OpTable:
     """Timeline ops of one :class:`~repro.engine.executor.NestRun` under
     independent execution: the traced calls in issue order, with the
     nest's compute spread evenly around them (the executor does not
     timestamp compute between calls, so an even spread is the
     deterministic choice — exact in total).
 
-    ``keep(rep, entry, op)`` is consulted once per traced call, in issue
-    order; returning false drops that call's I/O op from the timeline
-    (the compute around it stays).  The serving layer's shared tile
-    cache is such a filter: a hit costs no I/O-node service."""
+    ``keep`` is a boolean mask over the ``reps × calls`` traced calls,
+    repetition-major in issue order (position ``rep * n_calls + k`` is
+    repetition ``rep``'s ``k``-th call); a false entry drops that call's
+    I/O op from the timeline (the compute around it stays).  The serving
+    layer's shared tile cache is such a mask: a hit costs no I/O-node
+    service."""
     if nest_run.trace is None:
         raise ValueError(
             f"nest {nest_run.nest_name!r} carries no trace; build the "
             "executor with trace=True to event-simulate the run"
         )
-    ops: list[SimOp] = []
+    io = io_ops(params, nest_run.trace)
     reps = max(1, nest_run.trace_weight)
-    n_calls = len(nest_run.trace)
+    n_calls = len(io)
     compute_rep = nest_run.stats.compute_time_s / reps
     chunk = compute_rep / (n_calls + 1)
-    for rep in range(reps):
-        for entry in nest_run.trace:
-            base, off, ln, is_write = entry
-            if chunk > 0.0:
-                ops.append(SimOp("compute", duration_s=chunk))
-            op = SimOp(
-                "io",
-                resource=io_node_of(params, base + off),
-                service_s=params.call_time(ln * params.element_size),
-                is_write=is_write,
-            )
-            if keep is None or keep(rep, entry, op):
-                ops.append(op)
-        if chunk > 0.0:
-            ops.append(SimOp("compute", duration_s=chunk))
-    return ops
+    # one repetition: a compute gap before every call and after the
+    # last — kept as rows of their own, so dropping a call leaves two
+    # gaps to be added one after the other, as the clock would
+    step = 2 if chunk > 0.0 else 1
+    is_io = np.zeros(step * n_calls + step - 1, dtype=bool)
+    is_io[step - 1::step] = True
+    cols = []
+    for gap, col in zip((K_COMPUTE, 0, chunk, False), io.cols):
+        rep = np.full(is_io.size, gap, dtype=col.dtype)
+        rep[is_io] = col
+        cols.append(np.tile(rep, reps))
+    ops = OpTable(*cols)
+    if keep is None:
+        return ops
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != (reps * n_calls,):
+        raise ValueError(
+            f"keep mask of nest {nest_run.nest_name!r} has shape "
+            f"{keep.shape}, expected {reps} repetitions x {n_calls} calls"
+        )
+    kept = np.ones(len(ops), dtype=bool)
+    kept[np.tile(is_io, reps)] = keep
+    return ops.select(kept)
 
 
 def timeline_from_result(
@@ -324,9 +417,7 @@ def timeline_from_result(
 
     Requires per-nest call traces (executor built with ``trace=True``).
     """
-    ops: list[SimOp] = []
-    for nr in result.nest_runs:
-        ops.extend(nest_ops(params, nr))
+    ops = OpTable.concat(nest_ops(params, nr) for nr in result.nest_runs)
     credit = overlap_credit(result.cache_metrics) if overlap else 0.0
     return NodeTimeline(node, ops, overlap_credit_s=credit)
 

@@ -41,7 +41,7 @@ from ..runtime import (
     ParallelFileSystem,
 )
 from ..runtime.ooc_array import LinearStore, Region, region_size, runs_of
-from ..runtime.stats import plan_runs
+from ..runtime.stats import CallTable, plan_runs
 from ..transforms.tiling import TilingSpec, ooc_tiling
 from .interpreter import (
     initial_arrays,
@@ -73,13 +73,17 @@ class NestRun:
     plan: NestPlan
     stats: IOStats
     tiles_executed: int
-    #: per-call trace ``(file_base, offset, length, is_write)`` in issue
-    #: order, recorded when the executor was built with ``trace=True``
-    #: (the collective planner and event simulator consume it).  In
-    #: simulate mode a weighted nest is traced once and ``trace_weight``
+    #: the nest's I/O calls in issue order, a
+    #: :class:`~repro.runtime.stats.CallTable` (a list of row tuples is
+    #: coerced), recorded when the executor was built with ``trace=True``.
+    #: In simulate mode a weighted nest is traced once and ``trace_weight``
     #: carries the repetition count; executed repetitions concatenate.
-    trace: list[tuple[int, int, int, bool]] | None = None
+    trace: CallTable | None = None
     trace_weight: int = 1
+
+    def __post_init__(self):
+        if self.trace is not None:
+            self.trace = CallTable.of(self.trace)
 
 
 @dataclass
@@ -714,7 +718,7 @@ class OOCExecutor:
                 reps, scale = 1, nest.weight
             total = IOStats()
             tiles = 0
-            nest_trace: list | None = [] if self._trace else None
+            passes: list[CallTable] = []
             for _ in range(reps):
                 local = IOContext(
                     self.params, trace=self._trace, metrics=reg,
@@ -725,11 +729,12 @@ class OOCExecutor:
                 total = total.merge(scaled)
                 ctx.stats = ctx.stats.merge(scaled)
                 ctx.io_node_load += local.io_node_load * scale
-                if nest_trace is not None:
-                    nest_trace.extend(local.trace)
+                if self._trace:
+                    passes.append(local.trace)
             nest_runs.append(
                 NestRun(
-                    nest.name, plan, total, tiles, nest_trace,
+                    nest.name, plan, total, tiles,
+                    CallTable.concat(passes) if self._trace else None,
                     trace_weight=scale,
                 )
             )

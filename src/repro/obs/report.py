@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .profile import render_profile
 
 
@@ -216,30 +218,31 @@ def nest_records(
     """Per-nest × per-array I/O records from the recorded call traces of
     executed nests (:class:`~repro.engine.executor.NestRun`).
 
-    Each trace entry is one accounted I/O call, so grouping by
-    ``(file_base, direction)`` and scaling by ``trace_weight``
-    reproduces the nest's :class:`IOStats` call/element counters
-    *exactly* — the invariant the obs report's cross-check relies on."""
+    Each row of a nest's call table
+    (:class:`~repro.runtime.stats.CallTable`) is one accounted I/O call,
+    so an integer scatter-add per ``(file_base, direction)``, scaled by
+    ``trace_weight``, reproduces the nest's :class:`IOStats`
+    call/element counters *exactly* — the invariant the obs report's
+    cross-check relies on.  Files appear in first-call order."""
     out: list[NestIORecord] = []
     for nr in nest_runs:
-        if nr.trace is None:
+        t = nr.trace
+        if t is None:
             continue
         w = max(1, nr.trace_weight)
-        by_file: dict[int, list[int]] = {}
-        for base, _off, ln, is_write in nr.trace:
-            counts = by_file.get(base)
-            if counts is None:
-                counts = by_file[base] = [0, 0, 0, 0]
-            k = 1 if is_write else 0  # io_record order: reads 0/2, writes 1/3
-            counts[k] += w
-            counts[2 + k] += ln * w
-        out.extend(
-            io_record(
-                params, nr.nest_name, file_names.get(base, f"file@{base}"),
-                node, path, counts,
-            )
-            for base, counts in by_file.items()
+        bases, first, file = np.unique(
+            t.base, return_index=True, return_inverse=True
         )
+        counts = np.zeros((bases.size, 4), dtype=np.int64)
+        k = t.is_write.astype(np.int64)  # io_record order: reads 0/2, writes 1/3
+        np.add.at(counts, (file, k), w)
+        np.add.at(counts, (file, 2 + k), t.length * w)
+        for f in np.argsort(first).tolist():
+            base = int(bases[f])
+            out.append(io_record(
+                params, nr.nest_name, file_names.get(base, f"file@{base}"),
+                node, path, counts[f].tolist(),
+            ))
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace as dc_replace
 from typing import Mapping, Sequence
 
@@ -15,11 +16,13 @@ from ..collective.planner import (
     plan_nest_collective,
 )
 from ..collective.sim import (
+    K_COMPUTE,
+    K_NET,
     NET,
     NodeTimeline,
+    OpTable,
     SimEvent,
-    SimOp,
-    io_node_of,
+    io_ops,
     nest_ops,
     simulate,
 )
@@ -37,6 +40,7 @@ from ..obs import profile as _prof
 from ..obs.profile import ProfileConfig, ProfileResult
 from ..optimizer.strategies import VersionConfig
 from ..runtime import IOStats, MachineParams, ParallelFileSystem
+from ..runtime.stats import CallTable
 from ..runtime.params import check_n_nodes
 from .model import makespan
 
@@ -125,10 +129,12 @@ def run_version_parallel(
     ``None`` (default) is bit-identical to the pre-fault behavior.
 
     ``trace=True`` forces per-call tracing in every rank's executor even
-    without a collective config or observability — the serving layer
-    (:mod:`repro.serve`) re-prices the traced calls on a *shared*
-    cluster's I/O-node queues.  Tracing never changes the accounting;
-    stats are bit-identical either way.
+    without a collective config or observability: every
+    :attr:`NestRun.trace <repro.engine.executor.NestRun.trace>` is then
+    a :class:`~repro.runtime.stats.CallTable` — the serving layer
+    (:mod:`repro.serve`) re-prices its calls on a *shared* cluster's
+    I/O-node queues.  Tracing never changes the accounting; stats are
+    bit-identical either way.
 
     ``real``/``backend`` pick the storage backend every rank executes
     against (:mod:`repro.backends`): the default (``real=None``) stays
@@ -315,7 +321,8 @@ def _collective_run(
     report = CollectiveReport(config)
     stats = [IOStats() for _ in range(n_nodes)]
     loads = [np.zeros(params.n_io_nodes) for _ in range(n_nodes)]
-    timelines = [NodeTimeline(i) for i in range(n_nodes)]
+    # per-rank timeline, one OpTable per nest (or two-phase repetition)
+    ops: list[list[OpTable]] = [[] for _ in range(n_nodes)]
     # merged file_base -> array name map across the staggered per-rank
     # file systems (rank 0 first; labels only, totals unaffected)
     names: dict[int, str] = {}
@@ -328,7 +335,7 @@ def _collective_run(
         plan = plan_nest_collective(
             params,
             nest_name,
-            [nr.trace or [] for nr in nrs],
+            [nr.trace for nr in nrs],
             weight=max(nr.trace_weight for nr in nrs),
             cb_nodes=config.cb_nodes,
         )
@@ -367,18 +374,24 @@ def _collective_run(
                 **extra,
             )
         if two_phase:
-            totals = _account_two_phase(
-                params, plan, nrs, stats, loads, timelines
-            )
+            _account_two_phase(params, plan, nrs, stats, loads, ops)
             if obs is not None and obs.config.per_array:
-                for rank, base, counts in totals:
-                    obs.record_nest_io(
-                        io_record(
-                            params, nest_name,
-                            names.get(base, f"file@{base}"),
-                            rank, "two-phase", counts, plan.weight,
-                        )
-                    )
+                # one record per non-empty (file, direction, aggregator)
+                # call list — exactly the calls the stats were built from
+                for a in plan.accesses:
+                    name = names.get(a.file_base, f"file@{a.file_base}")
+                    for rank, ln in zip(plan.aggregators, a.agg_lengths):
+                        if ln.size:
+                            c, e = ln.size, int(ln.sum())
+                            obs.record_nest_io(
+                                io_record(
+                                    params, nest_name, name, rank,
+                                    "two-phase",
+                                    (0, c, 0, e) if a.is_write
+                                    else (c, 0, e, 0),
+                                    plan.weight,
+                                )
+                            )
                 vols = [v for a in plan.accesses for _, _, v in a.messages]
                 if vols:
                     obs.record_redist(
@@ -393,7 +406,7 @@ def _collective_run(
                         )
                     )
         else:
-            _account_independent(params, nrs, stats, loads, timelines)
+            _account_independent(params, nrs, stats, loads, ops)
             if obs is not None and obs.config.per_array:
                 for rank, nr in enumerate(nrs):
                     for rec in nest_records(
@@ -433,6 +446,10 @@ def _collective_run(
                 error_ops=frozenset(),
             )
             sim_inj = FaultInjector(sim_plan, faults.policy)
+        timelines = [
+            NodeTimeline(i, OpTable.concat(parts))
+            for i, parts in enumerate(ops)
+        ]
         sim = simulate(
             params, timelines, events=events, metrics=reg, faults=sim_inj
         )
@@ -460,15 +477,16 @@ def _account_independent(
     nrs: list[NestRun],
     stats: list[IOStats],
     loads: list[np.ndarray],
-    timelines: list[NodeTimeline],
+    ops: list[list[OpTable]],
 ) -> None:
     for rank, nr in enumerate(nrs):
         stats[rank] = stats[rank].merge(nr.stats)
-        if nr.trace:
-            off = np.array([b + o for b, o, _, _ in nr.trace], dtype=np.int64)
-            ln = np.array([l for _, _, l, _ in nr.trace], dtype=np.int64)
-            loads[rank] += io_node_loads(params, off, ln) * nr.trace_weight
-        timelines[rank].ops.extend(nest_ops(params, nr))
+        ops[rank].append(nest_ops(params, nr))
+        t = nr.trace
+        loads[rank] += (
+            io_node_loads(params, t.base + t.offset, t.length)
+            * nr.trace_weight
+        )
 
 
 def _account_two_phase(
@@ -477,105 +495,69 @@ def _account_two_phase(
     nrs: list[NestRun],
     stats: list[IOStats],
     loads: list[np.ndarray],
-    timelines: list[NodeTimeline],
-) -> list[tuple[int, int, tuple[int, int, int, int]]]:
+    ops: list[list[OpTable]],
+) -> None:
     """Substitute the plan's phases for the recorded independent I/O.
 
     Per repetition each rank's timeline is: read-phase aggregator calls,
     incoming read-redistribution messages, compute, outgoing
     write-redistribution messages, write-phase aggregator calls.
     Compute itself is untouched — only the data movement changes.
-
-    Returns what was accounted, split per (aggregator rank, file,
-    direction): ``(rank, file_base, counts)`` with per-repetition
-    ``counts`` in :func:`~repro.obs.io_record` order — the per-array
-    records are built from exactly the calls the stats were.
     """
     w = plan.weight
     esz = params.element_size
-    rank_of = {a_idx: rank for a_idx, rank in enumerate(plan.aggregators)}
-    # pre-split plan content per rank
-    agg_io: dict[int, dict[bool, list[tuple[int, int]]]] = {}
-    msgs: dict[int, dict[bool, list[int]]] = {}
-    totals: list[tuple[int, int, tuple[int, int, int, int]]] = []
-    for access in plan.accesses:
-        for a_idx, (off, ln) in enumerate(
-            zip(access.agg_offsets, access.agg_lengths)
-        ):
-            rank = rank_of[a_idx]
-            agg_io.setdefault(rank, {}).setdefault(access.is_write, []).extend(
-                (int(o), int(l)) for o, l in zip(off, ln)
+    # the plan split per rank: an aggregator's calls as one table — one
+    # direction after the other, the first access's direction first,
+    # because io_node_loads accumulates in call order — and each rank's
+    # message volumes per direction
+    first = plan.accesses[0].is_write
+    by_dir = sorted(plan.accesses, key=lambda a: a.is_write != first)
+    calls = [CallTable.of(()) for _ in nrs]
+    for a_idx, rank in enumerate(plan.aggregators):
+        calls[rank] = CallTable.concat(
+            CallTable(
+                a.file_base, a.agg_offsets[a_idx] - a.file_base,
+                a.agg_lengths[a_idx], a.is_write,
             )
-            if off.size:
-                c, e = int(off.size), int(ln.sum())
-                totals.append((
-                    rank, access.file_base,
-                    (0, c, 0, e) if access.is_write else (c, 0, e, 0),
-                ))
-        for rank, _a_idx, vol in access.messages:
-            msgs.setdefault(rank, {}).setdefault(access.is_write, []).append(vol)
+            for a in by_dir
+        )
+    vols: dict[tuple[int, bool], list[int]] = defaultdict(list)
+    for a in plan.accesses:
+        for rank, _a_idx, vol in a.messages:
+            vols[rank, a.is_write].append(vol)
 
     for rank, nr in enumerate(nrs):
+        t = calls[rank]
         add = IOStats(compute_time_s=nr.stats.compute_time_s)
-        calls = agg_io.get(rank, {})
-        for is_write, runs in calls.items():
-            n_calls = len(runs)
-            elems = sum(l for _, l in runs)
-            io_t = params.batch_time(n_calls, elems)
+        net_s = {}
+        for is_write in (False, True):
+            ln = t.length[t.is_write == is_write]
+            n_calls, elems = ln.size, int(ln.sum())
             if is_write:
                 add.write_calls += n_calls * w
                 add.elements_written += elems * w
             else:
                 add.read_calls += n_calls * w
                 add.elements_read += elems * w
-            add.io_time_s += io_t * w
-        all_runs = [r for runs in calls.values() for r in runs]
-        if all_runs:
-            off = np.array([o for o, _ in all_runs], dtype=np.int64)
-            ln = np.array([l for _, l in all_runs], dtype=np.int64)
-            loads[rank] += io_node_loads(params, off, ln) * w
-        for is_write, vols in msgs.get(rank, {}).items():
-            add.redist_messages += len(vols) * w
-            add.redist_elements += sum(vols) * w
-            add.redist_time_s += sum(
-                params.net_time(v * esz) for v in vols
-            ) * w
+            add.io_time_s += params.batch_time(n_calls, elems) * w
+            v = vols[rank, is_write]
+            net_s[is_write] = [params.net_time(x * esz) for x in v]
+            add.redist_messages += len(v) * w
+            add.redist_elements += sum(v) * w
+            add.redist_time_s += sum(net_s[is_write]) * w
+        loads[rank] += io_node_loads(params, t.base + t.offset, t.length) * w
         stats[rank] = stats[rank].merge(add)
 
         # timeline: phases in order, repeated per weight
         compute_rep = nr.stats.compute_time_s / w
-        read_io = [
-            SimOp(
-                "io",
-                resource=io_node_of(params, o),
-                service_s=params.call_time(l * esz),
-            )
-            for o, l in calls.get(False, [])
-        ]
-        write_io = [
-            SimOp(
-                "io",
-                resource=io_node_of(params, o),
-                service_s=params.call_time(l * esz),
-                is_write=True,
-            )
-            for o, l in calls.get(True, [])
-        ]
-        read_net = [
-            SimOp("net", resource=NET, service_s=params.net_time(v * esz))
-            for v in msgs.get(rank, {}).get(False, [])
-        ]
-        write_net = [
-            SimOp("net", resource=NET, service_s=params.net_time(v * esz))
-            for v in msgs.get(rank, {}).get(True, [])
-        ]
-        for _ in range(w):
-            timelines[rank].ops.extend(read_io)
-            timelines[rank].ops.extend(read_net)
-            if compute_rep > 0.0:
-                timelines[rank].ops.append(
-                    SimOp("compute", duration_s=compute_rep)
-                )
-            timelines[rank].ops.extend(write_net)
-            timelines[rank].ops.extend(write_io)
-    return totals
+        io = io_ops(params, t)
+        rep = OpTable.concat([
+            io.select(~t.is_write),
+            OpTable(K_NET, NET, net_s[False], False),
+            OpTable(
+                K_COMPUTE, 0, [compute_rep] if compute_rep > 0.0 else [], False
+            ),
+            OpTable(K_NET, NET, net_s[True], False),
+            io.select(t.is_write),
+        ])
+        ops[rank].extend([rep] * w)

@@ -3,7 +3,9 @@
 ``IOStats`` is a plain counter bundle; ``IOContext`` is the per-compute-
 node recorder the runtime writes into.  Per-I/O-node load vectors are kept
 as numpy arrays so the contention model can take elementwise maxima
-cheaply.
+cheaply.  ``CallTable`` is the recorded call trace: one columnar value
+that every re-pricer (collective planner, event simulator, serving
+layer, per-array attribution) folds.
 """
 
 from __future__ import annotations
@@ -112,6 +114,99 @@ def io_node_loads(
         s1 = np.minimum(end[mask], (stripe[mask] + 1) * se)
         np.add.at(load, stripe[mask] % params.n_io_nodes, (s1 - s0) * per_el)
     return load
+
+
+class ColumnTable:
+    """Equal-length numpy columns, declared by ``COLUMNS`` and read by
+    name — the form every fold consumes (a scalar column is repeated to
+    the others' length).  The *row view* (``len``, iteration, indexing,
+    ``==`` against any sequence of rows, ``repr``) goes through
+    ``.tolist()``, so rows are plain python values; it is the surface
+    for tests, debugging and per-call paths, not for folds."""
+
+    COLUMNS: dict[str, type] = {}  # column name -> dtype, in order
+
+    def __init__(self, *columns):
+        cols = [
+            np.asarray(c, dtype=t)
+            for c, t in zip(columns, self.COLUMNS.values(), strict=True)
+        ]
+        n = next((c.size for c in cols if c.ndim), 1)
+        self.cols = tuple(np.full(n, c) if c.ndim == 0 else c for c in cols)
+        if any(c.shape != (n,) for c in self.cols):
+            raise ValueError(
+                f"{type(self).__name__} columns must be 1-d and equally "
+                f"long, got shapes {[c.shape for c in cols]}"
+            )
+        for name, c in zip(self.COLUMNS, self.cols):
+            setattr(self, name, c)
+
+    @classmethod
+    def of(cls, rows):
+        """Coerce a sequence of rows; a table passes through."""
+        if isinstance(rows, cls):
+            return rows
+        rows = list(rows)
+        return cls(*zip(*rows, strict=True)) if rows else cls.concat(())
+
+    @classmethod
+    def concat(cls, tables):
+        """The tables' rows, in order, as one table."""
+        cols = list(zip(*(t.cols for t in tables)))
+        if not cols:
+            return cls(*[()] * len(cls.COLUMNS))
+        return cls(*map(np.concatenate, cols))
+
+    def select(self, mask: np.ndarray):
+        """The rows where the boolean ``mask`` is true."""
+        return type(self)(*(c[mask] for c in self.cols))
+
+    def lists(self) -> list[list]:
+        """The columns as python lists (one ``.tolist()`` each)."""
+        return [c.tolist() for c in self.cols]
+
+    def rows(self) -> list:
+        return list(zip(*self.lists()))
+
+    def __len__(self) -> int:
+        return self.cols[0].size
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __getitem__(self, i):
+        return self.rows()[i]
+
+    def __eq__(self, other):
+        try:
+            return self.rows() == list(other)
+        except TypeError:
+            return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self.rows())
+
+
+class CallTable(ColumnTable):
+    """An I/O call trace, one row per call in issue order: the file's
+    stripe-0 element ``base``, the call's ``offset`` within the file and
+    ``length`` (elements), and its direction.  Rows are
+    ``(int, int, int, bool)`` tuples."""
+
+    COLUMNS = dict(
+        base=np.int64, offset=np.int64, length=np.int64, is_write=np.bool_
+    )
+
+    @classmethod
+    def of(cls, rows):
+        table = super().of(rows)
+        # hand-written rows are outside input; the batches plan_runs
+        # produced go through the constructor and are not re-checked
+        if table is not rows and (
+            np.minimum(table.offset, table.length) < 0
+        ).any():
+            raise ValueError("trace rows need offset >= 0 and length >= 0")
+        return table
 
 
 def _fault_counter(default):
@@ -282,10 +377,9 @@ class IOContext:
         self.node_id = node_id
         self.stats = IOStats()
         self.io_node_load = np.zeros(params.n_io_nodes, dtype=np.float64)
-        #: optional call trace: (file_base, offset, length, is_write) per
-        #: I/O call, in issue order — used by the Figure-3 renderer and
-        #: by debugging tools; off by default (it is per-call overhead)
-        self.trace: list[tuple[int, int, int, bool]] | None = [] if trace else None
+        #: the optional call trace: one :class:`CallTable` per recorded
+        #: batch, in issue order; ``None`` when tracing is off
+        self._batches: list[CallTable] | None = [] if trace else None
         #: optional :class:`repro.obs.MetricsRegistry` this context
         #: publishes per-call counters and call-size histograms into;
         #: ``None`` (the default) records nothing — accounting is
@@ -296,6 +390,17 @@ class IOContext:
         #: retries, hedging).  ``None`` (the default) takes the
         #: vectorized path — accounting is bit-identical without faults
         self.faults = faults
+
+    @property
+    def trace(self) -> CallTable | None:
+        """The calls recorded so far as one :class:`CallTable` — what
+        the collective planner, the event simulator, the serving layer
+        and per-array attribution fold; ``None`` unless the context was
+        built with ``trace=True`` (off by default: it is kept per call).
+        """
+        if self._batches is None:
+            return None
+        return CallTable.concat(self._batches)
 
     def _publish_calls(self, n_calls: int, n_elems: int, is_write: bool) -> None:
         m = self.metrics
@@ -321,8 +426,10 @@ class IOContext:
         if self.metrics is not None:
             self._publish_calls(1, n_elems, is_write)
             self.metrics.histogram("io.call_elements").observe(n_elems)
-        if self.trace is not None:
-            self.trace.append((file_base_elem, offset_elem, n_elems, is_write))
+        if self._batches is not None:
+            self._batches.append(
+                CallTable(file_base_elem, [offset_elem], [n_elems], is_write)
+            )
         # distribute the transfer across the stripes the call covers
         start = file_base_elem + offset_elem
         end = start + n_elems  # exclusive
@@ -369,10 +476,9 @@ class IOContext:
         if self.metrics is not None:
             self._publish_calls(n_calls, n_elems, is_write)
             self.metrics.histogram("io.call_elements").observe_many(lengths)
-        if self.trace is not None:
-            self.trace.extend(
-                (file_base_elem, int(o), int(l), is_write)
-                for o, l in zip(offsets, lengths)
+        if self._batches is not None:
+            self._batches.append(
+                CallTable(file_base_elem, offsets, lengths, is_write)
             )
         io_node_loads(p, file_base_elem + offsets, lengths, self.io_node_load)
         return n_calls
@@ -430,10 +536,10 @@ class IOContext:
                 for _ in range(calls):
                     h.observe(ln)
                 self._publish_faults(out)
-            if self.trace is not None:
-                self.trace.extend(
-                    (file_base_elem, off, ln, is_write) for _ in range(calls)
-                )
+            if self._batches is not None:
+                self._batches.append(CallTable(
+                    file_base_elem, np.full(calls, off), ln, is_write
+                ))
             if out.gave_up:
                 inj.raise_exhausted(out, io_node)
         return total_calls
@@ -460,5 +566,5 @@ class IOContext:
     def reset(self) -> None:
         self.stats = IOStats()
         self.io_node_load[:] = 0.0
-        if self.trace is not None:
-            self.trace.clear()
+        if self._batches is not None:
+            self._batches.clear()

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from ..collective.sim import SimOp, nest_ops
+from ..collective.sim import K_COMPUTE, K_NET, OpTable, io_ops, nest_ops
 from ..faults import FaultConfig, TransientIOError
 from ..obs import Observability
 from ..optimizer import build_version
@@ -247,7 +247,8 @@ class _RunningJob:
     against the shared resource queues."""
 
     job: Job
-    ops: list[list[SimOp]]
+    #: per rank, the :class:`OpTable` columns as python lists
+    ops: list[list[list]]
     ptr: list[int]
     clock: list[float]
     ranks_left: int
@@ -456,16 +457,18 @@ class JobScheduler:
         :func:`repro.collective.sim.simulate`'s discipline, with the
         resource-free times persistent across jobs."""
         jr = self._running[job_id]
-        op = jr.ops[rank][jr.ptr[rank]]
-        if op.kind == "net":
+        kind, resource, seconds, _ = jr.ops[rank]
+        j = jr.ptr[rank]
+        service_s = seconds[j]
+        if kind[j] == K_NET:
             start = max(t, self._net_free)
-            done = start + op.service_s
+            done = start + service_s
             self._net_free = done
-            self._net_busy += op.service_s
+            self._net_busy += service_s
         else:
-            res = op.resource
+            res = resource[j]
             start = max(t, float(self._io_free[res]))
-            done = start + op.service_s
+            done = start + service_s
             self._io_free[res] = done
         if start > t:
             self._waited += 1
@@ -483,13 +486,13 @@ class JobScheduler:
     def _advance_rank(self, jr: _RunningJob, rank: int) -> None:
         """Walk the rank past compute ops; queue its next blocking op or
         retire the rank (and, with the last rank, the job)."""
-        ops, j = jr.ops[rank], jr.ptr[rank]
-        t = jr.clock[rank]
-        while j < len(ops) and ops[j].kind == "compute":
-            t += ops[j].duration_s
+        kind, _, seconds, _ = jr.ops[rank]
+        j, t = jr.ptr[rank], jr.clock[rank]
+        while j < len(kind) and kind[j] == K_COMPUTE:
+            t += seconds[j]
             j += 1
         jr.ptr[rank], jr.clock[rank] = j, t
-        if j < len(ops):
+        if j < len(kind):
             self._push(t, _EV_RANK, ("rank", jr.job.job_id, rank))
             return
         jr.ranks_left -= 1
@@ -720,7 +723,7 @@ class JobScheduler:
 
     # -- contention-priced op streams ---------------------------------------
 
-    def _rank_ops(self, job: Job, run: ParallelRun) -> list[list[SimOp]]:
+    def _rank_ops(self, job: Job, run: ParallelRun) -> list[list[list]]:
         """Per-rank timeline ops of a completed inner run.
 
         Without a shared cache this is exactly
@@ -735,14 +738,20 @@ class JobScheduler:
         *time*, not the paper's I/O counters.
         """
         params = self.profile.params
-        keep = None if self.cache is None else self._cache_filter(job)
         return [
-            [op for nr in rr.nest_runs for op in nest_ops(params, nr, keep)]
+            OpTable.concat(
+                nest_ops(params, nr, self._cache_mask(job, nr))
+                for nr in rr.nest_runs
+            ).lists()
             for rr in run.node_results
         ]
 
-    def _cache_filter(self, job: Job):
-        """The shared tile cache as a ``nest_ops`` per-call filter.
+    def _cache_mask(self, job: Job, nest_run) -> np.ndarray | None:
+        """The shared tile cache as a ``nest_ops`` keep-mask: one entry
+        per traced call per repetition, false where the cache hit
+        (``None``, keep everything, without a cache).  The one per-call
+        loop of the re-pricing path — a lookup's outcome depends on
+        every insert and invalidation before it.
 
         Tile keys are ``workload:n:file_base`` + (repetition, run)
         regions: repetitions of a weighted trace model *different* rows
@@ -752,23 +761,29 @@ class JobScheduler:
         is the shared cache's whole purpose.
         """
         cache = self.cache
+        if cache is None:
+            return None
         spec = job.spec
-
-        def keep(rep: int, entry: tuple, op: SimOp) -> bool:
-            base, off, ln, is_write = entry
-            name = f"{spec.workload}:{spec.n}:{int(base)}"
-            region = ((rep, rep), (int(off), int(off) + int(ln) - 1))
-            if is_write:
-                cache.invalidate(spec.tenant, name, region)
-                return True
-            if cache.lookup(spec.tenant, name, region) is not None:
-                job.cache_hits += 1
-                job.cache_saved_s += op.service_s
-                return False
-            cache.insert(spec.tenant, name, region, cost_s=op.service_s)
-            return True
-
-        return keep
+        t = nest_run.trace
+        calls = list(zip(
+            t.rows(), io_ops(self.profile.params, t).seconds.tolist()
+        ))
+        keep = []
+        for rep in range(max(1, nest_run.trace_weight)):
+            for (base, off, ln, is_write), service_s in calls:
+                name = f"{spec.workload}:{spec.n}:{base}"
+                region = ((rep, rep), (off, off + ln - 1))
+                hit = False
+                if is_write:
+                    cache.invalidate(spec.tenant, name, region)
+                elif cache.lookup(spec.tenant, name, region) is not None:
+                    hit = True
+                    job.cache_hits += 1
+                    job.cache_saved_s += service_s
+                else:
+                    cache.insert(spec.tenant, name, region, cost_s=service_s)
+                keep.append(not hit)
+        return np.array(keep, dtype=bool)
 
 
 def serve_script(

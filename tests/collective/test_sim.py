@@ -8,6 +8,7 @@ from repro import MachineParams, OOCExecutor
 from repro.collective.sim import (
     NET,
     NodeTimeline,
+    OpTable,
     SimOp,
     event_makespan,
     io_node_of,
@@ -107,6 +108,40 @@ class TestSimulateCore:
         assert r1.wait_time_s == r2.wait_time_s
 
 
+class TestTimelineValidation:
+    """A timeline is checked once, where it is tabulated — before any
+    event is processed — and the error names the node and the op."""
+
+    @pytest.mark.parametrize("op, match", [
+        (io(-1, 1.0), "node 3 op 1"),     # would wrap to the last I/O node
+        (io(7, 1.0), "node 3 op 1"),      # would die mid-loop (IndexError)
+        (io(0, -1.0), "node 3 op 1"),     # negative busy time
+        (io(0, float("nan")), "node 3 op 1"),
+        (compute(float("inf")), "node 3 op 1"),
+        (net(-0.5), "node 3 op 1"),
+        (SimOp("disk", resource=0, service_s=1.0), "node 3: op 1.*'disk'"),
+    ])
+    def test_unservable_op_is_a_named_error(self, op, match):
+        from repro.obs import profile
+
+        before = profile.WORK.sim_events
+        with pytest.raises(ValueError, match=match):
+            simulate(PARAMS, [
+                NodeTimeline(0, [io(0, 1.0)]),
+                NodeTimeline(3, [io(1, 1.0), op]),
+            ])
+        assert profile.WORK.sim_events == before
+
+    def test_net_and_compute_rows_ignore_the_resource_range(self):
+        res = simulate(PARAMS, [NodeTimeline(0, [net(0.2), compute(0.1)])])
+        assert res.makespan_s == pytest.approx(0.3)
+
+    def test_columns_built_directly_are_checked_too(self):
+        ops = OpTable([5], [0], [1.0], [False])  # no such kind
+        with pytest.raises(ValueError, match="node 0 op 0"):
+            simulate(PARAMS, [NodeTimeline(0, ops)])
+
+
 class TestOverlapCredit:
     def test_credit_hides_blocked_time(self):
         tl = NodeTimeline(
@@ -184,29 +219,49 @@ class TestNestOps:
             "n", None, IOStats(compute_time_s=3.0), 0,
             trace=trace, trace_weight=3,
         )
-        seen = []
-
-        def keep(rep, entry, op):
-            seen.append((rep, entry, op))
-            return True
-
-        assert nest_ops(PARAMS, nr, keep) == nest_ops(PARAMS, nr)
-        # consulted once per traced call, in issue order, with its op
-        assert [(r, e) for r, e, _ in seen] == [
-            (rep, entry) for rep in range(3) for entry in trace
-        ]
-        assert all(op.kind == "io" for _, _, op in seen)
+        full = nest_ops(PARAMS, nr)
+        assert nest_ops(PARAMS, nr, np.ones(3 * len(trace), bool)) == full
+        # one mask entry per traced call, repetition-major in issue
+        # order: dropping position rep * n_calls + k removes exactly
+        # repetition rep's k-th call
+        io_rows = [k for k, o in enumerate(full) if o.kind == "io"]
+        assert len(io_rows) == 3 * len(trace)
+        for pos, row in enumerate(io_rows):
+            mask = np.ones(len(io_rows), bool)
+            mask[pos] = False
+            assert nest_ops(PARAMS, nr, mask) == [
+                o for k, o in enumerate(full) if k != row
+            ]
+            base, off, ln, is_write = trace[pos % len(trace)]
+            assert full[row] == SimOp(
+                "io",
+                resource=io_node_of(PARAMS, base + off),
+                service_s=PARAMS.call_time(ln * PARAMS.element_size),
+                is_write=is_write,
+            )
 
     def test_dropping_hook_removes_only_io(self):
+        trace = [(0, 0, 8, False), (0, 16, 8, True)]
+        nr = NestRun(
+            "n", None, IOStats(compute_time_s=3.0), 0,
+            trace=trace, trace_weight=2,
+        )
+        full = nest_ops(PARAMS, nr)
+        reads_dropped = nest_ops(
+            PARAMS, nr, [e[3] for _ in range(2) for e in trace]
+        )
+        assert reads_dropped == [
+            o for o in full if o.kind == "compute" or o.is_write
+        ]
+
+    @pytest.mark.parametrize("n", [0, 3, 5])
+    def test_mask_of_the_wrong_length_is_an_error(self, n):
         nr = NestRun(
             "n", None, IOStats(compute_time_s=3.0), 0,
             trace=[(0, 0, 8, False), (0, 16, 8, True)], trace_weight=2,
         )
-        full = nest_ops(PARAMS, nr)
-        reads_dropped = nest_ops(PARAMS, nr, lambda rep, e, op: e[3])
-        assert reads_dropped == [
-            o for o in full if o.kind == "compute" or o.is_write
-        ]
+        with pytest.raises(ValueError, match="2 repetitions x 2 calls"):
+            nest_ops(PARAMS, nr, np.ones(n, bool))
 
     def test_io_routed_to_first_stripe_node(self):
         se = PARAMS.stripe_elements
