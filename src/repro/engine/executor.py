@@ -118,6 +118,11 @@ class RunResult:
         return self.stats.total_time_s - saved
 
 
+#: runs per recorder batch of a statically priced walk: bounds the batch's
+#: scratch memory and nothing else (the result does not depend on it)
+_BATCH_RUNS = 4096
+
+
 def _by_store(stores: Mapping[str, object], requests):
     """Group per-array requests (tuples led by the array name) by the
     store that serves them, in first-seen order: ``(store, requests)``
@@ -142,6 +147,40 @@ class _DirectTileIO:
 
     def begin_nest(self, tiles):
         return tiles
+
+    def account(self, tiles, ctx: IOContext) -> None:
+        """Record what :meth:`read` and :meth:`write` would account tile
+        after tile of a walk, moving nothing: each store answers for all
+        of its transfers at once (``transfer_runs``) and they reach the
+        recorder in issue order, about ``_BATCH_RUNS`` runs a batch."""
+        groups = [
+            (store, is_write, reqs)
+            for _, fps, reads in tiles
+            for is_write, requests in (
+                (False, reads),
+                (True, [(a, fp[0]) for a, fp in fps.items() if fp[2]]),
+            )
+            for store, reqs in _by_store(self._stores, requests)
+        ]
+        asked: dict[int, tuple[object, list]] = {}
+        for store, _, reqs in groups:
+            asked.setdefault(id(store), (store, []))[1].append(reqs)
+        answers = {
+            key: iter(store.transfer_runs(of_store))
+            for key, (store, of_store) in asked.items()
+        }
+        batch, n_runs = [], 0
+        for i, (store, is_write, _) in enumerate(groups):
+            for transfer in next(answers[id(store)]):
+                batch.append((is_write, *transfer))
+                n_runs += transfer[1].size
+            if batch and (n_runs >= _BATCH_RUNS or i == len(groups) - 1):
+                is_writes, bases, offsets, lengths = zip(*batch)
+                ctx.record_runs(
+                    bases, np.concatenate(offsets), np.concatenate(lengths),
+                    is_writes, [o.size for o in offsets],
+                )
+                batch, n_runs = [], 0
 
     def read(self, requests, ctx: IOContext) -> dict[str, np.ndarray | None]:
         """Read ``(name, region)`` tiles, one combined transfer per
@@ -641,6 +680,10 @@ class OOCExecutor:
                 ),
             )
         self._cache = self._io.cache
+        # a walk's I/O is a function of the walk alone (see `_run_nest`)
+        self._static_io = (
+            not self.real and cache is None and self._injector is None
+        )
 
     # -- public API -------------------------------------------------------
 
@@ -879,10 +922,19 @@ class OOCExecutor:
         """The one tile walk: enumerate tiles → reserve memory → read →
         compute → write → per-tile hook → release → end-of-nest hook.
         How data moves (direct or through the tile cache) is the
-        tile-I/O collaborator's business, not the walk's."""
+        tile-I/O collaborator's business, not the walk's.
+
+        A walk's I/O is static where no data, cache or injected fault sits
+        between the tiles and the recorder: it is then recorded up front,
+        in batches (the same ``record_runs``, the same result), and the
+        loop keeps what is per tile — memory and compute."""
         io = self._io
+        tiles = io.begin_nest(self._tiles(nest, plan))
+        if self._static_io:
+            tiles = list(tiles)
+            io.account(tiles, ctx)
         tiles_executed = 0
-        for windows, fps, reads in io.begin_nest(self._tiles(nest, plan)):
+        for windows, fps, reads in tiles:
             total_fp = sum(region_size(region) for region, _, _ in fps.values())
             allocated = False
             if not plan.over_budget:
@@ -903,7 +955,7 @@ class OOCExecutor:
             # with the retry budget exhausted) releases the allocation on
             # the way out, so memory accounting never leaks
             try:
-                tiles_data = io.read(reads, ctx)
+                tiles_data = {} if self._static_io else io.read(reads, ctx)
 
                 compute_before = ctx.stats.compute_time_s
                 if self.real:
@@ -920,14 +972,15 @@ class OOCExecutor:
                 ctx.record_compute(count, len(nest.body))
 
                 # write back modified arrays
-                io.write(
-                    [
-                        (name, region, tiles_data.get(name))
-                        for name, (region, _, written) in fps.items()
-                        if written
-                    ],
-                    ctx,
-                )
+                if not self._static_io:
+                    io.write(
+                        [
+                            (name, region, tiles_data.get(name))
+                            for name, (region, _, written) in fps.items()
+                            if written
+                        ],
+                        ctx,
+                    )
                 io.after_tile(
                     tiles_executed,
                     ctx.stats.compute_time_s - compute_before,

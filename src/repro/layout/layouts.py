@@ -16,7 +16,7 @@ Figure 3, where a tile's call count follows from its shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +31,17 @@ class Layout:
     rank: int
 
     def address_map(self, shape: Sequence[int]) -> "AddressMap":
+        """The exact map for one concrete shape — a function of the
+        layout's value and the shape, so it is built once per pair (every
+        rank and every array of a shared layout get the same object;
+        an :class:`AddressMap` is never modified)."""
+        if len(shape) != self.rank:
+            raise ValueError(
+                f"shape rank {len(shape)} != layout rank {self.rank}"
+            )
+        return _address_map(self, tuple(int(s) for s in shape))
+
+    def _build_map(self, shape: tuple[int, ...]) -> "AddressMap":
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -40,6 +51,11 @@ class Layout:
     def hyperplane(self) -> Hyperplane | None:
         """The locality hyperplane, when the layout has one."""
         return None
+
+
+@lru_cache(maxsize=1024)
+def _address_map(layout: Layout, shape: tuple[int, ...]) -> "AddressMap":
+    return layout._build_map(shape)
 
 
 _NO_LIMIT = np.int64(np.iinfo(np.int64).max)
@@ -106,6 +122,36 @@ class AddressMap:
                 heads = np.flatnonzero(np.concatenate(([True], gaps != 0)))
                 offsets, lengths = offsets[heads], np.add.reduceat(lengths, heads)
         return offsets, lengths
+
+    def runs_many(
+        self, regions: Sequence[Sequence[tuple[int, int]]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`runs` of every region, laid end to end: ``(offsets,
+        lengths, counts)`` with ``counts`` runs per region.  A tile's runs
+        are a function of where it lies: congruent regions (translates of
+        one box — the interior tiles of a walk) have one run list, moved
+        by the difference of their corners' addresses, so it is derived
+        once per congruence class; only boundary-clipped boxes add one."""
+        box = np.asarray(regions, dtype=np.int64).reshape(len(regions), -1, 2)
+        lo, hi = box[..., 0], box[..., 1]
+        first: dict[tuple, int] = {}  # congruence class -> its first region
+        like = [
+            first.setdefault(tuple(key), r)
+            for r, key in enumerate(self._congruence(lo, hi).tolist())
+        ]
+        derived = {r: self.runs(regions[r]) for r in first.values()}
+        offsets, lengths = (
+            np.concatenate([derived[r][column] for r in like])
+            for column in (0, 1)
+        )
+        counts = np.array([derived[r][0].size for r in like])
+        corner = self.address(lo)
+        return offsets + (corner - corner[like]).repeat(counts), lengths, counts
+
+    def _congruence(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """One row per region, equal for regions whose runs differ by a
+        constant: here, boxes of the same extents."""
+        return hi - lo
 
     def _entry_runs(self, region) -> tuple[np.ndarray, np.ndarray]:
         """A run from each point where one enters the box.  File-consecutive
@@ -188,10 +234,8 @@ class LinearLayout(Layout):
         inv = self.d.inverse_unimodular()
         return inv.col(inv.ncols - 1)
 
-    def address_map(self, shape: Sequence[int]) -> AddressMap:
+    def _build_map(self, shape: tuple[int, ...]) -> AddressMap:
         m = self.rank
-        if len(shape) != m:
-            raise ValueError(f"shape rank {len(shape)} != layout rank {m}")
         rows = np.array(self.d.to_lists(), dtype=np.int64)
         his = np.asarray(shape, dtype=np.int64) - 1
         # index domain is the box [0, hi_d]; interval arithmetic per row of D
@@ -228,6 +272,10 @@ class _BlockedAddressMap(AddressMap):
         b = idx // self._block
         w = idx - b * self._block
         return (b @ self._grid_strides) * self._block_slots + w @ self._in_strides
+
+    def _congruence(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # same extents, the same way across the block grid
+        return np.concatenate((hi - lo, lo % self._block), axis=1)
 
     def _entry_runs(self, region) -> tuple[np.ndarray, np.ndarray]:
         """Inside a block the last dimension is file-consecutive: runs
@@ -269,9 +317,7 @@ class BlockedLayout(Layout):
     def rank(self) -> int:
         return len(self.block)
 
-    def address_map(self, shape: Sequence[int]) -> AddressMap:
-        if len(shape) != self.rank:
-            raise ValueError(f"shape rank {len(shape)} != layout rank {self.rank}")
+    def _build_map(self, shape: tuple[int, ...]) -> AddressMap:
         return _BlockedAddressMap(
             np.asarray(self.block, dtype=np.int64),
             np.asarray(shape, dtype=np.int64),

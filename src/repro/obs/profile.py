@@ -5,7 +5,8 @@ instead of anecdote.  Two instruments, each with its own determinism
 contract:
 
 - **Work counters** (:data:`WORK`) — always-on integer counts of the
-  pricing stack's actual work: ``plan_runs`` invocations, priced runs
+  pricing stack's actual work: ``plan_runs`` batches (a transfer, a
+  tile's transfers or a stretch of a whole walk each), priced runs
   coming out of the sieve/split planner, event-simulator events, cache
   probes, tile plans built and dependence reference pairs examined (the
   rank-invariant planning work), element addresses the stores
@@ -13,9 +14,9 @@ contract:
   increments, bit-identical across repeat runs, published per run as
   *deltas* into the :class:`~repro.obs.metrics.MetricsRegistry` (keys
   ``work.*``) — integers, so the PR-4 regression gate holds them to
-  exact equality.  A future batched kernel must keep ``priced_runs``
-  conserved while wall time drops; these counters are how that is
-  checked.
+  exact equality.  ``priced_runs`` is conserved under batching —
+  however a walk's transfers are grouped into kernel calls, the same
+  runs are priced — while ``plan_runs_calls`` drops with it.
 - **One cProfile capture** (``ProfileConfig(cprofile=True)``) of the
   whole run, folded two ways: :func:`layer_table` (self seconds and
   calls per pipeline layer, plus the share no layer owns) and

@@ -227,13 +227,16 @@ def optimize_program(
                 )
             )
 
+    edges = {d.nest_name: d.edges for d in decisions}
     new_nests = []
     for nest in program.nests:
         t = transforms.get(nest.name, IMat.identity(nest.depth))
         if t == IMat.identity(nest.depth):
             new_nests.append(nest)
         else:
-            new_nests.append(apply_loop_transform(nest, t))
+            new_nests.append(
+                apply_loop_transform(nest, t, edges=edges.get(nest.name))
+            )
     transformed = program.with_nests(new_nests)
     if obs is not None:
         obs.tracer.end(pipeline_span, n_nests=len(new_nests))

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..dependence import analyze_nest
+from ..dependence import DependenceEdge, analyze_nest
 from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..linalg import IMat, primitive
@@ -64,6 +64,7 @@ class _NestModel:
     nest: LoopNest
     q_options: list[tuple[int, ...]]
     transforms: dict[tuple[int, ...], IMat]
+    edges: list[DependenceEdge]  # what the transforms were found legal against
 
 
 def _ref_cost(
@@ -103,7 +104,7 @@ def _build_models(
         if not q_options:  # should not happen: identity is always legal
             q = _elementary(nest.depth, nest.depth - 1)
             q_options, transforms = [q], {q: IMat.identity(nest.depth)}
-        models.append(_NestModel(nest, q_options, transforms))
+        models.append(_NestModel(nest, q_options, transforms, edges))
         for _, ref, _ in nest.refs():
             if ref.rank < 2:
                 continue
@@ -395,7 +396,7 @@ def optimize_program_ilp(
         if t == IMat.identity(m.nest.depth):
             new_nests.append(m.nest)
         else:
-            new_nests.append(apply_loop_transform(m.nest, t))
+            new_nests.append(apply_loop_transform(m.nest, t, edges=m.edges))
     layouts = {}
     for a, d in directions.items():
         g = hyperplane_from_direction(d)

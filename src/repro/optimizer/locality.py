@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..dependence import analyze_nest, transform_is_legal
+from ..dependence import DependenceEdge, analyze_nest, transform_is_legal
 from ..ir.nest import LoopNest
 from ..linalg import IMat, kernel_basis, min_gcd_kernel_vector, primitive
 from ..linalg.completion import completion_candidates
@@ -39,6 +39,11 @@ class NestDecision:
     new_directions: dict[str, tuple[int, ...]]   # fast direction Δa per array
     estimated_io: float
     report: list[str] = field(default_factory=list)
+    #: the nest's dependence edges, when choosing ``t`` needed them —
+    #: whoever applies ``t`` checks it against these, not a re-analysis
+    edges: list[DependenceEdge] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def is_identity(self) -> bool:
@@ -171,7 +176,7 @@ def optimize_nest(
     """Optimize one nest given already-fixed file layouts (as fast
     directions)."""
     k = nest.depth
-    edges = analyze_nest(nest)
+    edges = analyze_nest(nest) if allow_loop else None
     report: list[str] = []
 
     if allow_loop:
@@ -221,5 +226,5 @@ def optimize_nest(
 
     cost, q_last, t, new_layouts, new_dirs = best
     return NestDecision(
-        nest.name, t, q_last, new_layouts, new_dirs, cost, report
+        nest.name, t, q_last, new_layouts, new_dirs, cost, report, edges
     )

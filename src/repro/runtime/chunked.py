@@ -123,52 +123,47 @@ class InterleavedChunkedStore:
 
     # -- combined transfers ---------------------------------------------------
 
-    def _account_chunks(
-        self, requests: Sequence[tuple[str, Region]], ctx: IOContext, is_write: bool
-    ) -> None:
-        """Whole-chunk transfer accounting: one call per maximal run of
-        file-adjacent chunks across the combined request — this is where
-        interleaving pays off (co-accessed tiles of different arrays sit
-        in adjacent chunks and merge into a single call)."""
-        if not requests:
-            return
-        ids = np.unique(
-            np.concatenate(
-                [self.chunk_ids(name, region) for name, region in requests]
-            )
-        )
-        offsets, lengths = runs_of(ids)
-        self.file.account_runs(
-            ctx,
-            offsets * self._block_slots,
-            lengths * self._block_slots,
-            is_write,
-        )
+    def chunk_runs(self, requests) -> tuple[np.ndarray, np.ndarray]:
+        """The file runs of one combined whole-chunk transfer of requests
+        ``(name, region, ...)``: a run per maximal stretch of file-adjacent
+        chunks across the request — this is where interleaving pays off
+        (co-accessed tiles of different arrays sit in adjacent chunks and
+        merge into a single call)."""
+        ids = [self.chunk_ids(req[0], req[1]) for req in requests]
+        offsets, lengths = runs_of(np.unique(np.concatenate(ids)))
+        return offsets * self._block_slots, lengths * self._block_slots
+
+    def transfer_runs(self, groups):
+        """What ``read_tiles`` / ``write_tiles`` would account for each
+        request list of ``groups``, accounting nothing: per group, its
+        one combined ``(file base, offsets, lengths)`` transfer."""
+        return [
+            [(self.file.base_elem, *self.chunk_runs(group))] for group in groups
+        ]
 
     def read_tiles(
         self, requests: Sequence[tuple[str, Region]], ctx: IOContext
     ) -> dict[str, np.ndarray | None]:
         """Fetch tiles of several arrays in one combined operation, at
         whole-chunk granularity."""
-        self._account_chunks([(n, r) for n, r in requests], ctx, is_write=False)
-        out: dict[str, np.ndarray | None] = {}
-        for name, region in requests:
-            if self.file.real:
-                out[name] = self.file.gather(
-                    self.addresses(name, region)
-                ).reshape(region_shape(region))
-            else:
-                out[name] = None
-        return out
+        if requests:
+            self.file.account_runs(ctx, *self.chunk_runs(requests), False)
+        if not self.file.real:
+            return dict.fromkeys(name for name, _ in requests)
+        return {
+            name: self.file.gather(self.addresses(name, region)).reshape(
+                region_shape(region)
+            )
+            for name, region in requests
+        }
 
     def write_tiles(
         self,
         requests: Sequence[tuple[str, Region, np.ndarray | None]],
         ctx: IOContext,
     ) -> None:
-        self._account_chunks(
-            [(n, r) for n, r, _ in requests], ctx, is_write=True
-        )
+        if requests:
+            self.file.account_runs(ctx, *self.chunk_runs(requests), True)
         for name, region, data in requests:
             if self.file.real:
                 if data is None:
@@ -183,9 +178,7 @@ class InterleavedChunkedStore:
         region, without recording.  Upper bound for combined multi-array
         requests — a region served elsewhere (a cache hit) cannot
         participate in another request's merged super-run."""
-        offsets, lengths = runs_of(np.unique(self.chunk_ids(name, region)))
-        bs = self._block_slots
-        offsets, lengths = plan_runs(params, offsets * bs, lengths * bs)
+        offsets, lengths = plan_runs(params, *self.chunk_runs([(name, region)]))
         return int(offsets.size), int(lengths.sum())
 
     # -- verification helpers ---------------------------------------------------

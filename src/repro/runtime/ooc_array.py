@@ -145,6 +145,16 @@ class OutOfCoreArray:
         offsets, lengths = self.map.runs(region)
         return offsets + self.slot_base, lengths
 
+    def runs_many(
+        self, regions: Sequence[Region]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`runs` of each region, end to end, ``counts`` runs each —
+        a walk's tiles in one call (:meth:`AddressMap.runs_many`)."""
+        for region in regions:
+            check_region(region, self.shape, self.name)
+        offsets, lengths, counts = self.map.runs_many(regions)
+        return offsets + self.slot_base, lengths, counts
+
     def count_tile_io(self, region: Region, ctx: IOContext, is_write: bool) -> int:
         """Account the I/O for transferring the region; returns call
         count.  The Figure-3 reference: it decomposes the address of
@@ -156,13 +166,23 @@ class OutOfCoreArray:
     # Accounting-only files price a transfer from `runs`; where data
     # moves the addresses exist anyway and are decomposed as they are.
 
+    def transfer(self, region: Region):
+        """A tile transfer's file runs and, where data moves, the slot
+        of every element: ``(offsets, lengths, addresses | None)``."""
+        if not self.file.real:
+            return *self.runs(region), None
+        addrs = self.addresses(region)
+        return *runs_of(addrs), addrs
+
     def read_tile(self, region: Region, ctx: IOContext) -> np.ndarray | None:
         """Fetch a tile.  Returns the tile data in real mode, else None."""
-        if not self.file.real:
-            self.file.account_runs(ctx, *self.runs(region), is_write=False)
+        *runs, addrs = self.transfer(region)
+        self.file.account_runs(ctx, *runs, is_write=False)
+        return self._gathered(addrs, region)
+
+    def _gathered(self, addrs: np.ndarray | None, region: Region):
+        if addrs is None:
             return None
-        addrs = self.addresses(region)
-        self.file.account_runs(ctx, *runs_of(addrs), is_write=False)
         return self.file.gather(addrs).reshape(region_shape(region))
 
     def read_tile_partial(
@@ -191,11 +211,13 @@ class OutOfCoreArray:
     def write_tile(
         self, region: Region, data: np.ndarray | None, ctx: IOContext
     ) -> None:
-        if not self.file.real:
-            self.file.account_runs(ctx, *self.runs(region), is_write=True)
+        *runs, addrs = self.transfer(region)
+        self.file.account_runs(ctx, *runs, is_write=True)
+        self._scatter(addrs, data)
+
+    def _scatter(self, addrs: np.ndarray | None, data) -> None:
+        if addrs is None:
             return
-        addrs = self.addresses(region)
-        self.file.account_runs(ctx, *runs_of(addrs), is_write=True)
         if data is None:
             raise ValueError("real-mode write requires data")
         self.file.scatter(
@@ -227,15 +249,56 @@ class LinearStore:
     def __init__(self, arrays: dict[str, OutOfCoreArray]):
         self.arrays = arrays
 
+    def _transfers(self, requests, ctx, is_write):
+        """Account one tile's transfers — a segment per request — as one
+        batch; the arrays and their addresses, for the data to follow."""
+        arrays = [self.arrays[req[0]] for req in requests]
+        offsets, lengths, addrs = zip(
+            *(arr.transfer(req[1]) for arr, req in zip(arrays, requests))
+        )
+        ctx.record_runs(
+            [arr.file.base_elem for arr in arrays],
+            np.concatenate(offsets), np.concatenate(lengths),
+            [is_write] * len(arrays), [o.size for o in offsets],
+        )
+        return zip(arrays, addrs)
+
     def read_tiles(self, requests, ctx):
         return {
-            name: self.arrays[name].read_tile(region, ctx)
-            for name, region in requests
+            name: arr._gathered(addrs, region)
+            for (name, region), (arr, addrs) in zip(
+                requests, self._transfers(requests, ctx, False)
+            )
         }
 
     def write_tiles(self, requests, ctx):
-        for name, region, data in requests:
-            self.arrays[name].write_tile(region, data, ctx)
+        for (_, _, data), (arr, addrs) in zip(
+            requests, self._transfers(requests, ctx, True)
+        ):
+            arr._scatter(addrs, data)
+
+    def transfer_runs(self, groups):
+        """What ``read_tiles`` / ``write_tiles`` would account for each
+        request list of ``groups``, accounting nothing: per group, a
+        ``(file base, offsets, lengths)`` transfer per request."""
+        regions: dict[str, list[Region]] = {}
+        for group in groups:
+            for name, region in group:
+                regions.setdefault(name, []).append(region)
+        answers = {}
+        for name, asked in regions.items():
+            offsets, lengths, counts = self.arrays[name].runs_many(asked)
+            stops = counts.cumsum().tolist()
+            answers[name] = iter([
+                (offsets[a:b], lengths[a:b]) for a, b in zip([0, *stops], stops)
+            ])
+        return [
+            [
+                (self.arrays[name].file.base_elem, *next(answers[name]))
+                for name, _ in group
+            ]
+            for group in groups
+        ]
 
     def to_ndarray(self, name):
         return self.arrays[name].to_ndarray()

@@ -17,103 +17,12 @@ import numpy as np
 
 from ..obs import profile as _prof
 from .params import MachineParams
+from .pricing import _sieve, io_node_loads, plan_runs, segment_starts  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache → stats)
     from ..cache.metrics import CacheMetrics
     from ..faults.injector import FaultInjector
     from ..obs.metrics import MetricsRegistry
-
-
-def _sieve(
-    offsets: np.ndarray, lengths: np.ndarray, max_gap_elems: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Data sieving: merge runs whose gaps are at most ``max_gap`` into
-    single spanning calls (the gap bytes are transferred and discarded —
-    or rewritten unchanged for writes, which are tile-level
-    read-modify-write here).  Runs must be disjoint."""
-    if offsets.size <= 1:
-        # nothing to merge: zero runs (no gaps at all) or a single run
-        # (whose "gaps" array would otherwise index out of bounds)
-        return offsets, lengths
-    order = np.argsort(offsets, kind="stable")
-    offsets, lengths = offsets[order], lengths[order]
-    ends = offsets + lengths
-    gaps = offsets[1:] - ends[:-1]
-    breaks = np.flatnonzero(gaps > max_gap_elems)
-    starts = np.concatenate(([0], breaks + 1))
-    stops = np.concatenate((breaks, [offsets.size - 1]))
-    new_offsets = offsets[starts]
-    new_lengths = ends[stops] - offsets[starts]
-    return new_offsets, new_lengths
-
-
-def plan_runs(
-    params: MachineParams, offsets: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The exact I/O calls :meth:`IOContext.record_runs` would issue for a
-    batch of contiguous runs: sieve small gaps, then split runs longer
-    than the maximum request size.  Pure — no accounting is recorded —
-    so the tile cache can price *avoided* transfers identically."""
-    _prof.WORK.plan_runs_calls += 1
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if offsets.size == 0:
-        return offsets, lengths
-    maxe = params.max_request_elements
-    if params.sieve_gap_bytes and offsets.size > 1:
-        offsets, lengths = _sieve(
-            offsets, lengths, params.sieve_gap_bytes // params.element_size
-        )
-        if params.sieve_buffer_bytes:
-            maxe = min(maxe, params.sieve_buffer_bytes // params.element_size)
-    if (lengths > maxe).any():
-        pieces_off: list[np.ndarray] = []
-        pieces_len: list[np.ndarray] = []
-        counts = -(-lengths // maxe)
-        for off, ln, cnt in zip(offsets, lengths, counts):
-            starts = off + maxe * np.arange(cnt, dtype=np.int64)
-            plen = np.full(cnt, maxe, dtype=np.int64)
-            plen[-1] = ln - maxe * (cnt - 1)
-            pieces_off.append(starts)
-            pieces_len.append(plen)
-        offsets = np.concatenate(pieces_off)
-        lengths = np.concatenate(pieces_len)
-    _prof.WORK.priced_runs += int(offsets.size)
-    return offsets, lengths
-
-
-def io_node_loads(
-    params: MachineParams,
-    offsets: np.ndarray,
-    lengths: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-I/O-node service seconds of a batch of final calls (global
-    element offsets): latency at the first servicing node, transfer
-    spread over the stripes each call covers (vectorized over calls,
-    looped over the bounded stripe span of a single call).  Accumulates
-    into ``out`` — a fresh zero vector by default — so a recorder adds
-    to its running load in the same order a per-call loop would."""
-    load = np.zeros(params.n_io_nodes, dtype=np.float64) if out is None else out
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if offsets.size == 0:
-        return load
-    se = params.stripe_elements
-    start, end = offsets, offsets + lengths
-    first, last = start // se, (end - 1) // se
-    np.add.at(load, first % params.n_io_nodes, params.io_latency_s)
-    per_el = params.element_size / params.io_bandwidth_bps
-    span = int((last - first).max()) + 1
-    for k in range(span):
-        stripe = first + k
-        mask = stripe <= last
-        if not mask.any():
-            break
-        s0 = np.maximum(start[mask], stripe[mask] * se)
-        s1 = np.minimum(end[mask], (stripe[mask] + 1) * se)
-        np.add.at(load, stripe[mask] % params.n_io_nodes, (s1 - s0) * per_el)
-    return load
 
 
 class ColumnTable:
@@ -402,95 +311,77 @@ class IOContext:
             return None
         return CallTable.concat(self._batches)
 
-    def _publish_calls(self, n_calls: int, n_elems: int, is_write: bool) -> None:
-        m = self.metrics
-        direction = "write" if is_write else "read"
-        m.counter(f"io.{direction}_calls").inc(n_calls)
-        m.counter(f"io.elements_{'written' if is_write else 'read'}").inc(
-            n_elems
+    def _count_calls(self, n_calls: int, n_elems: int, is_write: bool) -> None:
+        names = (
+            ("write_calls", "elements_written") if is_write
+            else ("read_calls", "elements_read")
         )
+        for name, n in zip(names, (int(n_calls), int(n_elems))):
+            setattr(self.stats, name, getattr(self.stats, name) + n)
+            if self.metrics is not None:
+                self.metrics.counter(f"io.{name}").inc(n)
 
     def record_call(self, file_base_elem: int, offset_elem: int, n_elems: int, is_write: bool) -> None:
-        """Account one I/O call for ``n_elems`` contiguous elements starting
-        at ``offset_elem`` within a file whose stripe-0 begins at
-        ``file_base_elem`` (element units)."""
-        p = self.params
-        nbytes = n_elems * p.element_size
-        if is_write:
-            self.stats.write_calls += 1
-            self.stats.elements_written += n_elems
-        else:
-            self.stats.read_calls += 1
-            self.stats.elements_read += n_elems
-        self.stats.io_time_s += p.call_time(nbytes)
-        if self.metrics is not None:
-            self._publish_calls(1, n_elems, is_write)
-            self.metrics.histogram("io.call_elements").observe(n_elems)
-        if self._batches is not None:
-            self._batches.append(
-                CallTable(file_base_elem, [offset_elem], [n_elems], is_write)
-            )
-        # distribute the transfer across the stripes the call covers
-        start = file_base_elem + offset_elem
-        end = start + n_elems  # exclusive
-        se = p.stripe_elements
-        first_stripe = start // se
-        last_stripe = (end - 1) // se
-        # latency is paid at the first servicing I/O node
-        self.io_node_load[first_stripe % p.n_io_nodes] += p.io_latency_s
-        for stripe in range(first_stripe, last_stripe + 1):
-            s0 = max(start, stripe * se)
-            s1 = min(end, (stripe + 1) * se)
-            self.io_node_load[stripe % p.n_io_nodes] += p.transfer_time(
-                (s1 - s0) * p.element_size
-            )
+        """Account one I/O call of ``n_elems`` elements at ``offset_elem``
+        of the file based at ``file_base_elem``: a batch of one run."""
+        self.record_runs(file_base_elem, [offset_elem], [n_elems], is_write)
 
     def record_runs(
         self,
-        file_base_elem: int,
+        file_base_elem: int | np.ndarray,
         offsets: np.ndarray,
         lengths: np.ndarray,
-        is_write: bool,
+        is_write: bool | np.ndarray,
+        counts: np.ndarray | None = None,
     ) -> int:
-        """Vectorized accounting for a batch of contiguous runs (element
-        units).  Runs longer than the maximum request size are split into
-        multiple calls.  Returns the number of I/O calls recorded."""
-        p = self.params
-        offsets, lengths = plan_runs(p, offsets, lengths)
+        """Account a batch of contiguous runs (element units): planned
+        into calls by :func:`plan_runs`, counted, timed, traced and
+        charged to the I/O nodes by :func:`io_node_loads`.  Returns the
+        number of I/O calls recorded.
+
+        The batch is one segment — one transfer's runs in one file and
+        direction — unless ``counts`` gives the runs per segment of
+        several laid end to end, with ``file_base_elem`` and ``is_write``
+        one value per segment.  Recording segments together or one by
+        one leaves the same counters, seconds, loads and trace, bit for
+        bit: what is a float sum is accumulated in segment order."""
+        p, s = self.params, self.stats
+        base = np.asarray(file_base_elem).reshape(-1)
+        is_write = np.asarray(is_write).reshape(-1)
+        offsets, lengths, counts = plan_runs(
+            p, offsets, lengths, [len(offsets)] if counts is None else counts
+        )
         if offsets.size == 0:
             return 0
+        if not counts.all():  # a segment without calls leaves no mark
+            issued = counts > 0
+            base, is_write, counts = base[issued], is_write[issued], counts[issued]
+        base_col = base.repeat(counts)
+        if self.faults is not None or self._batches is not None:
+            calls = CallTable(base_col, offsets, lengths, is_write.repeat(counts))
         if self.faults is not None:
-            return self._record_runs_faulty(
-                file_base_elem, offsets, lengths, is_write
-            )
+            return self._record_runs_faulty(calls)
 
-        n_calls = int(offsets.size)
-        n_elems = int(lengths.sum())
-        if is_write:
-            self.stats.write_calls += n_calls
-            self.stats.elements_written += n_elems
-        else:
-            self.stats.read_calls += n_calls
-            self.stats.elements_read += n_elems
-        self.stats.io_time_s += p.batch_time(n_calls, n_elems)
+        elems = np.add.reduceat(lengths, segment_starts(counts))
+        n_calls, w_calls, w_elems = offsets.size, counts @ is_write, elems @ is_write
+        if n_calls > w_calls:
+            self._count_calls(n_calls - w_calls, elems.sum() - w_elems, False)
+        if w_calls:
+            self._count_calls(w_calls, w_elems, True)
+        # a sequential sum, like a recorder adding segment after segment
+        seconds = p.batch_time(counts, elems)
+        seconds[0] += s.io_time_s
+        s.io_time_s = float(np.add.accumulate(seconds)[-1])
         if self.metrics is not None:
-            self._publish_calls(n_calls, n_elems, is_write)
             self.metrics.histogram("io.call_elements").observe_many(lengths)
         if self._batches is not None:
-            self._batches.append(
-                CallTable(file_base_elem, offsets, lengths, is_write)
-            )
-        io_node_loads(p, file_base_elem + offsets, lengths, self.io_node_load)
-        return n_calls
+            self._batches.append(calls)
+        io_node_loads(p, base_col + offsets, lengths, self.io_node_load, counts)
+        return int(n_calls)
 
-    def _record_runs_faulty(
-        self,
-        file_base_elem: int,
-        offsets: np.ndarray,
-        lengths: np.ndarray,
-        is_write: bool,
-    ) -> int:
-        """Per-call accounting through the fault injector.
+    def _record_runs_faulty(self, planned: CallTable) -> int:
+        """Per-call accounting through the fault injector (one row per
+        planned call; each draw depends on the one before).
 
         Every *attempt* (including failed ones and hedged duplicates) is
         a full accounted call — the transfer ran even when the call then
@@ -503,25 +394,22 @@ class IOContext:
         """
         p = self.params
         inj = self.faults
-        se = p.stripe_elements
         s = self.stats
         total_calls = 0
-        for off, ln in zip(offsets, lengths):
-            off, ln = int(off), int(ln)
+        io_nodes = (
+            (planned.base + planned.offset) // p.stripe_elements % p.n_io_nodes
+        )
+        for (file_base, off, ln, write), io_node in zip(
+            planned.rows(), io_nodes.tolist()
+        ):
             nominal_s = p.call_time(ln * p.element_size)
-            io_node = ((file_base_elem + off) // se) % p.n_io_nodes
             out = inj.serial_call(
-                io_node, is_write, nominal_s,
+                io_node, write, nominal_s,
                 n_io_nodes=p.n_io_nodes, at_s=s.io_time_s,
             )
             calls = out.attempts + (1 if out.hedged else 0)
             total_calls += calls
-            if is_write:
-                s.write_calls += calls
-                s.elements_written += ln * calls
-            else:
-                s.read_calls += calls
-                s.elements_read += ln * calls
+            self._count_calls(calls, ln * calls, write)
             s.io_time_s += out.io_time_s
             s.retries += out.retries
             s.failed_calls += out.failed_attempts
@@ -531,15 +419,14 @@ class IOContext:
                 s.hedged_calls += 1
                 self.io_node_load[out.hedge_node] += nominal_s
             if self.metrics is not None:
-                self._publish_calls(calls, ln * calls, is_write)
                 h = self.metrics.histogram("io.call_elements")
                 for _ in range(calls):
                     h.observe(ln)
                 self._publish_faults(out)
             if self._batches is not None:
-                self._batches.append(CallTable(
-                    file_base_elem, np.full(calls, off), ln, is_write
-                ))
+                self._batches.append(
+                    CallTable(file_base, np.full(calls, off), ln, write)
+                )
             if out.gave_up:
                 inj.raise_exhausted(out, io_node)
         return total_calls

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..dependence import analyze_nest, transform_is_legal
+from ..dependence import DependenceEdge, analyze_nest, transform_is_legal
 from ..ir.affine import AffineExpr
 from ..ir.loops import Bound, Loop
 from ..ir.nest import LoopNest
@@ -41,8 +41,12 @@ def apply_loop_transform(
     *,
     new_vars: Sequence[str] | None = None,
     check_legality: bool = True,
+    edges: list[DependenceEdge] | None = None,
 ) -> LoopNest:
-    """Return the transformed nest (same semantics, new traversal order)."""
+    """Return the transformed nest (same semantics, new traversal order).
+    ``edges`` are the nest's dependence edges when the caller already
+    analysed it (the legality check runs against them); analysed here
+    otherwise."""
     if t.shape != (nest.depth, nest.depth):
         raise ValueError(
             f"transform shape {t.shape} does not match nest depth {nest.depth}"
@@ -54,7 +58,9 @@ def apply_loop_transform(
         )
     if t == IMat.identity(nest.depth):
         return nest
-    if check_legality and not transform_is_legal(t, analyze_nest(nest)):
+    if check_legality and not transform_is_legal(
+        t, analyze_nest(nest) if edges is None else edges
+    ):
         raise ValueError(f"transformation {t!r} violates dependences of {nest.name}")
 
     names = tuple(new_vars) if new_vars is not None else transformed_loop_vars(nest)

@@ -114,9 +114,12 @@ class TestIONodeLoads:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_scalar_record_call_on_random_runs(self, seed):
-        """Pinned against the scalar reference: random final calls, most
-        spanning several 16-element stripes, loaded one ``record_call``
-        at a time vs the vectorized batch (fresh and accumulating)."""
+        """Pinned against the scalar reference (kept here: one call at a
+        time, its stripes one at a time): random final calls, most
+        spanning several 16-element stripes.  ``record_call`` is a batch
+        of one call of the same kernel, so call by call the floats are
+        the reference's; all calls as *one segment* add the same terms
+        latencies first, then stripe by stripe."""
         rng = np.random.default_rng(seed)
         offsets = rng.integers(0, 2000, size=60).astype(np.int64)
         lengths = rng.integers(
@@ -124,15 +127,35 @@ class TestIONodeLoads:
         ).astype(np.int64)
         assert (lengths > 3 * PARAMS.stripe_elements).any()
         base = int(rng.integers(0, 100))
+
+        se, per_el = PARAMS.stripe_elements, (
+            PARAMS.element_size / PARAMS.io_bandwidth_bps
+        )
+        scalar = [0.0] * PARAMS.n_io_nodes
+        for o, ln in zip(offsets.tolist(), lengths.tolist()):
+            start, end = base + o, base + o + ln
+            scalar[start // se % PARAMS.n_io_nodes] += PARAMS.io_latency_s
+            for stripe in range(start // se, (end - 1) // se + 1):
+                s0, s1 = max(start, stripe * se), min(end, (stripe + 1) * se)
+                scalar[stripe % PARAMS.n_io_nodes] += (s1 - s0) * per_el
+
         ref = IOContext(PARAMS)
         for o, ln in zip(offsets, lengths):
             ref.record_call(base, int(o), int(ln), is_write=False)
+        assert ref.io_node_load.tolist() == scalar
+        # the same calls as one batch of one-call segments
+        each = IOContext(PARAMS)
+        ones = np.ones(60, dtype=np.int64)
+        each.record_runs(base * ones, offsets, lengths, ones == 0, ones)
+        assert each.io_node_load.tolist() == scalar
+        assert each.stats == ref.stats
+
         got = io_node_loads(PARAMS, base + offsets, lengths)
-        np.testing.assert_allclose(got, ref.io_node_load, rtol=1e-12)
+        np.testing.assert_allclose(got, scalar, rtol=1e-12)
         # accumulating into a running vector adds to it, in place
         out = got.copy()
         assert io_node_loads(PARAMS, base + offsets, lengths, out) is out
-        np.testing.assert_allclose(out, 2 * ref.io_node_load, rtol=1e-12)
+        np.testing.assert_allclose(out, 2 * np.array(scalar), rtol=1e-12)
         # and the batched recorder is that same arithmetic, bit for bit
         ctx = IOContext(PARAMS)
         ctx.record_runs(base, offsets, lengths, is_write=False)

@@ -32,34 +32,34 @@ class TestSieve:
         """Regression: an empty run set used to hit ``offsets[0]`` and
         raise IndexError; it must pass through untouched."""
         empty = np.zeros(0, dtype=np.int64)
-        offs, lens = _sieve(empty, empty, max_gap_elems=6)
+        offs, lens, _ = _sieve(empty, empty, max_gap_elems=6)
         assert offs.size == 0 and lens.size == 0
 
     def test_single_run_passthrough(self):
         """A single run has no gaps to sieve — returned as-is."""
-        offs, lens = _sieve(np.array([5]), np.array([7]), max_gap_elems=6)
+        offs, lens, _ = _sieve(np.array([5]), np.array([7]), max_gap_elems=6)
         assert list(offs) == [5]
         assert list(lens) == [7]
 
     def test_merges_small_gaps(self):
-        offs, lens = _sieve(np.array([0, 10]), np.array([4, 4]), max_gap_elems=6)
+        offs, lens, _ = _sieve(np.array([0, 10]), np.array([4, 4]), max_gap_elems=6)
         assert list(offs) == [0]
         assert list(lens) == [14]  # spans the gap
 
     def test_keeps_large_gaps(self):
-        offs, lens = _sieve(np.array([0, 100]), np.array([4, 4]), 6)
+        offs, lens, _ = _sieve(np.array([0, 100]), np.array([4, 4]), 6)
         assert list(offs) == [0, 100]
         assert list(lens) == [4, 4]
 
     def test_chain_merge(self):
-        offs, lens = _sieve(
+        offs, lens, _ = _sieve(
             np.array([0, 6, 12, 100]), np.array([4, 4, 4, 4]), 2
         )
         assert list(offs) == [0, 100]
         assert list(lens) == [16, 4]
 
     def test_unsorted_input_handled(self):
-        offs, lens = _sieve(np.array([10, 0]), np.array([4, 4]), 6)
+        offs, lens, _ = _sieve(np.array([10, 0]), np.array([4, 4]), 6)
         assert list(offs) == [0]
         assert list(lens) == [14]
 
@@ -67,7 +67,7 @@ class TestSieve:
     @given(runs_strategy(), st.integers(0, 20))
     def test_spans_cover_all_runs(self, runs, gap):
         offsets, lengths = runs
-        s_off, s_len = _sieve(offsets, lengths, gap)
+        s_off, s_len, _ = _sieve(offsets, lengths, gap)
         # every original element lies inside some sieved span
         for o, l in zip(offsets, lengths):
             assert any(
@@ -78,7 +78,7 @@ class TestSieve:
     @given(runs_strategy(), st.integers(0, 20))
     def test_spans_disjoint_and_sorted(self, runs, gap):
         offsets, lengths = runs
-        s_off, s_len = _sieve(offsets, lengths, gap)
+        s_off, s_len, _ = _sieve(offsets, lengths, gap)
         ends = s_off + s_len
         assert (np.diff(s_off) > 0).all() if s_off.size > 1 else True
         for k in range(s_off.size - 1):
@@ -88,7 +88,7 @@ class TestSieve:
     @given(runs_strategy())
     def test_zero_gap_is_identity(self, runs):
         offsets, lengths = runs
-        s_off, s_len = _sieve(offsets, lengths, 0)
+        s_off, s_len, _ = _sieve(offsets, lengths, 0)
         np.testing.assert_array_equal(s_off, offsets)
         np.testing.assert_array_equal(s_len, lengths)
 
