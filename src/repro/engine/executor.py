@@ -44,8 +44,8 @@ from ..runtime.ooc_array import LinearStore, Region, region_size, runs_of
 from ..runtime.stats import CallTable, plan_runs
 from ..transforms.tiling import TilingSpec, ooc_tiling
 from .interpreter import (
+    BulkKernel,
     initial_arrays,
-    innermost_vectorizable,
     run_element_loops,
     run_element_loops_vectorized,
 )
@@ -195,6 +195,19 @@ class _DirectTileIO:
         transfer per store."""
         for store, reqs in _by_store(self._stores, requests):
             store.write_tiles(reqs, ctx)
+
+    def load(self, requests) -> dict[str, np.ndarray | None]:
+        """The data half of :meth:`read`, for a walk :meth:`account`
+        has already recorded."""
+        tiles_data: dict[str, np.ndarray | None] = {}
+        for store, reqs in _by_store(self._stores, requests):
+            tiles_data.update(store.load_tiles(reqs))
+        return tiles_data
+
+    def store(self, requests) -> None:
+        """The data half of :meth:`write`."""
+        for store, reqs in _by_store(self._stores, requests):
+            store.store_tiles(reqs)
 
     def after_tile(self, t: int, compute_s: float, ctx: IOContext) -> None:
         pass
@@ -590,15 +603,15 @@ class OOCExecutor:
                     f"cache budget {cache_budget} must leave memory for "
                     f"compute tiles (budget {self.memory_budget})"
                 )
-        # real-mode fast path: vectorize the innermost loop when no
-        # dependence is carried by it (scalar fallback otherwise); the
-        # check needs every nest's edges, which the planner then shares
-        self._vectorizable: dict[str, bool] = {}
+        # real-mode fast path: a nest with dependence-free loop levels is
+        # compiled once into a bulk kernel (scalar fallback otherwise);
+        # that needs every nest's edges, which the planner then shares
+        self._kernels: dict[str, BulkKernel | None] = {}
         if self.real and vectorize:
             edges = program_edges(program, edges)
             for nest in program.nests:
-                self._vectorizable[nest.name] = innermost_vectorizable(
-                    nest, edges[nest.name]
+                self._kernels[nest.name] = BulkKernel.compile(
+                    nest, self.binding, edges[nest.name]
                 )
         # planned once, here, before any store or file exists
         if plans is None:
@@ -681,9 +694,7 @@ class OOCExecutor:
             )
         self._cache = self._io.cache
         # a walk's I/O is a function of the walk alone (see `_run_nest`)
-        self._static_io = (
-            not self.real and cache is None and self._injector is None
-        )
+        self._static_io = cache is None and self._injector is None
 
     # -- public API -------------------------------------------------------
 
@@ -924,13 +935,16 @@ class OOCExecutor:
         How data moves (direct or through the tile cache) is the
         tile-I/O collaborator's business, not the walk's.
 
-        A walk's I/O is static where no data, cache or injected fault sits
+        A walk's I/O is static where no cache or injected fault sits
         between the tiles and the recorder: it is then recorded up front,
         in batches (the same ``record_runs``, the same result), and the
-        loop keeps what is per tile — memory and compute."""
+        loop keeps what is per tile — memory, compute and, in real mode,
+        the data itself."""
         io = self._io
+        static, real = self._static_io, self.real
+        kernel = self._kernels.get(nest.name)
         tiles = io.begin_nest(self._tiles(nest, plan))
-        if self._static_io:
+        if static:
             tiles = list(tiles)
             io.account(tiles, ctx)
         tiles_executed = 0
@@ -955,32 +969,35 @@ class OOCExecutor:
             # with the retry budget exhausted) releases the allocation on
             # the way out, so memory accounting never leaks
             try:
-                tiles_data = {} if self._static_io else io.read(reads, ctx)
+                if not static:
+                    tiles_data = io.read(reads, ctx)
+                else:
+                    tiles_data = io.load(reads) if real else {}
 
                 compute_before = ctx.stats.compute_time_s
-                if self.real:
-                    runner = (
-                        run_element_loops_vectorized
-                        if self._vectorizable.get(nest.name)
-                        else run_element_loops
-                    )
-                    count = runner(
-                        nest, self.binding, windows, tiles_data, dict(reads)
+                if not real:
+                    count = nest.estimated_iterations(self.binding, windows)
+                elif kernel is not None:
+                    count = run_element_loops_vectorized(
+                        kernel, windows, tiles_data, dict(reads)
                     )
                 else:
-                    count = nest.estimated_iterations(self.binding, windows)
+                    count = run_element_loops(
+                        nest, self.binding, windows, tiles_data, dict(reads)
+                    )
                 ctx.record_compute(count, len(nest.body))
 
                 # write back modified arrays
-                if not self._static_io:
-                    io.write(
-                        [
-                            (name, region, tiles_data.get(name))
-                            for name, (region, _, written) in fps.items()
-                            if written
-                        ],
-                        ctx,
-                    )
+                if real or not static:
+                    writes = [
+                        (name, region, tiles_data.get(name))
+                        for name, (region, _, written) in fps.items()
+                        if written
+                    ]
+                    if static:
+                        io.store(writes)
+                    else:
+                        io.write(writes, ctx)
                 io.after_tile(
                     tiles_executed,
                     ctx.stats.compute_time_s - compute_before,

@@ -10,12 +10,16 @@ in-memory data tiles; it is shared by the real-mode out-of-core executor.
 
 from __future__ import annotations
 
+import operator
 import zlib
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from ..ir.arrays import ArrayRef
+from ..ir.expr import Call, Const, Ref, UnOp
+from ..ir.loops import Loop
 from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..runtime.ooc_array import Region
@@ -82,6 +86,17 @@ def interpret_program(
     return storage
 
 
+def _clipped_range(
+    loop: Loop, env: Mapping[str, int], tile_windows
+) -> tuple[int, int]:
+    """The loop's range under ``env``, clipped to its tile window."""
+    lo, hi = loop.eval_range(env)
+    if loop.var in tile_windows:
+        wlo, whi = tile_windows[loop.var]
+        lo, hi = max(lo, wlo), min(hi, whi)
+    return lo, hi
+
+
 def iterate_tile(
     nest: LoopNest,
     binding: Mapping[str, int],
@@ -96,10 +111,7 @@ def iterate_tile(
             yield {v: env[v] for v in nest.loop_vars}
             return
         loop = nest.loops[level]
-        lo, hi = loop.eval_range(env)
-        if loop.var in tile_windows:
-            wlo, whi = tile_windows[loop.var]
-            lo, hi = max(lo, wlo), min(hi, whi)
+        lo, hi = _clipped_range(loop, env, tile_windows)
         for v in range(lo, hi + 1):
             env[loop.var] = v
             yield from rec(level + 1)
@@ -108,113 +120,158 @@ def iterate_tile(
     return rec(0)
 
 
-def innermost_vectorizable(nest: LoopNest, edges=None) -> bool:
-    """True when the innermost loop can be executed as one numpy strip:
-    no guards, and no dependence carried by the innermost level (checked
-    with the exact analyzer, or against the nest's ``edges`` when the
-    caller already has them).  Elementwise float semantics are identical
-    to the scalar interpreter."""
+def bulk_levels(nest: LoopNest, edges=None) -> tuple[int, ...]:
+    """The loop levels one numpy operation per statement can cover: no
+    guards, the variable in no loop bound, and no dependence carried by
+    the level (the exact analyzer's ``edges``, analysed here when the
+    caller has none).  Such levels can move innermost together — every
+    distance vector's first non-zero sits on a level that stays outside,
+    so it stays lexicographically positive — and what remains among them
+    are same-iteration dependences, which statement order keeps."""
     if any(stmt.guards for stmt in nest.body):
-        return False
+        return ()
     if edges is None:
         from ..dependence import analyze_nest
 
         edges = analyze_nest(nest)
-    level = nest.depth - 1
-    return not any(edge.carried_at_level(level) for edge in edges)
+    bounding = {
+        name
+        for loop in nest.loops
+        for bound in (*loop.lowers, *loop.uppers)
+        for name in bound.expr.names
+    }
+    return tuple(
+        level
+        for level, loop in enumerate(nest.loops)
+        if loop.var not in bounding
+        and not any(edge.carried_at_level(level) for edge in edges)
+    )
 
 
-def _eval_vec(expr, env, vec_var, vec, load):
-    """Evaluate an expression tree over a whole innermost strip."""
-    from ..ir.expr import BinOp, Call, Const, Ref, UnOp
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+_CALLS = {
+    "sqrt": lambda x: np.sqrt(np.abs(x)),
+    "exp": lambda x: np.exp(np.minimum(x, 50.0)),
+    "abs": np.abs,
+}
 
+
+def _compile_expr(expr, refs: list[ArrayRef]):
+    """``expr`` as a closure over ``load(k)``, the gathered values of
+    reference ``k`` of ``refs`` (its own references are appended).
+    Elementwise float semantics are those of ``Expr.evaluate``."""
     if isinstance(expr, Const):
-        return expr.value
+        return lambda load, value=expr.value: value
     if isinstance(expr, Ref):
-        return load(expr.ref, env, vec_var, vec)
-    if isinstance(expr, BinOp):
-        a = _eval_vec(expr.left, env, vec_var, vec, load)
-        b = _eval_vec(expr.right, env, vec_var, vec, load)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        return a / b
+        refs.append(expr.ref)
+        return lambda load, k=len(refs) - 1: load(k)
     if isinstance(expr, UnOp):
-        return -_eval_vec(expr.operand, env, vec_var, vec, load)
+        operand = _compile_expr(expr.operand, refs)
+        return lambda load: -operand(load)
     if isinstance(expr, Call):
-        arg = _eval_vec(expr.arg, env, vec_var, vec, load)
-        if expr.fn == "sqrt":
-            return np.sqrt(np.abs(arg))
-        if expr.fn == "exp":
-            return np.exp(np.minimum(arg, 50.0))
-        return np.abs(arg)
-    raise TypeError(f"cannot vectorize {expr!r}")  # pragma: no cover
+        fn, arg = _CALLS[expr.fn], _compile_expr(expr.arg, refs)
+        return lambda load: fn(arg(load))
+    op = _BINOPS[expr.op]
+    left, right = _compile_expr(expr.left, refs), _compile_expr(expr.right, refs)
+    return lambda load: op(left(load), right(load))
 
 
-def _vec_indices(ref, env, vec_var, vec, origin):
-    idx = []
-    for d, sub in enumerate(ref.subscripts):
-        coeff = sub.coeff(vec_var)
-        base = sub.drop({vec_var}).evaluate(env) - origin[d]
-        idx.append(base + coeff * vec if coeff else np.full(vec.shape, base))
-    return tuple(np.asarray(x, dtype=np.intp) for x in idx)
+@dataclass(frozen=True)
+class BulkKernel:
+    """One nest's element loops, compiled once per executor: the levels
+    in ``bulk`` run as one numpy box per statement, the others as python
+    loops in their original order."""
+
+    nest: LoopNest
+    binding: Mapping[str, int]
+    bulk: tuple[int, ...]
+    #: every reference of the body as ``(array, offsets, access matrix)``
+    refs: tuple
+    #: per statement: its lhs's place in ``refs`` and its compiled rhs
+    stmts: tuple
+
+    @staticmethod
+    def compile(nest: LoopNest, binding: Mapping[str, int], edges=None):
+        """The nest's kernel, or ``None`` when no level is bulk (the
+        scalar :func:`run_element_loops` runs it)."""
+        bulk = bulk_levels(nest, edges)
+        if not bulk:
+            return None
+        refs: list[ArrayRef] = []
+        stmts = []
+        for stmt in nest.body:
+            refs.append(stmt.lhs)
+            stmts.append((len(refs) - 1, _compile_expr(stmt.rhs, refs)))
+        loop_vars = nest.loop_vars
+        tables = tuple(
+            (
+                ref.array.name,
+                np.array([o.evaluate(binding) for o in ref.offset_exprs(loop_vars)]),
+                np.array(ref.access_matrix(loop_vars).rows),
+            )
+            for ref in refs
+        )
+        return BulkKernel(nest, binding, bulk, tables, tuple(stmts))
 
 
 def run_element_loops_vectorized(
-    nest: LoopNest,
-    binding: Mapping[str, int],
+    kernel: BulkKernel,
     tile_windows: Mapping[str, tuple[int, int]],
     tiles: Mapping[str, np.ndarray],
     regions: Mapping[str, Region],
 ) -> int:
-    """Vectorized twin of :func:`run_element_loops`: the outer loops run
-    in Python, the innermost as numpy strips.  Caller must have checked
-    :func:`innermost_vectorizable`."""
-    origins = {
-        name: tuple(lo for lo, _ in region) for name, region in regions.items()
-    }
-    inner = nest.loops[-1]
-
-    def load(ref, env, vec_var, vec):
-        return tiles[ref.array.name][
-            _vec_indices(ref, env, vec_var, vec, origins[ref.array.name])
-        ]
+    """Bulk twin of :func:`run_element_loops`: per tile the sequential
+    levels run in python and each statement is one broadcast fancy-index
+    gather → numpy expression → assignment over the box of bulk levels.
+    Every statement instance reads what the scalar path reads, so the
+    (C-contiguous) tiles end up bit-for-bit equal."""
+    nest, bulk = kernel.nest, kernel.bulk
+    views = {}
+    for name, region in regions.items():
+        tile = tiles[name]
+        if not tile.flags.c_contiguous:
+            raise ValueError(f"tile of {name} is not C-contiguous")
+        strides = np.array(tile.strides) // tile.itemsize
+        views[name] = tile.reshape(-1), strides, [lo for lo, _ in region]
+    # every reference as an affine map into its tile's flat view: a
+    # coefficient per loop level and a constant
+    flats, coefs, consts = [], [], []
+    for name, offsets, access in kernel.refs:
+        flat, strides, origin = views[name]
+        flats.append(flat)
+        coefs.append((strides @ access).tolist())
+        consts.append(int(strides @ (offsets - origin)))
 
     count = 0
-    env: dict[str, int] = dict(binding)
+    env: dict[str, int] = dict(kernel.binding)
 
-    def rec(level: int):
+    def rec(level: int, size: int, at: list):
+        """Run levels ``level``… with every reference's flat index so far
+        in ``at`` (an integer, or an array over the bulk box's ``size``
+        points once a bulk level is bound)."""
         nonlocal count
-        if level == nest.depth - 1:
-            lo, hi = inner.eval_range(env)
-            if inner.var in tile_windows:
-                wlo, whi = tile_windows[inner.var]
-                lo, hi = max(lo, wlo), min(hi, whi)
-            if lo > hi:
-                return
-            vec = np.arange(lo, hi + 1, dtype=np.int64)
-            count += vec.size
-            for stmt in nest.body:
-                value = _eval_vec(stmt.rhs, env, inner.var, vec, load)
-                name = stmt.lhs.array.name
-                tiles[name][
-                    _vec_indices(stmt.lhs, env, inner.var, vec, origins[name])
-                ] = value
+        if level == nest.depth:
+            count += size
+            for lhs, rhs in kernel.stmts:
+                flats[lhs][at[lhs]] = rhs(lambda k: flats[k][at[k]])
             return
         loop = nest.loops[level]
-        lo, hi = loop.eval_range(env)
-        if loop.var in tile_windows:
-            wlo, whi = tile_windows[loop.var]
-            lo, hi = max(lo, wlo), min(hi, whi)
-        for v in range(lo, hi + 1):
+        lo, hi = _clipped_range(loop, env, tile_windows)
+        values, boxed = range(lo, hi + 1), level in bulk
+        if boxed and lo <= hi:
+            size *= hi - lo + 1
+            axis = (-1,) + (1,) * sum(b > level for b in bulk)
+            values = [np.arange(lo, hi + 1).reshape(axis)]
+        for v in values:
             env[loop.var] = v
-            rec(level + 1)
-            del env[loop.var]
+            # a bulk level always adds its axis: every index spans the box
+            rec(level + 1, size, [
+                a + c[level] * v if boxed or c[level] else a
+                for a, c in zip(at, coefs)
+            ])
 
-    rec(0)
+    rec(0, 1, consts)
     return count
 
 

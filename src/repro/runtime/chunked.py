@@ -141,13 +141,11 @@ class InterleavedChunkedStore:
             [(self.file.base_elem, *self.chunk_runs(group))] for group in groups
         ]
 
-    def read_tiles(
-        self, requests: Sequence[tuple[str, Region]], ctx: IOContext
+    def load_tiles(
+        self, requests: Sequence[tuple[str, Region]]
     ) -> dict[str, np.ndarray | None]:
-        """Fetch tiles of several arrays in one combined operation, at
-        whole-chunk granularity."""
-        if requests:
-            self.file.account_runs(ctx, *self.chunk_runs(requests), False)
+        """Data per array name (``None`` in simulate mode), accounting
+        nothing."""
         if not self.file.real:
             return dict.fromkeys(name for name, _ in requests)
         return {
@@ -157,6 +155,28 @@ class InterleavedChunkedStore:
             for name, region in requests
         }
 
+    def store_tiles(
+        self, requests: Sequence[tuple[str, Region, np.ndarray | None]]
+    ) -> None:
+        if not self.file.real:
+            return
+        for name, region, data in requests:
+            if data is None:
+                raise ValueError("real-mode write requires data")
+            self.file.scatter(
+                self.addresses(name, region),
+                np.asarray(data, dtype=self.file.dtype).ravel(),
+            )
+
+    def read_tiles(
+        self, requests: Sequence[tuple[str, Region]], ctx: IOContext
+    ) -> dict[str, np.ndarray | None]:
+        """Fetch tiles of several arrays in one combined operation, at
+        whole-chunk granularity."""
+        if requests:
+            self.file.account_runs(ctx, *self.chunk_runs(requests), False)
+        return self.load_tiles(requests)
+
     def write_tiles(
         self,
         requests: Sequence[tuple[str, Region, np.ndarray | None]],
@@ -164,14 +184,7 @@ class InterleavedChunkedStore:
     ) -> None:
         if requests:
             self.file.account_runs(ctx, *self.chunk_runs(requests), True)
-        for name, region, data in requests:
-            if self.file.real:
-                if data is None:
-                    raise ValueError("real-mode write requires data")
-                self.file.scatter(
-                    self.addresses(name, region),
-                    np.asarray(data, dtype=self.file.dtype).ravel(),
-                )
+        self.store_tiles(requests)
 
     def estimate_read(self, name: str, region: Region, params) -> tuple[int, int]:
         """(calls, elements) for a standalone whole-chunk read of the

@@ -163,27 +163,33 @@ class OutOfCoreArray:
         return self.file.account_runs(ctx, offsets, lengths, is_write)
 
     # -- data movement --------------------------------------------------------
-    # Accounting-only files price a transfer from `runs`; where data
-    # moves the addresses exist anyway and are decomposed as they are.
+    # A transfer is priced from `runs` (box + layout) and moved, where a
+    # file carries data, by `addresses` — two halves a caller may take
+    # apart: a static walk is accounted up front and then only moves.
 
-    def transfer(self, region: Region):
-        """A tile transfer's file runs and, where data moves, the slot
-        of every element: ``(offsets, lengths, addresses | None)``."""
+    def load_tile(self, region: Region) -> np.ndarray | None:
+        """The tile's data (``None`` in simulate mode), accounting nothing."""
         if not self.file.real:
-            return *self.runs(region), None
-        addrs = self.addresses(region)
-        return *runs_of(addrs), addrs
+            return None
+        return self.file.gather(self.addresses(region)).reshape(
+            region_shape(region)
+        )
+
+    def store_tile(self, region: Region, data: np.ndarray | None) -> None:
+        """Put the tile's data in the file, accounting nothing."""
+        if not self.file.real:
+            return
+        if data is None:
+            raise ValueError("real-mode write requires data")
+        self.file.scatter(
+            self.addresses(region),
+            np.asarray(data, dtype=self.file.dtype).ravel(),
+        )
 
     def read_tile(self, region: Region, ctx: IOContext) -> np.ndarray | None:
         """Fetch a tile.  Returns the tile data in real mode, else None."""
-        *runs, addrs = self.transfer(region)
-        self.file.account_runs(ctx, *runs, is_write=False)
-        return self._gathered(addrs, region)
-
-    def _gathered(self, addrs: np.ndarray | None, region: Region):
-        if addrs is None:
-            return None
-        return self.file.gather(addrs).reshape(region_shape(region))
+        self.file.account_runs(ctx, *self.runs(region), is_write=False)
+        return self.load_tile(region)
 
     def read_tile_partial(
         self, region: Region, skip_mask: np.ndarray, ctx: IOContext
@@ -211,18 +217,8 @@ class OutOfCoreArray:
     def write_tile(
         self, region: Region, data: np.ndarray | None, ctx: IOContext
     ) -> None:
-        *runs, addrs = self.transfer(region)
-        self.file.account_runs(ctx, *runs, is_write=True)
-        self._scatter(addrs, data)
-
-    def _scatter(self, addrs: np.ndarray | None, data) -> None:
-        if addrs is None:
-            return
-        if data is None:
-            raise ValueError("real-mode write requires data")
-        self.file.scatter(
-            addrs, np.asarray(data, dtype=self.file.dtype).ravel()
-        )
+        self.file.account_runs(ctx, *self.runs(region), is_write=True)
+        self.store_tile(region, data)
 
     # -- element access (verification only; no I/O accounting) -----------------
 
@@ -249,33 +245,38 @@ class LinearStore:
     def __init__(self, arrays: dict[str, OutOfCoreArray]):
         self.arrays = arrays
 
-    def _transfers(self, requests, ctx, is_write):
-        """Account one tile's transfers — a segment per request — as one
-        batch; the arrays and their addresses, for the data to follow."""
+    def _account(self, requests, ctx, is_write):
+        """Record one tile's transfers — a segment per request — as one
+        batch."""
         arrays = [self.arrays[req[0]] for req in requests]
-        offsets, lengths, addrs = zip(
-            *(arr.transfer(req[1]) for arr, req in zip(arrays, requests))
+        offsets, lengths = zip(
+            *(arr.runs(req[1]) for arr, req in zip(arrays, requests))
         )
         ctx.record_runs(
             [arr.file.base_elem for arr in arrays],
             np.concatenate(offsets), np.concatenate(lengths),
             [is_write] * len(arrays), [o.size for o in offsets],
         )
-        return zip(arrays, addrs)
 
-    def read_tiles(self, requests, ctx):
+    def load_tiles(self, requests):
+        """Data per array name of ``(name, region)`` requests (``None``
+        in simulate mode), accounting nothing."""
         return {
-            name: arr._gathered(addrs, region)
-            for (name, region), (arr, addrs) in zip(
-                requests, self._transfers(requests, ctx, False)
-            )
+            name: self.arrays[name].load_tile(region)
+            for name, region in requests
         }
 
+    def store_tiles(self, requests):
+        for name, region, data in requests:
+            self.arrays[name].store_tile(region, data)
+
+    def read_tiles(self, requests, ctx):
+        self._account(requests, ctx, False)
+        return self.load_tiles(requests)
+
     def write_tiles(self, requests, ctx):
-        for (_, _, data), (arr, addrs) in zip(
-            requests, self._transfers(requests, ctx, True)
-        ):
-            arr._scatter(addrs, data)
+        self._account(requests, ctx, True)
+        self.store_tiles(requests)
 
     def transfer_runs(self, groups):
         """What ``read_tiles`` / ``write_tiles`` would account for each

@@ -2,6 +2,7 @@ import pytest
 
 from repro.engine import generate_tiled_code, plan_nest
 from repro.engine.codegen import generate_nest_code
+from repro.engine.interpreter import bulk_levels
 from repro.ir import ProgramBuilder
 from repro.layout import col_major, row_major
 from repro.transforms import no_tiling, ooc_tiling, traditional_tiling
@@ -27,10 +28,13 @@ class TestGenerateNestCode:
         nest = program().nests[0]
         text = generate_nest_code(nest, ooc_tiling(nest), LAYOUTS)
         lines = text.splitlines()
-        # tile loop for i only, element loops inside, balanced end-dos
+        # tile loop for i only; both element levels are dependence-free,
+        # so they print as the one bulk box the executor runs
         assert lines[0].startswith("do IT = ")
         assert "do JT" not in text
-        assert text.count("end do") == 3  # i, j element loops + IT tile loop
+        assert "forall (i = max(1, IT):min(N, IT+B-1), j = 1:N)" in text
+        assert text.count("end forall") == 1
+        assert text.count("end do") == 1  # the IT tile loop
         assert "passion_read_tiles(U, V)" in text
         assert "passion_write_tiles(U)" in text
 
@@ -46,12 +50,36 @@ class TestGenerateNestCode:
         nest = program().nests[0]
         text = generate_nest_code(nest, no_tiling(nest), LAYOUTS)
         assert "IT" not in text
-        assert "do i = 1, N" in text
+        assert "forall (i = 1:N, j = 1:N)" in text
 
     def test_statement_rendered(self):
         nest = program().nests[0]
         text = generate_nest_code(nest, ooc_tiling(nest), LAYOUTS)
         assert "U(i - 1, j - 1) = (V(j - 1, i - 1) + 1)" in text
+
+
+    def test_sequential_levels_stay_do_loops(self):
+        # a recurrence along j: the listing and the executed kernel agree
+        # that j is sequential and i the bulk box
+        b = ProgramBuilder("cg", params=("N",), default_binding={"N": 8})
+        N = b.param("N")
+        U = b.array("U", (N + 1, N + 1))
+        with b.nest("rec") as nb:
+            i = nb.loop("i", 1, N)
+            j = nb.loop("j", 1, N)
+            nb.assign(U[i, j], U[i, j - 1] + 1.0)
+        nest = b.build().nests[0]
+        assert bulk_levels(nest) == (0,)
+        lines = generate_nest_code(nest, ooc_tiling(nest), LAYOUTS).splitlines()
+        body = [line.strip() for line in lines]
+        assert body.index("do j = 1, N") < body.index(
+            "forall (i = max(1, IT):min(N, IT+B-1))"
+        )
+        assert body[-4:-1] == ["end forall", "end do", "call passion_write_tiles(U)"]
+        # with edges that carry nothing, every level is bulk
+        assert "forall (i = max(1, IT):min(N, IT+B-1), j = 1:N)" in (
+            generate_nest_code(nest, ooc_tiling(nest), LAYOUTS, edges=[])
+        )
 
 
 class TestGenerateTiledCode:
