@@ -309,14 +309,12 @@ def resolve_backend(backend, real: bool | None = None) -> StorageBackend:
       error (a simulate-only request cannot run on a data-moving
       backend and vice versa).
     """
-    from .chunked import ChunkedBackend
-    from .memory import MemoryBackend, SimulateBackend
-    from .object_store import SimulatedObjectStore
-    from .posix import MmapBackend
+    if backend is None or isinstance(backend, str):
+        from .chunked import ChunkedBackend
+        from .memory import MemoryBackend, SimulateBackend
+        from .object_store import SimulatedObjectStore
+        from .posix import MmapBackend
 
-    if backend is None:
-        return MemoryBackend() if (real is None or real) else SimulateBackend()
-    if isinstance(backend, str):
         makers = {
             "memory": MemoryBackend,
             "simulate": SimulateBackend,
@@ -324,6 +322,8 @@ def resolve_backend(backend, real: bool | None = None) -> StorageBackend:
             "chunked": ChunkedBackend,
             "object": SimulatedObjectStore,
         }
+        if backend is None:
+            backend = "memory" if (real is None or real) else "simulate"
         if backend not in makers:
             raise BackendError(
                 f"unknown backend kind {backend!r}; known: {sorted(makers)}"

@@ -2,12 +2,15 @@
 
 Executes one compute node's share of a program against the simulated
 parallel file system, with exact I/O accounting.  Used directly for the
-single-node experiments; :mod:`repro.parallel` wraps it per SPMD node.
+single-node experiments; :mod:`repro.parallel` makes one per SPMD node
+and :func:`run_ranks` walks a nest on all of them at once.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace as dc_replace
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -31,14 +34,15 @@ from ..obs import Observability, nest_records
 from ..obs import profile as _prof
 from ..obs.profile import ProfileConfig, ProfileResult
 from ..runtime import (
-    InterleavedChunkedStore,
     IOContext,
     IOStats,
     MachineParams,
     MemoryBudgetExceeded,
     MemoryManager,
-    OutOfCoreArray,
     ParallelFileSystem,
+)
+from ..runtime.chunked import (  # noqa: F401 (the specs are imported from here)
+    InterleavedStoreSpec, LinearStoreSpec, StoreSpec, open_stores,
 )
 from ..runtime.ooc_array import LinearStore, Region, region_size, runs_of
 from ..runtime.stats import CallTable, plan_runs
@@ -50,21 +54,6 @@ from .interpreter import (
     run_element_loops_vectorized,
 )
 from .plan import NestPlan, TileSpace, plan_nest, program_edges
-
-
-@dataclass(frozen=True)
-class LinearStoreSpec:
-    layout: Layout
-
-
-@dataclass(frozen=True)
-class InterleavedStoreSpec:
-    group: str
-    block: tuple[int, ...]
-    origin: tuple[int, ...] | None = None  # chunk-grid anchor (tile corner)
-
-
-StoreSpec = LinearStoreSpec | InterleavedStoreSpec
 
 
 @dataclass
@@ -134,6 +123,18 @@ def _by_store(stores: Mapping[str, object], requests):
     return groups.values()
 
 
+def _record(batch: list) -> int:
+    """Record a rank's batch — a ``(ctx, is_write, file base, offsets,
+    lengths)`` segment per transfer — and empty it: it then holds 0 runs."""
+    ctxs, is_writes, bases, offsets, lengths = zip(*batch)
+    batch.clear()
+    ctxs[0].record_runs(
+        bases, np.concatenate(offsets), np.concatenate(lengths),
+        is_writes, [o.size for o in offsets],
+    )
+    return 0
+
+
 class _DirectTileIO:
     """The tile walk's I/O collaborator when no cache is configured:
     every tile moves straight between memory and the stores.
@@ -148,14 +149,40 @@ class _DirectTileIO:
     def begin_nest(self, tiles):
         return tiles
 
-    def account(self, tiles, ctx: IOContext) -> None:
+    def account(self, walk, tracer=None, of=""):
         """Record what :meth:`read` and :meth:`write` would account tile
-        after tile of a walk, moving nothing: each store answers for all
-        of its transfers at once (``transfer_runs``) and they reach the
-        recorder in issue order, about ``_BATCH_RUNS`` runs a batch."""
+        after tile of ``walk`` — every rank's tiles in turn, ``(ctx,
+        file-base shift, tile)`` — moving nothing, and yield the tiles
+        back.  These stores answer for all ranks (a rank's files are
+        these, ``shift`` elements on), a block of tiles at a time; a
+        rank's last batch is recorded by the time the next rank's tiles
+        (or none) are handed out."""
+        walk = iter(walk)
+        batch, step = [], 1
+        while block := list(islice(walk, step)):
+            span = tracer and tracer.begin(f"derive {of}", "execute", tiles=len(block))
+            derived = self._derive(block, batch)
+            if span:
+                tracer.end(span, runs=derived)
+            # the next block: `_BATCH_RUNS` runs at this one's density,
+            # but eight times its tiles at most (one light tile) and 32
+            # runs a tile at least (the objects describing light tiles)
+            tiles = len(block)
+            step = min(
+                8 * tiles, max(1, tiles * _BATCH_RUNS // max(derived, 32 * tiles))
+            )
+            yield from block
+        if batch:
+            _record(batch)
+
+    def _derive(self, block, batch: list) -> int:
+        """Put a block's transfers on ``batch`` in issue order, each
+        store deriving its own at once (``transfer_runs``); about
+        ``_BATCH_RUNS`` runs, or a rank's last, are recorded.  Returns
+        the runs derived."""
         groups = [
-            (store, is_write, reqs)
-            for _, fps, reads in tiles
+            (ctx, shift, store, is_write, reqs)
+            for ctx, shift, (_, fps, reads) in block
             for is_write, requests in (
                 (False, reads),
                 (True, [(a, fp[0]) for a, fp in fps.items() if fp[2]]),
@@ -163,51 +190,44 @@ class _DirectTileIO:
             for store, reqs in _by_store(self._stores, requests)
         ]
         asked: dict[int, tuple[object, list]] = {}
-        for store, _, reqs in groups:
+        for _, _, store, _, reqs in groups:
             asked.setdefault(id(store), (store, []))[1].append(reqs)
         answers = {
             key: iter(store.transfer_runs(of_store))
             for key, (store, of_store) in asked.items()
         }
-        batch, n_runs = [], 0
-        for i, (store, is_write, _) in enumerate(groups):
-            for transfer in next(answers[id(store)]):
-                batch.append((is_write, *transfer))
-                n_runs += transfer[1].size
-            if batch and (n_runs >= _BATCH_RUNS or i == len(groups) - 1):
-                is_writes, bases, offsets, lengths = zip(*batch)
-                ctx.record_runs(
-                    bases, np.concatenate(offsets), np.concatenate(lengths),
-                    is_writes, [o.size for o in offsets],
-                )
-                batch, n_runs = [], 0
+        derived, n_runs = 0, sum(row[3].size for row in batch)
+        for ctx, shift, store, is_write, _ in groups:
+            if batch and ctx is not batch[0][0]:
+                n_runs = _record(batch)
+            for base, offsets, lengths in next(answers[id(store)]):
+                batch.append((ctx, is_write, base + shift, offsets, lengths))
+                n_runs += offsets.size
+                derived += offsets.size
+                if n_runs >= _BATCH_RUNS:
+                    n_runs = _record(batch)
+        return derived
 
-    def read(self, requests, ctx: IOContext) -> dict[str, np.ndarray | None]:
+    def read(self, requests, ctx: IOContext | None) -> dict[str, np.ndarray | None]:
         """Read ``(name, region)`` tiles, one combined transfer per
-        store; data per array name (``None`` in simulate mode)."""
+        store; data per array name (``None`` in simulate mode).  Without
+        a ``ctx`` only data moves: :meth:`account` has recorded the walk."""
         tiles_data: dict[str, np.ndarray | None] = {}
         for store, reqs in _by_store(self._stores, requests):
-            tiles_data.update(store.read_tiles(reqs, ctx))
+            tiles_data.update(
+                store.load_tiles(reqs) if ctx is None
+                else store.read_tiles(reqs, ctx)
+            )
         return tiles_data
 
-    def write(self, requests, ctx: IOContext) -> None:
+    def write(self, requests, ctx: IOContext | None) -> None:
         """Write ``(name, region, data)`` tiles back, one combined
-        transfer per store."""
+        transfer per store (``ctx`` as for :meth:`read`)."""
         for store, reqs in _by_store(self._stores, requests):
-            store.write_tiles(reqs, ctx)
-
-    def load(self, requests) -> dict[str, np.ndarray | None]:
-        """The data half of :meth:`read`, for a walk :meth:`account`
-        has already recorded."""
-        tiles_data: dict[str, np.ndarray | None] = {}
-        for store, reqs in _by_store(self._stores, requests):
-            tiles_data.update(store.load_tiles(reqs))
-        return tiles_data
-
-    def store(self, requests) -> None:
-        """The data half of :meth:`write`."""
-        for store, reqs in _by_store(self._stores, requests):
-            store.store_tiles(reqs)
+            if ctx is None:
+                store.store_tiles(reqs)
+            else:
+                store.write_tiles(reqs, ctx)
 
     def after_tile(self, t: int, compute_s: float, ctx: IOContext) -> None:
         pass
@@ -448,7 +468,7 @@ def plan_program(
     """A run's one planning step: every nest's :class:`NestPlan` by name.
 
     Nothing here depends on the SPMD rank, so the first executor of a
-    run plans and the others are handed its ``plans``.  ``tile_sizes``
+    run plans and the others are made from it (``for_rank``).  ``tile_sizes``
     forces block sizes (a nest left out keeps the planner's
     binary-search choice); ``edges`` are known dependence edges per
     nest.  A ``tile_sizes`` key naming no nest, a ``tiling`` mapping
@@ -511,8 +531,7 @@ class OOCExecutor:
     dtype:
         element dtype carried by the backend files (default float64).
     plans:
-        another executor's :attr:`plans` (the SPMD driver hands rank
-        0's to every other rank), used instead of planning from
+        another executor's :attr:`plans`, used instead of planning from
         ``tiling``/``tile_sizes``.  ``None`` plans here, at construction.
     edges:
         known dependence edges per nest name (``VersionConfig.edges``);
@@ -546,11 +565,6 @@ class OOCExecutor:
         plans: Mapping[str, NestPlan] | None = None,
         edges: Mapping[str, list[DependenceEdge]] | None = None,
     ):
-        if node_slice is not None:
-            rank, n_nodes = node_slice
-            if not (0 <= rank < n_nodes):
-                raise ValueError(f"bad node slice {node_slice}")
-        self.node_slice = node_slice
         # observability (repro.obs): spans, metrics and per-nest I/O
         # records.  With obs=None (the default) no instrumentation path
         # is taken and accounting is bit-identical to pre-obs behavior.
@@ -567,14 +581,7 @@ class OOCExecutor:
         # precomputed static I/O lower bounds (repro.bounds); None means
         # derive them at obs-finish time against the effective memory
         self._bounds = bounds
-        # fault injection (repro.faults): one injector per executor, its
-        # RNG stream seeded by plan.seed + rank.  With faults=None (the
-        # default) every IOContext takes its vectorized path untouched.
-        self._injector: FaultInjector | None = None
-        if faults is not None:
-            self._injector = faults.injector(
-                node_slice[0] if node_slice else 0
-            )
+        self._faults = faults
         self.program = program
         self.params = params or MachineParams()
         self.binding = program.binding(binding)
@@ -582,8 +589,8 @@ class OOCExecutor:
         # default backends (None ⇒ in-memory); an explicit backend
         # decides for itself whether data moves (real) or only
         # accounting runs, and a contradicting `real` is a BackendError
-        self.backend = resolve_backend(backend, real)
-        self.real = self.backend.real
+        backend = resolve_backend(backend, real)
+        self.real = backend.real
         self._dtype = dtype
         self.shapes = {
             a.name: a.shape(self.binding) for a in program.arrays
@@ -630,80 +637,72 @@ class OOCExecutor:
         #: for every rank of an SPMD run
         self.plans: Mapping[str, NestPlan] = plans
 
-        # build storage
-        self.pfs = pfs or ParallelFileSystem(self.params)
-        spec_map: dict[str, StoreSpec] = {}
-        for a in program.arrays:
-            if storage_spec and a.name in storage_spec:
-                spec_map[a.name] = storage_spec[a.name]
-            elif layouts and a.name in layouts:
-                spec_map[a.name] = LinearStoreSpec(layouts[a.name])
-            else:
-                spec_map[a.name] = LinearStoreSpec(row_major(a.rank))
-        self._stores: dict[str, object] = {}
-        linear_arrays: dict[str, OutOfCoreArray] = {}
-        groups: dict[str, list[tuple[str, InterleavedStoreSpec]]] = {}
-        for name, spec in spec_map.items():
-            if isinstance(spec, LinearStoreSpec):
-                linear_arrays[name] = OutOfCoreArray.create(
-                    name, self.shapes[name], spec.layout, self.pfs,
-                    backend=self.backend, dtype=self._dtype,
-                )
-            else:
-                groups.setdefault(spec.group, []).append((name, spec))
-        linear_store = LinearStore(linear_arrays)
-        for name in linear_arrays:
-            self._stores[name] = linear_store
+        #: every nest's rank-less tile space: a rank cuts its slab of it
+        self._spaces = {
+            name: TileSpace(plan, self.binding, self.shapes)
+            for name, plan in plans.items()
+        }
+        given, layouts = storage_spec or {}, layouts or {}
+        self._specs: dict[str, StoreSpec] = {
+            a.name: given.get(a.name) or LinearStoreSpec(
+                layouts.get(a.name) or row_major(a.rank)
+            )
+            for a in program.arrays
+        }
         # concrete linear layouts, kept for the cost-model drift
         # telemetry (predicted I/O needs each array's fast direction)
         self._layouts: dict[str, Layout] = {
             name: spec.layout
-            for name, spec in spec_map.items()
+            for name, spec in self._specs.items()
             if isinstance(spec, LinearStoreSpec)
         }
-        for group, members in groups.items():
-            names = [n for n, _ in members]
-            shapes = {self.shapes[n] for n in names}
-            if len(shapes) != 1:
-                raise ValueError(
-                    f"interleaved group {group} mixes shapes {shapes}"
-                )
-            block = members[0][1].block
-            store = InterleavedChunkedStore(
-                names, next(iter(shapes)), block, self.pfs,
-                backend=self.backend, dtype=self._dtype,
-                file_name=f"group:{group}", origin=members[0][1].origin,
-            )
-            for n in names:
-                self._stores[n] = store
+        self._initial = initial
+        self._cache_cfg, self._cache_budget = cache, cache_budget
+        self._bind(node_slice, pfs or ParallelFileSystem(self.params), backend)
 
+    def for_rank(self, node_slice, pfs, backend) -> "OOCExecutor":
+        """This executor as another SPMD rank: binding, shapes, plans,
+        tile spaces, store specs and kernels shared, the rest its own."""
+        other = copy(self)
+        other._bind(node_slice, pfs, backend)
+        return other
+
+    def _bind(self, node_slice, pfs, backend) -> None:
+        """What a rank owns: its slab, files (in ``pfs``, through
+        ``backend``), memory, tile cache and fault injector (one per
+        executor, its RNG stream seeded by plan.seed + rank)."""
+        if node_slice is not None and not 0 <= node_slice[0] < node_slice[1]:
+            raise ValueError(f"bad node slice {node_slice}")
+        self.node_slice, self.pfs, self.backend = node_slice, pfs, backend
+        #: this rank's fault injector (``None`` without ``faults``); the
+        #: SPMD driver publishes it, as its ranks run without an ``obs``
+        self.injector: FaultInjector | None = self._faults and (
+            self._faults.injector(node_slice[0] if node_slice else 0)
+        )
+        #: where this rank's files start: rank r's are rank 0's, moved
+        self._file_origin = pfs.next_base
+        self._stores = open_stores(self._specs, self.shapes, pfs, backend, self._dtype)
         if self.real:
-            data = initial or initial_arrays(program, self.binding)
+            data = self._initial or initial_arrays(self.program, self.binding)
             for name in self.shapes:
                 self._stores[name].load_ndarray(name, data[name])
 
         self.memory = MemoryManager(self.memory_budget)
         self._over_budget_tiles = 0
         self._io = _DirectTileIO(self._stores)
-        if cache is not None:
+        if self._cache_cfg is not None:
             self._io = _CachedTileIO(
-                self._stores, self.params, cache,
+                self._stores, self.params, self._cache_cfg,
                 TileCache(
-                    cache_budget, make_policy(cache.policy), memory=self.memory
+                    self._cache_budget, make_policy(self._cache_cfg.policy),
+                    memory=self.memory,
                 ),
             )
         self._cache = self._io.cache
-        # a walk's I/O is a function of the walk alone (see `_run_nest`)
-        self._static_io = cache is None and self._injector is None
+        # a walk's I/O is a function of the walk alone (see `_run_tile`)
+        self._static_io = self._cache is None and self.injector is None
 
     # -- public API -------------------------------------------------------
-
-    @property
-    def injector(self) -> FaultInjector | None:
-        """This rank's fault injector (``None`` without ``faults``) —
-        the SPMD driver publishes its events and counters, since the
-        per-rank executors run without an observability handle."""
-        return self._injector
 
     def array_data(self, name: str) -> np.ndarray:
         if not self.real:
@@ -735,111 +734,40 @@ class OOCExecutor:
         return predict_program_elements(self.program, self.binding)
 
     def run(self) -> RunResult:
-        with _prof.capture(self._profile, self._obs) as cap:
-            result = self._run()
+        obs = self._obs
+        with _prof.capture(self._profile, obs) as cap:
+            timed = obs is not None and obs.config.wall_time
+            tracer = obs.tracer if timed else None
+            run_span = tracer and tracer.begin(
+                "executor.run", "execute", program=self.program.name
+            )
+            (result,) = run_ranks([self], tracer)
+            if obs is not None:
+                self._finish_obs(obs, run_span, result)
         result.profile = cap.result
         return result
 
-    def _run(self) -> RunResult:
-        obs = self._obs
-        run_span = (
-            obs.tracer.begin(
-                "executor.run", "execute", program=self.program.name
-            )
-            if obs is not None and obs.config.wall_time
-            else None
-        )
-        reg = obs.metrics if obs is not None and obs.config.metrics else None
-        ctx = IOContext(self.params)
-        nest_runs: list[NestRun] = []
-        for nest in self.program.nests:
-            nest_span = (
-                obs.tracer.begin(f"nest {nest.name}", "execute", nest=nest.name)
-                if obs is not None and obs.config.wall_time
-                else None
-            )
-            plan = self.plans[nest.name]
-            # with a live cache, weight repetitions are executed (not
-            # scaled): the cache warms across repetitions, so repetition
-            # stats are not multiples of the first pass.  A fault
-            # injector likewise draws per attempt — scaling one pass by
-            # the weight would multiply fault counts that never fired.
-            # Otherwise one pass is run and scaled by the weight; both
-            # are the same loop (×1 and merging into zero are exact).
-            if self.real or self._cache is not None or self._injector is not None:
-                reps, scale = nest.weight, 1
-            else:
-                reps, scale = 1, nest.weight
-            total = IOStats()
-            tiles = 0
-            passes: list[CallTable] = []
-            for _ in range(reps):
-                local = IOContext(
-                    self.params, trace=self._trace, metrics=reg,
-                    faults=self._injector,
-                )
-                tiles = self._run_nest(nest, plan, local)
-                scaled = local.stats.scaled(scale)
-                total = total.merge(scaled)
-                ctx.stats = ctx.stats.merge(scaled)
-                ctx.io_node_load += local.io_node_load * scale
-                if self._trace:
-                    passes.append(local.trace)
-            nest_runs.append(
-                NestRun(
-                    nest.name, plan, total, tiles,
-                    CallTable.concat(passes) if self._trace else None,
-                    trace_weight=scale,
-                )
-            )
-            if nest_span is not None:
-                nr = nest_runs[-1]
-                obs.tracer.end(
-                    nest_span,
-                    tiles=nr.tiles_executed,
-                    calls=nr.stats.calls,
-                    elements=nr.stats.elements_moved,
-                    tile_size=plan.tile_size,
-                )
-        # snapshot the counters: the cache (and its live metrics) outlives
-        # this run, so the result must not mutate retroactively if run()
-        # is called again; counters stay cumulative over the cache's life
-        metrics = (
-            dc_replace(self._cache.metrics) if self._cache is not None else None
-        )
-        if metrics is not None:
-            ctx.stats.cache = metrics
-        # measured side of the run: a measuring backend's cumulative
-        # counters, snapshotted like the cache metrics above
-        bmetrics = (
-            dc_replace(self.backend.metrics)
-            if self.backend.measures else None
-        )
-        if obs is not None:
-            self._finish_obs(obs, run_span, ctx, nest_runs)
-        return RunResult(
-            ctx.stats,
-            ctx.io_node_load,
-            nest_runs,
-            self.memory.peak,
-            self._over_budget_tiles,
-            metrics,
-            bmetrics,
-        )
+    def _finish(self, result: RunResult) -> None:
+        """What the rank, not the walk, knows of a run."""
+        result.peak_memory = self.memory.peak
+        result.over_budget_tiles = self._over_budget_tiles
+        # snapshots: the cache's and a measuring backend's counters are
+        # cumulative, and a result must not change when run() is called again
+        if self._cache is not None:
+            result.cache_metrics = dc_replace(self._cache.metrics)
+            result.stats.cache = result.cache_metrics
+        if self.backend.measures:
+            result.backend_metrics = dc_replace(self.backend.metrics)
 
     def _finish_obs(
-        self,
-        obs: Observability,
-        run_span,
-        ctx: IOContext,
-        nest_runs: list[NestRun],
+        self, obs: Observability, run_span, result: RunResult
     ) -> None:
         """Close out one run's telemetry: per-nest × per-array records
         from the call traces, cache counters, run-level gauges."""
         if obs.config.per_array:
             rank = self.node_slice[0] if self.node_slice else 0
             for rec in nest_records(
-                self.params, nest_runs, self.file_names(), node=rank
+                self.params, result.nest_runs, self.file_names(), node=rank
             ):
                 obs.record_nest_io(rec)
             obs.note_predictions(self.predicted_io())
@@ -868,22 +796,24 @@ class OOCExecutor:
             obs.metrics.gauge("executor.over_budget_tiles").set(
                 self._over_budget_tiles
             )
-            if self._injector is not None:
-                self._injector.publish_metrics(obs.metrics)
+            if self.injector is not None:
+                self.injector.publish_metrics(obs.metrics)
             if self.backend.measures:
-                self._publish_backend_metrics(obs, ctx)
-        if self._injector is not None and self._injector.events:
-            obs.add_fault_events(self._injector.events)
-        obs.note_stats(ctx.stats)
+                self._publish_backend_metrics(obs, result)
+        if self.injector is not None and self.injector.events:
+            obs.add_fault_events(self.injector.events)
+        obs.note_stats(result.stats)
         if run_span is not None:
             obs.tracer.end(
                 run_span,
-                calls=ctx.stats.calls,
-                elements=ctx.stats.elements_moved,
-                io_time_s=ctx.stats.io_time_s,
+                calls=result.stats.calls,
+                elements=result.stats.elements_moved,
+                io_time_s=result.stats.io_time_s,
             )
 
-    def _publish_backend_metrics(self, obs: Observability, ctx: IOContext) -> None:
+    def _publish_backend_metrics(
+        self, obs: Observability, result: RunResult
+    ) -> None:
         """Measured-vs-predicted gauges for a byte-moving backend.
 
         ``backend.*`` gauges carry the measured side (operations, bytes,
@@ -898,8 +828,8 @@ class OOCExecutor:
         g("backend.bytes_read").set(m.bytes_read)
         g("backend.bytes_written").set(m.bytes_written)
         g("backend.measured_io_s").set(m.wall_s)
-        if ctx.stats.io_time_s > 0:
-            g("backend.io_ratio").set(m.wall_s / ctx.stats.io_time_s)
+        if result.stats.io_time_s > 0:
+            g("backend.io_ratio").set(m.wall_s / result.stats.io_time_s)
 
     def close(self) -> None:
         """Release backend resources (mmap handles, temporary chunk
@@ -916,97 +846,158 @@ class OOCExecutor:
 
     # -- internals -----------------------------------------------------------
 
-    def _tiles(self, nest: LoopNest, plan: NestPlan):
-        """This rank's non-empty tiles of the plan's :class:`TileSpace`
+    def _tiles(self, nest: LoopNest):
+        """This rank's non-empty tiles of the nest's :class:`TileSpace`
         in walk order, lazily: ``(windows, footprints, reads)``;
         ``reads`` is the tile's ``(name, region)`` read set — every
         accessed array's tile (the paper's generated code reads tiles
         for all arrays, including write-only ones — read-modify-write
         of the bounding box)."""
-        space = TileSpace(plan, self.binding, self.shapes, self.node_slice)
-        for windows, _, fps in space:
+        for windows, _, fps in self._spaces[nest.name].on(self.node_slice):
             yield windows, fps, [
                 (name, region) for name, (region, _, _) in fps.items()
             ]
 
-    def _run_nest(self, nest: LoopNest, plan: NestPlan, ctx: IOContext) -> int:
-        """The one tile walk: enumerate tiles → reserve memory → read →
-        compute → write → per-tile hook → release → end-of-nest hook.
-        How data moves (direct or through the tile cache) is the
-        tile-I/O collaborator's business, not the walk's.
-
-        A walk's I/O is static where no cache or injected fault sits
-        between the tiles and the recorder: it is then recorded up front,
-        in batches (the same ``record_runs``, the same result), and the
-        loop keeps what is per tile — memory, compute and, in real mode,
-        the data itself."""
-        io = self._io
+    def _run_tile(self, nest: LoopNest, tile, t: int, ctx: IOContext) -> None:
+        """A rank's ``t``-th tile: reserve memory → read → compute →
+        write → per-tile hook → release.  How data moves (direct or
+        through the tile cache) is the tile-I/O collaborator's business;
+        a static walk is already accounted (:func:`run_ranks`), and the
+        tile keeps what is its own — memory, compute and, in real mode,
+        the data."""
+        io, plan = self._io, self.plans[nest.name]
         static, real = self._static_io, self.real
+        io_ctx = None if static else ctx
         kernel = self._kernels.get(nest.name)
-        tiles = io.begin_nest(self._tiles(nest, plan))
-        if static:
-            tiles = list(tiles)
-            io.account(tiles, ctx)
-        tiles_executed = 0
-        for windows, fps, reads in tiles:
-            total_fp = sum(region_size(region) for region, _, _ in fps.values())
-            allocated = False
-            if not plan.over_budget:
-                try:
-                    self.memory.allocate(total_fp)
-                    allocated = True
-                except MemoryBudgetExceeded:
-                    # the planner sizes tiles against sampled anchors; a
-                    # pathological boundary tile may still overshoot —
-                    # count it rather than abort (the peak is recorded)
-                    self.memory.peak = max(
-                        self.memory.peak, self.memory.in_use + total_fp
-                    )
-                    self._over_budget_tiles += 1
-
-            # the tile's reservation must not outlive a failed transfer:
-            # an I/O call that raises (e.g. an injected TransientIOError
-            # with the retry budget exhausted) releases the allocation on
-            # the way out, so memory accounting never leaks
+        windows, fps, reads = tile
+        total_fp = sum(region_size(region) for region, _, _ in fps.values())
+        allocated = False
+        if not plan.over_budget:
             try:
-                if not static:
-                    tiles_data = io.read(reads, ctx)
-                else:
-                    tiles_data = io.load(reads) if real else {}
-
-                compute_before = ctx.stats.compute_time_s
-                if not real:
-                    count = nest.estimated_iterations(self.binding, windows)
-                elif kernel is not None:
-                    count = run_element_loops_vectorized(
-                        kernel, windows, tiles_data, dict(reads)
-                    )
-                else:
-                    count = run_element_loops(
-                        nest, self.binding, windows, tiles_data, dict(reads)
-                    )
-                ctx.record_compute(count, len(nest.body))
-
-                # write back modified arrays
-                if real or not static:
-                    writes = [
-                        (name, region, tiles_data.get(name))
-                        for name, (region, _, written) in fps.items()
-                        if written
-                    ]
-                    if static:
-                        io.store(writes)
-                    else:
-                        io.write(writes, ctx)
-                io.after_tile(
-                    tiles_executed,
-                    ctx.stats.compute_time_s - compute_before,
-                    ctx,
+                self.memory.allocate(total_fp)
+                allocated = True
+            except MemoryBudgetExceeded:
+                # the planner sizes tiles against sampled anchors; a
+                # pathological boundary tile may still overshoot —
+                # count it rather than abort (the peak is recorded)
+                self.memory.peak = max(
+                    self.memory.peak, self.memory.in_use + total_fp
                 )
-            finally:
-                if allocated:
-                    self.memory.free(total_fp)
-            tiles_executed += 1
-            _prof.WORK.add_loop_iters("tile", 1)
-        io.end_nest(ctx)
-        return tiles_executed
+                self._over_budget_tiles += 1
+
+        # the tile's reservation must not outlive a failed transfer:
+        # an I/O call that raises (e.g. an injected TransientIOError
+        # with the retry budget exhausted) releases the allocation on
+        # the way out, so memory accounting never leaks
+        try:
+            tiles_data = io.read(reads, io_ctx) if real or not static else {}
+
+            compute_before = ctx.stats.compute_time_s
+            if not real:
+                count = nest.estimated_iterations(self.binding, windows)
+            elif kernel is not None:
+                count = run_element_loops_vectorized(
+                    kernel, windows, tiles_data, dict(reads)
+                )
+            else:
+                count = run_element_loops(
+                    nest, self.binding, windows, tiles_data, dict(reads)
+                )
+            ctx.record_compute(count, len(nest.body))
+
+            # write back modified arrays
+            if real or not static:
+                io.write([
+                    (name, region, tiles_data.get(name))
+                    for name, (region, _, written) in fps.items()
+                    if written
+                ], io_ctx)
+            io.after_tile(t, ctx.stats.compute_time_s - compute_before, ctx)
+        finally:
+            if allocated:
+                self.memory.free(total_fp)
+        _prof.WORK.add_loop_iters("tile", 1)
+
+
+def run_ranks(ranks: Sequence[OOCExecutor], tracer=None) -> list[RunResult]:
+    """One run of a program on all of ``ranks`` — a lone executor, or
+    an SPMD run's (:meth:`OOCExecutor.for_rank`) — nest by nest: every
+    rank in turn enumerates its tiles of the nest and runs them, and a
+    static walk (no cache or injected fault between the tiles and the
+    recorder) is derived for all ranks at once, a block of tiles ahead,
+    and recorded rank by rank (:meth:`_DirectTileIO.account`).  A rank's
+    state is its own: its result is what running it alone gives.  A
+    ``tracer`` gets a span per nest, one per rank and derived block in it."""
+    first = ranks[0]
+    obs, params, traced = first._obs, first.params, first._trace
+    reg = obs.metrics if obs is not None and obs.config.metrics else None
+    results = [
+        RunResult(IOStats(), np.zeros(params.n_io_nodes), [], 0) for _ in ranks
+    ]
+    every: list[list[IOStats]] = [[] for _ in ranks]  # a rank's passes' stats
+    for nest in first.program.nests:
+        span = tracer and tracer.begin(
+            f"nest {nest.name}", "execute", nest=nest.name
+        )
+        plan = first.plans[nest.name]
+        # with a live cache, weight repetitions are executed (not
+        # scaled): the cache warms across repetitions, so repetition
+        # stats are not multiples of the first pass.  A fault
+        # injector likewise draws per attempt — scaling one pass by
+        # the weight would multiply fault counts that never fired.
+        # Otherwise one pass is run and scaled by the weight; both
+        # are the same loop (×1 and merging into zero are exact).
+        if first.real or first._cache is not None or first.injector is not None:
+            reps, scale = nest.weight, 1
+        else:
+            reps, scale = 1, nest.weight
+        # each rank's passes: their stats (scaled) and traces
+        stats: list[list[IOStats]] = [[] for _ in ranks]
+        passes: list[list[CallTable | None]] = [[] for _ in ranks]
+        for _ in range(reps):
+            local = [
+                IOContext(params, trace=traced, metrics=reg, faults=ex.injector)
+                for ex in ranks
+            ]
+            # every rank's tiles in turn, enumerated as they are run
+            walk = (
+                (ctx, ex._file_origin - first._file_origin, tile)
+                for ex, ctx in zip(ranks, local)
+                for tile in ex._io.begin_nest(ex._tiles(nest))
+            )
+            if first._static_io:
+                walk = first._io.account(walk, tracer, nest.name)
+            item, tiles = next(walk, None), []
+            for rank, (ex, ctx, result) in enumerate(zip(ranks, local, results)):
+                of_rank = tracer and tracer.begin(
+                    f"rank {rank}", "execute", rank=rank
+                )
+                tiles.append(0)
+                while item is not None and item[0] is ctx:
+                    ex._run_tile(nest, item[2], tiles[rank], ctx)
+                    tiles[rank] += 1
+                    item = next(walk, None)
+                ex._io.end_nest(ctx)
+                if of_rank:
+                    tracer.end(of_rank, calls=ctx.stats.calls * scale)
+                stats[rank].append(ctx.stats.scaled(scale))
+                result.io_node_load += ctx.io_node_load * scale
+                passes[rank].append(ctx.trace)
+        for rank, (result, of_nest) in enumerate(zip(results, stats)):
+            result.nest_runs.append(NestRun(
+                nest.name, plan, IOStats.fold(of_nest), tiles[rank],
+                CallTable.concat(passes[rank]) if traced else None,
+                trace_weight=scale,
+            ))
+            every[rank] += of_nest
+        if span:
+            total = IOStats.fold(r.nest_runs[-1].stats for r in results)
+            tracer.end(
+                span, tiles=sum(tiles), calls=total.calls,
+                elements=total.elements_moved, tile_size=plan.tile_size,
+            )
+    for ex, result, of_run in zip(ranks, results, every):
+        # the run's stats are one sum over its passes, in order
+        result.stats = IOStats.fold(of_run)
+        ex._finish(result)
+    return results

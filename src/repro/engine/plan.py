@@ -22,6 +22,7 @@ all read it from there.
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping
@@ -262,9 +263,10 @@ class TileSpace:
     iteration (or touch no array element) and are dropped, so
     ``len(list(space)) <= len(space)``, equal on rectangular nests.
 
-    ``full`` is each variable's whole range (computed once per space),
-    ``windows`` maps each tiled variable, outermost first, to its
-    ``(starts, stops)`` integer arrays after the rank's slab.
+    ``full`` is each variable's whole range, ``windows`` maps each tiled
+    variable, outermost first, to its ``(starts, stops)`` integer arrays
+    after the rank's slab.  Only the slab depends on the rank:
+    :meth:`on` gives another rank's space off the same ``full``.
     """
 
     def __init__(
@@ -277,11 +279,25 @@ class TileSpace:
         self.plan = plan
         self.binding = binding
         self.shapes = shapes
-        nest = plan.nest
-        self.full = _whole_ranges(nest, binding)
+        self.full = _whole_ranges(plan.nest, binding)
         self.block = max(1, plan.tile_size)
+        #: the range of each loop whose bounds hold parameters only
+        self._fixed = {
+            loop.var: loop.eval_range(binding) for loop in plan.nest.loops
+            if all(b.expr.uses_only(binding) for b in loop.lowers + loop.uppers)
+        }
+        self._cut(node_slice)
+
+    def on(self, node_slice: tuple[int, int] | None) -> "TileSpace":
+        """This space as rank ``node_slice`` cuts it."""
+        other = copy(self)
+        other._cut(node_slice)
+        return other
+
+    def _cut(self, node_slice: tuple[int, int] | None) -> None:
+        nest = self.plan.nest
         self.windows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for level in plan.tiled_levels:
+        for level in self.plan.tiled_levels:
             var = nest.loops[level].var
             lo, hi = self.full[var]
             if not self.windows and node_slice is not None:
@@ -319,20 +335,23 @@ class TileSpace:
         the corners of the enclosing variables' ranges, clipped to the
         tile's windows (``None`` if some range is empty)."""
         ranges: dict[str, tuple[int, int]] = {}
-        env_corners: list[dict[str, int]] = [dict(self.binding)]
         for loop in self.plan.nest.loops:
-            los, his = zip(*(loop.eval_range(env) for env in env_corners))
-            lo, hi = min(los), max(his)
+            if loop.var in self._fixed:
+                lo, hi = self._fixed[loop.var]
+            else:
+                corners = [dict(self.binding)]
+                for var, ends in ranges.items():  # bounded corner expansion
+                    corners = [
+                        {**env, var: val} for env in corners for val in set(ends)
+                    ][:16]
+                los, his = zip(*(loop.eval_range(env) for env in corners))
+                lo, hi = min(los), max(his)
             if loop.var in windows:
                 wlo, whi = windows[loop.var]
                 lo, hi = max(lo, wlo), min(hi, whi)
             if lo > hi:
                 return None
             ranges[loop.var] = (lo, hi)
-            env_corners = [
-                {**env, loop.var: val}
-                for env in env_corners for val in {lo, hi}
-            ][:16]  # bounded corner expansion
         return ranges
 
     def __iter__(

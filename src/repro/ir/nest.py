@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from ..linalg import ConstraintSystem, IMat
@@ -50,10 +51,15 @@ class LoopNest:
         return {name for s in self.body for name in s.arrays()}
 
     def refs(self) -> Iterator[tuple[int, ArrayRef, bool]]:
-        """Yield ``(statement_index, ref, is_write)`` for all references."""
-        for idx, stmt in enumerate(self.body):
-            for ref, is_write in stmt.all_refs():
-                yield idx, ref, is_write
+        """Yield ``(statement_index, ref, is_write)`` for all references
+        (a nest is a value: they are listed once, however often asked)."""
+        return iter(self._refs)
+
+    @cached_property
+    def _refs(self) -> tuple[tuple[int, ArrayRef, bool], ...]:
+        return tuple(
+            (i, ref, w) for i, s in enumerate(self.body) for ref, w in s.all_refs()
+        )
 
     def refs_to(self, array_name: str) -> list[tuple[ArrayRef, bool]]:
         return [

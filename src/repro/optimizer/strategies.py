@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..engine.executor import InterleavedStoreSpec, LinearStoreSpec, StoreSpec
 from ..dependence import DependenceEdge
 from ..engine.plan import TileSpace, plan_nest, program_edges, tile_box
 from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..layout import Layout, col_major, row_major
 from ..runtime import MachineParams
+from ..runtime.chunked import InterleavedStoreSpec, LinearStoreSpec, StoreSpec
 from ..runtime.params import check_n_nodes
 from ..transforms import normalize_program, ooc_tiling
 from ..transforms.tiling import TilingSpec

@@ -28,7 +28,7 @@ from ..collective.sim import (
 )
 from ..backends import BackendMetrics, StorageBackend, resolve_backend
 from ..cache import CacheConfig
-from ..engine.executor import NestRun, OOCExecutor, RunResult
+from ..engine.executor import NestRun, OOCExecutor, RunResult, run_ranks
 from ..faults import FaultConfig, FaultInjector
 from ..obs import (
     Observability,
@@ -167,8 +167,6 @@ def run_version_parallel(
     b = cfg.program.binding(binding)
     total_elements = cfg.program.total_elements(b)
     budget = params.memory_budget(total_elements, memory_per_node)
-    results: list[RunResult] = []
-    file_maps: list[dict[int, str]] = []
     # per-array attribution works off the executors' call traces, so an
     # enabled obs forces tracing like the collective planner does
     trace = trace or collective is not None or (
@@ -179,44 +177,27 @@ def run_version_parallel(
     # rank-private file namespaces never collide and metrics attribute
     # per rank.  With neither knob given the driver stays simulate-only
     first = resolve_backend(backend, bool(real) if backend is None else real)
-    rank_backends = [first] + [first.clone() for _ in range(n_nodes - 1)]
     # one capture spans every rank plus the collective re-pricing
     with _prof.capture(profile, obs) as cap:
-        # plans do not depend on the rank: rank 0's executor builds
-        # them and every later rank is handed the same mapping
-        plans = None
-        for rank in range(n_nodes):
+        # nothing but a rank's slab and files depends on the rank: rank
+        # 0's executor is built (and plans), the others are it, rebound
+        ranks = [OOCExecutor(
+            cfg.program, cfg.layouts, params=params, binding=b,
+            memory_budget=budget, backend=first, tiling=cfg.tiling,
+            storage_spec=cfg.storage_spec, trace=trace, tile_sizes=tile_sizes,
+            cache=cache, faults=faults, edges=cfg.edges,
+            node_slice=(0, n_nodes) if n_nodes > 1 else None,
+        )]
+        for rank in range(1, n_nodes):
             pfs = ParallelFileSystem(params)
             pfs.advance(rank * stagger)
-            span = (
-                obs.tracer.begin(f"rank {rank}", "execute", rank=rank)
-                if obs is not None and obs.config.wall_time
-                else None
-            )
-            ex = OOCExecutor(
-                cfg.program,
-                cfg.layouts,
-                params=params,
-                binding=b,
-                memory_budget=budget,
-                backend=rank_backends[rank],
-                tiling=cfg.tiling,
-                storage_spec=cfg.storage_spec,
-                pfs=pfs,
-                node_slice=(rank, n_nodes) if n_nodes > 1 else None,
-                trace=trace,
-                tile_sizes=tile_sizes,
-                cache=cache,
-                faults=faults,
-                plans=plans,
-                edges=cfg.edges,
-            )
-            plans = ex.plans
-            results.append(ex.run())
-            if span is not None:
-                obs.tracer.end(span, calls=results[-1].stats.calls)
+            ranks.append(ranks[0].for_rank((rank, n_nodes), pfs, first.clone()))
+        # every rank walks a nest before any walks the next
+        timed = obs is not None and obs.config.wall_time
+        results = run_ranks(ranks, obs.tracer if timed else None)
+        file_maps = [ex.file_names() for ex in ranks]
+        for rank, ex in enumerate(ranks):
             if obs is not None:
-                file_maps.append(ex.file_names())
                 if ex.injector is not None:
                     if obs.config.metrics:
                         ex.injector.publish_counters(obs.metrics)
@@ -229,7 +210,7 @@ def run_version_parallel(
                     # measured I/O
                     obs.note_predictions(ex.predicted_io())
                     obs.note_modeled_elements(ex.predicted_elements())
-            if rank_backends[rank].measures:
+            if first.measures:
                 # disk-backed rank namespaces are done once the stats
                 # and metrics are collected — release mmaps / chunk
                 # directories

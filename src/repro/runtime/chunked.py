@@ -13,14 +13,17 @@ Two mechanisms, both aimed purely at reducing I/O *calls*:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ..layout import Layout
 from ..obs import profile as _prof
 from .file import OOCFile
 from .ooc_array import (
-    Region, _region_indices, check_region, region_shape, region_size, runs_of,
+    LinearStore, OutOfCoreArray, Region, _region_indices, check_region,
+    region_shape, region_size, runs_of,
 )
 from .pfs import ParallelFileSystem
 from .stats import IOContext, plan_runs
@@ -107,19 +110,29 @@ class InterleavedChunkedStore:
     def chunk_ids(self, name: str, region: Region) -> np.ndarray:
         """Linear ids of the chunks covering a region (whole-chunk I/O:
         a chunk is the transfer unit, as in PASSION's chunked files)."""
-        slot = self.slot_of(name)
-        check_region(region, self.shape, name)
-        if region_size(region) == 0:
-            return np.zeros(0, dtype=np.int64)
-        lo = np.array([l for l, _ in region], dtype=np.int64) + self._pad_np
-        hi = np.array([h for _, h in region], dtype=np.int64) + self._pad_np
+        return self._chunk_ids([(name, region)])[0]
+
+    def _chunk_ids(self, requests) -> tuple[np.ndarray, np.ndarray]:
+        """The chunk ids of requests ``(name, region, ...)`` end to end —
+        each request's chunk box in row-major order — and how many each
+        request has (none for an empty region); no loop over chunks."""
+        slots = np.array([self.slot_of(req[0]) for req in requests], np.int64)
+        for req in requests:
+            check_region(req[1], self.shape, req[0])
+        m = len(self.shape)
+        box = np.array([req[1] for req in requests], np.int64).reshape(-1, m, 2)
+        lo, hi = box[..., 0] + self._pad_np, box[..., 1] + self._pad_np
         b_lo = lo // self._block_np
-        b_hi = hi // self._block_np
-        ranges = [np.arange(a, b + 1) for a, b in zip(b_lo, b_hi)]
-        grid = np.stack(
-            np.meshgrid(*ranges, indexing="ij"), axis=-1
-        ).reshape(-1, len(self.shape))
-        return (grid @ self._grid_strides) * self._n_arrays + slot
+        empty = (hi < lo).any(1)[:, None]
+        extent = np.where(empty, 0, hi // self._block_np - b_lo + 1)
+        counts = extent.prod(1)
+        ids = np.zeros(counts.sum(), dtype=np.int64)
+        k = np.arange(ids.size) - (counts.cumsum() - counts).repeat(counts)
+        for d in range(m - 1, -1, -1):  # mixed radix, last dimension fastest
+            e = extent[:, d].repeat(counts)
+            ids += (b_lo[:, d].repeat(counts) + k % e) * self._grid_strides[d]
+            k //= e
+        return ids * self._n_arrays + slots.repeat(counts), counts
 
     # -- combined transfers ---------------------------------------------------
 
@@ -129,16 +142,23 @@ class InterleavedChunkedStore:
         chunks across the request — this is where interleaving pays off
         (co-accessed tiles of different arrays sit in adjacent chunks and
         merge into a single call)."""
-        ids = [self.chunk_ids(req[0], req[1]) for req in requests]
-        offsets, lengths = runs_of(np.unique(np.concatenate(ids)))
-        return offsets * self._block_slots, lengths * self._block_slots
+        return self.transfer_runs([requests])[0][0][1:]
 
     def transfer_runs(self, groups):
         """What ``read_tiles`` / ``write_tiles`` would account for each
         request list of ``groups``, accounting nothing: per group, its
-        one combined ``(file base, offsets, lengths)`` transfer."""
+        one combined ``(file base, offsets, lengths)`` transfer — all
+        derived, sorted and cut into runs together, group keyed from group."""
+        ids, counts = self._chunk_ids([req for group in groups for req in group])
+        span = self.file.n_elements // self._block_slots + 1
+        of_group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        keys, lengths = runs_of(np.unique(of_group.repeat(counts) * span + ids))
+        group, chunks = np.divmod(keys, span)
+        stops = np.bincount(group, minlength=len(groups)).cumsum().tolist()
+        offsets, lengths = chunks * self._block_slots, lengths * self._block_slots
         return [
-            [(self.file.base_elem, *self.chunk_runs(group))] for group in groups
+            [(self.file.base_elem, offsets[a:b], lengths[a:b])]
+            for a, b in zip([0, *stops], stops)
         ]
 
     def load_tiles(
@@ -207,3 +227,45 @@ class InterleavedChunkedStore:
         self.file.scatter(
             self.addresses(name, region), values.astype(self.file.dtype).ravel()
         )
+
+
+@dataclass(frozen=True)
+class LinearStoreSpec:
+    layout: Layout
+
+
+@dataclass(frozen=True)
+class InterleavedStoreSpec:
+    group: str
+    block: tuple[int, ...]
+    origin: tuple[int, ...] | None = None  # chunk-grid anchor (tile corner)
+
+
+StoreSpec = LinearStoreSpec | InterleavedStoreSpec
+
+
+def open_stores(specs, shapes, pfs, backend=None, dtype=None) -> dict[str, object]:
+    """The store serving each array of ``specs`` (name → :data:`StoreSpec`;
+    ``shapes`` likewise), its files allocated in ``pfs``: one
+    :class:`LinearStore` for every plain array, their files in spec
+    order, then one :class:`InterleavedChunkedStore` per group."""
+    linear: dict[str, OutOfCoreArray] = {}
+    groups: dict[str, list[str]] = {}
+    for name, spec in specs.items():
+        if isinstance(spec, LinearStoreSpec):
+            linear[name] = OutOfCoreArray.create(
+                name, shapes[name], spec.layout, pfs, backend=backend, dtype=dtype
+            )
+        else:
+            groups.setdefault(spec.group, []).append(name)
+    stores: dict = dict.fromkeys(linear, LinearStore(linear))
+    for group, names in groups.items():
+        group_shapes = {shapes[n] for n in names}
+        if len(group_shapes) != 1:
+            raise ValueError(f"interleaved group {group} mixes shapes {group_shapes}")
+        first = specs[names[0]]
+        stores.update(dict.fromkeys(names, InterleavedChunkedStore(
+            names, group_shapes.pop(), first.block, pfs, backend=backend,
+            dtype=dtype, file_name=f"group:{group}", origin=first.origin,
+        )))
+    return stores

@@ -14,18 +14,19 @@ from .params import MachineParams
 class ParallelFileSystem:
     def __init__(self, params: MachineParams):
         self.params = params
-        self._next_base_elem = 0
+        #: where the next file will start
+        self.next_base = 0
         self.files: dict[str, int] = {}
 
     def allocate(self, name: str, n_elements: int) -> int:
         """Reserve space for a file; returns its base element offset."""
         if name in self.files:
             raise ValueError(f"file {name} already allocated")
-        base = self._next_base_elem
+        base = self.next_base
         self.files[name] = base
         # round up to a stripe boundary so every file starts clean
         se = self.params.stripe_elements
-        self._next_base_elem = base + ((n_elements + se - 1) // se) * se
+        self.next_base = base + ((n_elements + se - 1) // se) * se
         return base
 
     def advance(self, n_elements: int) -> None:
@@ -33,7 +34,7 @@ class ParallelFileSystem:
         by the SPMD simulator to stagger different nodes' file partitions
         across the I/O nodes, as contiguous per-node ranges would be."""
         se = self.params.stripe_elements
-        self._next_base_elem += ((int(n_elements) + se - 1) // se) * se
+        self.next_base += ((int(n_elements) + se - 1) // se) * se
 
     def io_node_of(self, global_elem: int) -> int:
         return (global_elem // self.params.stripe_elements) % self.params.n_io_nodes

@@ -58,7 +58,7 @@ def parent_recording(ex):
         passes = []
         for _ in range(nest.weight):
             ctx = IOContext(ex.params, trace=True)
-            for _, fps, reads in ex._tiles(nest, ex.plans[nest.name]):
+            for _, fps, reads in ex._tiles(nest):
                 writes = [(a, fp[0]) for a, fp in fps.items() if fp[2]]
                 for is_write, requests in ((False, reads), (True, writes)):
                     for store, reqs in _by_store(ex._stores, requests):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.runtime import (
     InterleavedChunkedStore,
@@ -9,6 +10,7 @@ from repro.runtime import (
     ParallelFileSystem,
 )
 from repro.layout import BlockedLayout, col_major
+from repro.runtime.ooc_array import runs_of
 
 
 def make_store(names=("A", "B"), shape=(8, 8), block=(4, 4), real=True, **kw):
@@ -159,3 +161,74 @@ class TestInterleavedChunkedStore:
             [("A", ((0, 3), (0, 3))), ("B", ((0, 3), (0, 3)))], ctx_inter
         )
         assert ctx_inter.stats.read_calls < ctx_plain.stats.read_calls
+
+
+# -- a block of groups in one pass == the per-request, per-group loops -------
+
+
+def chunk_ids_reference(store, name, region):
+    """The parent's chunk ids of one region: a meshgrid of its chunk box
+    (kept here as the reference the one-pass derivation must equal)."""
+    if any(hi < lo for lo, hi in region):
+        return np.zeros(0, dtype=np.int64)
+    lo = np.array([l for l, _ in region]) + store._pad_np
+    hi = np.array([h for _, h in region]) + store._pad_np
+    ranges = [
+        np.arange(a, b + 1)
+        for a, b in zip(lo // store._block_np, hi // store._block_np)
+    ]
+    grid = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1)
+    return (
+        grid.reshape(-1, len(store.shape)) @ store._grid_strides
+    ) * store._n_arrays + store.slot_of(name)
+
+
+def chunk_runs_reference(store, requests):
+    """The parent's combined transfer of one group: unique chunk ids,
+    cut where they stop being adjacent."""
+    ids = [chunk_ids_reference(store, name, region) for name, region in requests]
+    offsets, lengths = runs_of(np.unique(np.concatenate(ids)))
+    return offsets * store._block_slots, lengths * store._block_slots
+
+
+regions_of = lambda shape: st.tuples(*[  # noqa: E731
+    st.tuples(st.integers(0, s - 1), st.integers(-1, s - 1)).map(
+        lambda b: (b[0], max(b[1], b[0] - 1))  # hi = lo - 1: empty
+    )
+    for s in shape
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_block_of_groups_equals_the_loop_run_for_run(data):
+    m = data.draw(st.integers(1, 3))
+    shape = data.draw(st.tuples(*[st.integers(1, 9)] * m))
+    block = data.draw(st.tuples(*[st.integers(1, 4)] * m))
+    origin = data.draw(st.tuples(*[st.integers(0, 3)] * m))
+    names = ("A", "B", "C")[: data.draw(st.integers(1, 3))]
+    pfs = ParallelFileSystem(MachineParams())
+    pfs.advance(data.draw(st.integers(0, 99)))
+    store = InterleavedChunkedStore(
+        names, shape, block, pfs, real=False, origin=origin
+    )
+    requests = st.tuples(st.sampled_from(names), regions_of(shape))
+    groups = data.draw(st.lists(st.lists(requests, min_size=1, max_size=3),
+                                max_size=5))
+    answers = store.transfer_runs(groups)
+    assert len(answers) == len(groups)
+    for group, ((base, offsets, lengths),) in zip(groups, answers):
+        want = chunk_runs_reference(store, group)
+        assert base == store.file.base_elem
+        assert offsets.dtype == lengths.dtype == np.int64
+        assert (offsets.tolist(), lengths.tolist()) == (
+            want[0].tolist(), want[1].tolist()
+        )
+        one = store.chunk_runs(group)
+        assert (one[0].tolist(), one[1].tolist()) == (
+            offsets.tolist(), lengths.tolist()
+        )
+        for name, region in group:
+            assert store.chunk_ids(name, region).tolist() == (
+                chunk_ids_reference(store, name, region).tolist()
+            )
