@@ -12,6 +12,8 @@ interleaved stores alike.
 
 Residency is one record: the entry dict's order is the recency (least
 recently used first; a touch re-appends) and ``in_use`` is a counter.
+The overlap queries read a per-array-name index over that same order
+(each name's entries, least recently used first), moved in step with it.
 
 Memory honesty: the cache's budget is carved out of the executor's
 :class:`~repro.runtime.memory.MemoryManager`, and every resident element
@@ -33,7 +35,7 @@ and clean-but-stale overlaps are dropped after a write
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -166,6 +168,8 @@ class TileCache:
         self.metrics = metrics or CacheMetrics()
         #: resident entries, least recently used first
         self._entries: dict[TileKey, CacheEntry] = {}
+        #: the same entries by array name, each name's in the same order
+        self._by_name: dict[str, dict[Region, CacheEntry]] = {}
         #: resident elements, moved by `insert` and `_remove` only
         self.in_use = 0
 
@@ -219,11 +223,7 @@ class TileCache:
         when nothing overlaps.  Dirty contributors need no flush — their
         data is the newest, so a partial read can take the covered cells
         straight from the cache and fetch only the remainder."""
-        touching = [
-            e
-            for e in self._entries.values()
-            if e.name == name and regions_overlap(e.region, region)
-        ]
+        touching = self._overlapping(name, region)
         if not touching:
             return None
         sizes = tuple(hi - lo + 1 for lo, hi in region)
@@ -294,24 +294,22 @@ class TileCache:
             dirty=dirty, prefetched=prefetched, accesses=1, cost_s=cost_s,
         )
         self._entries[entry.key] = entry
+        self._by_name.setdefault(name, {})[region] = entry
         self.in_use += size
         if self.memory is not None:
             self.memory.allocate(size)
         self.policy.on_insert(entry)
         return True, writeback
 
-    def victim(
-        self, eligible: Callable[[CacheEntry], bool] | None = None
-    ) -> CacheEntry | None:
-        """The policy's choice among the resident entries ``eligible``
-        admits (all of them by default), offered least recently used
-        first; ``None`` when there is none."""
-        return self.policy.victim(filter(eligible, self._entries.values()))
+    def victim(self) -> CacheEntry | None:
+        """The policy's choice among the resident entries, offered least
+        recently used first; ``None`` when there are none."""
+        return self.policy.victim(self._entries.values())
 
     def evict_entry(self, name: str, region: Region) -> CacheEntry | None:
         """Evict one resident entry by key, counting the eviction — how a
         shared-pool coordinator (:class:`repro.serve.SharedTileCache`)
-        evicts the quota-legal :meth:`victim` it asked for.  Returns the
+        evicts the quota-legal victim it chose.  Returns the
         entry when it was dirty — the caller owes the write-back — else
         ``None``; a miss (not resident) is a silent no-op returning ``None``.
         """
@@ -327,35 +325,27 @@ class TileCache:
         for write-back; entries stay resident (their data is still the
         newest).  With ``exclude_exact`` the exact-key entry is skipped —
         used when that entry is about to be superseded wholesale."""
-        out: list[CacheEntry] = []
-        for entry in self._entries.values():
-            if not entry.dirty or entry.name != name:
-                continue
-            if exclude_exact and entry.region == region:
-                continue
-            if regions_overlap(entry.region, region):
-                entry.dirty = False
-                out.append(entry)
+        out = [
+            e
+            for e in self._overlapping(name, region, exclude_exact)
+            if e.dirty
+        ]
+        for e in out:
+            e.dirty = False
         self.metrics.flushed_tiles += len(out)
         return out
 
     def invalidate_overlapping(
         self, name: str, region: Region, *, exclude_exact: bool = False
     ) -> list[CacheEntry]:
-        """Drop entries overlapping ``region`` (stale after a write).
-        Returns any dirty ones — callers that did not flush first must
-        write them back themselves."""
-        victims = [
-            e
-            for e in self._entries.values()
-            if e.name == name
-            and not (exclude_exact and e.region == region)
-            and regions_overlap(e.region, region)
-        ]
-        dirty = [e for e in victims if e.dirty]
-        for e in victims:
+        """Drop entries overlapping ``region`` (stale after a write) and
+        return them, least recently used first.  Dropped dirty entries
+        keep their flag — callers that did not flush first must write
+        them back themselves."""
+        dropped = self._overlapping(name, region, exclude_exact)
+        for e in dropped:
             self._remove(e)
-        return dirty
+        return dropped
 
     def flush_all(self) -> list[CacheEntry]:
         """Nest-boundary flush: every dirty entry becomes clean and is
@@ -376,9 +366,22 @@ class TileCache:
 
     # -- internals ----------------------------------------------------------
 
+    def _overlapping(
+        self, name: str, region: Region, exclude_exact: bool = False
+    ) -> list[CacheEntry]:
+        """``name``'s entries overlapping ``region``, least recent first."""
+        return [
+            e
+            for r, e in self._by_name.get(name, {}).items()
+            if regions_overlap(r, region)
+            and not (exclude_exact and r == region)
+        ]
+
     def _touch(self, entry: CacheEntry) -> None:
         entry.accesses += 1
         self._entries[entry.key] = self._entries.pop(entry.key)
+        named = self._by_name[entry.name]
+        named[entry.region] = named.pop(entry.region)
         self.policy.on_access(entry)
 
     def _need_room(self, size: int) -> bool:
@@ -410,6 +413,7 @@ class TileCache:
 
     def _remove(self, entry: CacheEntry) -> None:
         del self._entries[entry.key]
+        del self._by_name[entry.name][entry.region]
         self.in_use -= entry.size
         if self.memory is not None:
             self.memory.free(entry.size)

@@ -765,14 +765,17 @@ class JobScheduler:
             return None
         spec = job.spec
         t = nest_run.trace
-        calls = list(zip(
-            t.rows(), io_ops(self.profile.params, t).seconds.tolist()
-        ))
+        bases, offsets, lengths, writes = t.lists()
+        names = {b: f"{spec.workload}:{spec.n}:{b}" for b in set(bases)}
+        seconds = io_ops(self.profile.params, t).seconds.tolist()
+        calls = [
+            (names[b], (off, off + ln - 1), w, s)
+            for b, off, ln, w, s in zip(bases, offsets, lengths, writes, seconds)
+        ]
         keep = []
         for rep in range(max(1, nest_run.trace_weight)):
-            for (base, off, ln, is_write), service_s in calls:
-                name = f"{spec.workload}:{spec.n}:{base}"
-                region = ((rep, rep), (off, off + ln - 1))
+            for name, span, is_write, service_s in calls:
+                region = ((rep, rep), span)
                 hit = False
                 if is_write:
                     cache.invalidate(spec.tenant, name, region)

@@ -15,10 +15,11 @@ wraps the pool with the two rules that make sharing safe:
 - **namespacing** — keys are ``tenant ⊕ array``, so tenants never
   alias each other's tiles even when they run the same workload.
 
-Within those constraints the victim *choice* is the pool's own
-(:meth:`TileCache.victim`: the least recently used entry the isolation
-rule admits), so the shared cache inherits the single-tenant cache's
-behavior exactly when only one tenant is active.
+Within those constraints the victim is the least recently used entry
+the isolation rule admits — found from a per-tenant index over the
+pool's one recency order, each entry numbered by its last touch — so
+the shared cache behaves exactly as the single-tenant cache does when
+only one tenant is active.
 
 The serving cache holds **clean read tiles only** (the scheduler
 invalidates on writes — an invalidation drops a tile without counting
@@ -30,11 +31,10 @@ performs I/O — same division of authority as the underlying
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..cache import CacheBudgetError, TileCache
-from ..cache.tile_cache import CacheEntry
+from ..cache.tile_cache import CacheEntry, TileKey
 from ..runtime.ooc_array import Region, region_size
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,10 +46,6 @@ _SEP = "\x00"
 
 def _ns(tenant: str, name: str) -> str:
     return f"{tenant}{_SEP}{name}"
-
-
-def _owner(entry: CacheEntry) -> str:
-    return entry.name.split(_SEP, 1)[0]
 
 
 @dataclass
@@ -111,10 +107,18 @@ class SharedTileCache:
                 f"tenant cache quotas sum to {reserved} elements, "
                 f"exceeding the shared budget of {self.budget}"
             )
+        #: unreserved elements any tenant may use best-effort
+        self.common_pool = self.budget - reserved
         self._usage: dict[str, int] = {t: 0 for t in self.quotas}
         self.tenant_stats: dict[str, TenantCacheStats] = {
             t: TenantCacheStats() for t in self.quotas
         }
+        #: each tenant's resident keys, least recently touched first, with
+        #: (pool-wide sequence number of the last touch, size)
+        self._recency: dict[str, dict[TileKey, tuple[int, int]]] = {
+            t: {} for t in self.quotas
+        }
+        self._seq = 0
 
     # -- sizing -------------------------------------------------------------
 
@@ -125,11 +129,6 @@ class SharedTileCache:
     @property
     def in_use(self) -> int:
         return self._cache.in_use
-
-    @property
-    def common_pool(self) -> int:
-        """Unreserved elements any tenant may use best-effort."""
-        return self.budget - sum(self.quotas.values())
 
     def reserved(self, tenant: str) -> int:
         return self.quotas[self._known(tenant)]
@@ -162,12 +161,14 @@ class SharedTileCache:
         """Demand access in the tenant's namespace; counts the hit or
         miss against both the pool and the tenant."""
         stats = self.tenant_stats[self._known(tenant)]
-        entry = self._cache.lookup(_ns(tenant, name), region)
+        key = (_ns(tenant, name), region)
+        entry = self._cache.lookup(*key)
         if entry is None:
             stats.misses += 1
         else:
             stats.hits += 1
             stats.saved_io_s += entry.cost_s
+            self._touched(tenant, key, entry.size)
         return entry
 
     def insert(
@@ -185,44 +186,62 @@ class SharedTileCache:
         if size > self.limit(tenant):
             stats.rejected += 1
             return False
-        key = _ns(tenant, name)
-        if self._cache.peek(key, region) is not None:
-            # refresh-in-place: no size change, no room needed
-            self._cache.insert(key, region, None, cost_s=cost_s)
-            return True
-        if not self._make_room(tenant, size):
-            stats.rejected += 1
-            return False
-        accepted, writeback = self._cache.insert(
-            key, region, None, cost_s=cost_s
-        )
+        key = (_ns(tenant, name), region)
+        # a resident tile is refreshed in place: no size change, no room
+        if self._cache.peek(*key) is None:
+            if not self._make_room(tenant, size):
+                stats.rejected += 1
+                return False
+            self._usage[tenant] += size
+            stats.insertions += 1
+        accepted, writeback = self._cache.insert(*key, None, cost_s=cost_s)
         assert accepted and not writeback, "room was made above"
-        self._usage[tenant] += size
-        stats.insertions += 1
+        self._touched(tenant, key, size)
         return True
 
     def invalidate(self, tenant: str, name: str, region: Region) -> int:
         """Drop this tenant's entries overlapping a written region;
         returns how many were dropped.  Never touches other tenants."""
         tenant = self._known(tenant)
-        cache = self._cache
-        resident, in_use = len(cache), cache.in_use
-        cache.invalidate_overlapping(_ns(tenant, name), region)
-        self._usage[tenant] -= in_use - cache.in_use
-        return resident - len(cache)
+        dropped = self._cache.invalidate_overlapping(_ns(tenant, name), region)
+        for e in dropped:
+            del self._recency[tenant][e.key]
+            self._usage[tenant] -= e.size
+        return len(dropped)
 
-    def _evictable(self, by: str, own_only: bool, entry: CacheEntry) -> bool:
-        """May an insertion by tenant ``by`` evict this entry?  Own
-        entries always; a foreign owner only while eviction leaves it at
-        or above its reservation — and never when ``by`` is over its own
-        limit (``own_only``: only shrinking its own residency helps)."""
-        owner = _owner(entry)
-        if owner == by:
-            return True
-        return (
-            not own_only
-            and self._usage[owner] - entry.size >= self.quotas[owner]
-        )
+    def _touched(self, tenant: str, key: TileKey, size: int) -> None:
+        """Mirror the pool's re-append of ``key`` in its owner's index."""
+        index = self._recency[tenant]
+        index.pop(key, None)
+        self._seq += 1
+        index[key] = (self._seq, size)
+
+    def _victim(
+        self, tenant: str, own_only: bool
+    ) -> tuple[str, TileKey, int] | None:
+        """``(owner, key, size)`` of the least recently touched entry an
+        insertion by ``tenant`` may evict.  Its own entries always; a
+        foreign owner's only while eviction leaves it at or above its
+        reservation — and never when ``tenant`` is over its own limit
+        (``own_only``: only shrinking its own residency helps)."""
+        best, best_seq = None, float("inf")
+        own = self._recency[tenant]
+        if own:
+            key, (best_seq, size) = next(iter(own.items()))
+            best = (tenant, key, size)
+        if own_only:
+            return best
+        for owner, index in self._recency.items():
+            slack = self._usage[owner] - self.quotas[owner]
+            if owner == tenant or slack <= 0:
+                continue
+            for key, (seq, size) in index.items():
+                if seq > best_seq:
+                    break
+                if size <= slack:
+                    best, best_seq = (owner, key, size), seq
+                    break
+        return best
 
     def _make_room(self, tenant: str, size: int) -> bool:
         cache = self._cache
@@ -231,12 +250,13 @@ class SharedTileCache:
             over_own = self._usage[tenant] + size > self.limit(tenant)
             if not over_pool and not over_own:
                 return True
-            victim = cache.victim(partial(self._evictable, tenant, over_own))
+            victim = self._victim(tenant, over_own)
             if victim is None:
                 return False
-            owner = _owner(victim)
-            cache.evict_entry(victim.name, victim.region)
-            self._usage[owner] -= victim.size
+            owner, key, victim_size = victim
+            del self._recency[owner][key]
+            cache.evict_entry(*key)
+            self._usage[owner] -= victim_size
             self.tenant_stats[owner].evictions += 1
             if owner != tenant:
                 self.tenant_stats[owner].evicted_by_others += 1

@@ -9,7 +9,10 @@ mechanism is kept here as the reference model (:class:`RefCache`,
 :class:`RefShared`) and random operation sequences are run through both
 side by side: after every operation the resident keys, the victim the
 policy would choose, occupancy and the eviction counters agree, and the
-cache iterates in ascending reference stamp.
+cache iterates in ascending reference stamp.  The indexes the queries
+read instead of that order — ``TileCache``'s per array name,
+``SharedTileCache``'s per tenant — must list exactly the order filtered
+to their name or tenant.
 
 One deliberate difference is written into the reference: the entries one
 ``coverage`` call touches are re-stamped in ascending stamp order (a
@@ -130,7 +133,7 @@ class RefCache:
         ]
         for e in victims:
             del self.entries[e.key]
-        return [e.key for e in victims if e.dirty]
+        return [(e.key, e.dirty) for e in victims]
 
     def evict_entry(self, key):
         e = self.entries.get(key)
@@ -226,7 +229,7 @@ def test_tile_cache_matches_the_stamped_reference(policy, budget, slack, ops):
         elif op == "invalidate":
             key, exclude = args
             got = cache.invalidate_overlapping(*key, exclude_exact=exclude)
-            assert _keys_of(got) == sorted(
+            assert sorted((e.key, e.dirty) for e in got) == sorted(
                 ref.invalidate_overlapping(*key, exclude)
             )
         elif op == "evict":
@@ -245,6 +248,15 @@ def test_tile_cache_matches_the_stamped_reference(policy, budget, slack, ops):
         assert [e.key for e in cache] == sorted(
             ref.entries, key=lambda k: ref.entries[k].last_access
         )
+        # each name's index is that order filtered to the name
+        by_name = {}
+        for e in cache:
+            by_name.setdefault(e.name, []).append((e.region, id(e)))
+        assert {
+            n: [(r, id(e)) for r, e in d.items()]
+            for n, d in cache._by_name.items()
+            if d
+        } == by_name
         want = ref.victim()
         assert _peek_victim(cache) == (want and want.key)
         assert cache.in_use == ref.in_use
@@ -335,6 +347,14 @@ class RefShared:
         return len(victims)
 
 
+#: the shared pool's tiles also come in sizes from 1 to 12 elements, so a
+#: tenant's slack above its reservation admits some entries and not others
+_sized_regions = st.builds(
+    lambda lo, size: ((lo, lo + size - 1),),
+    st.integers(0, 8), st.integers(1, 12),
+)
+
+
 @st.composite
 def _storms(draw):
     tenants = [f"t{i}" for i in range(draw(st.integers(2, 4)))]
@@ -348,15 +368,33 @@ def _storms(draw):
             st.sampled_from(tenants),
             st.sampled_from(["lookup", "insert", "insert", "invalidate"]),
             st.sampled_from("AB"),
-            _regions,
+            st.one_of(_regions, _sized_regions),
         ),
         min_size=20, max_size=80,
     ))
     return budget, quotas, ops
 
 
+def _owner(entry):
+    return entry.name.split("\x00", 1)[0]
+
+
 @settings(max_examples=120, deadline=None)
 @given(_storms())
+# t1's least recent entry (6 elements) exceeds its slack of 5 while its
+# newer one (1 element) fits: that one goes before t0's own older tile
+@example((12, {"t0": 0, "t1": 2}, [
+    ("t1", "insert", "A", ((3, 8),)), ("t1", "insert", "A", ((5, 5),)),
+    ("t0", "insert", "A", ((0, 3),)), ("t0", "insert", "A", ((4, 7),)),
+]))
+# t0 is over its own limit of 10: it passes over t1's fitting, older
+# (5, 5) to shrink itself first, and only then, merely over the pool,
+# takes it
+@example((14, {"t0": 0, "t1": 4}, [
+    ("t1", "insert", "A", ((5, 5),)), ("t1", "insert", "A", ((0, 3),)),
+    ("t0", "insert", "A", ((0, 3),)), ("t0", "insert", "A", ((4, 7),)),
+    ("t0", "insert", "A", ((3, 8),)),
+]))
 def test_shared_cache_matches_the_candidate_list_reference(storm):
     budget, quotas, ops = storm
     cache, ref = SharedTileCache(budget, quotas), RefShared(budget, quotas)
@@ -383,3 +421,16 @@ def test_shared_cache_matches_the_candidate_list_reference(storm):
         assert cache.evictions == sum(
             s["evictions"] for s in ref.stats.values()
         )
+        # each tenant's index is the pool's order filtered to the tenant,
+        # and the sequence numbers sort the whole pool into that order
+        pool = list(cache.entries())
+        for t in quotas:
+            assert [
+                (key, size) for key, (_, size) in cache._recency[t].items()
+            ] == [(e.key, e.size) for e in pool if _owner(e) == t]
+        seq = {
+            key: s
+            for index in cache._recency.values()
+            for key, (s, _) in index.items()
+        }
+        assert sorted(seq, key=seq.get) == [e.key for e in pool]

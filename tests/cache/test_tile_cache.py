@@ -128,8 +128,10 @@ class TestCoherence:
         c = TileCache(16)
         c.insert("A", R((0, 3)), None, dirty=True)
         c.insert("A", R((4, 7)), None)
-        dirty = c.invalidate_overlapping("A", R((1, 5)))
-        assert [e.region for e in dirty] == [R((0, 3))]
+        dropped = c.invalidate_overlapping("A", R((1, 5)))
+        assert [(e.region, e.dirty) for e in dropped] == [
+            (R((0, 3)), True), (R((4, 7)), False),
+        ]
         assert len(c) == 0
         assert c.metrics.evictions == 0  # coherence drops are not evictions
 
