@@ -111,7 +111,7 @@ def run_digest(cfg, n_nodes, kw):
         run = run_version_parallel(
             cfg, n_nodes, params=PARAMS, trace=True, **kw
         )
-        seen = [run.time_s, run.total_stats.to_dict(),
+        seen = [plain(run.time_s), run.total_stats.to_dict(),
                 [rank_view(r) for r in run.node_results]]
         if run.collective is not None:
             report = run.collective

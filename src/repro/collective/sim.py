@@ -99,6 +99,13 @@ class OpTable(ColumnTable):
             for k, r, s, w in super().rows()
         ]
 
+    def slot_lists(self, n_io_nodes: int) -> list[list]:
+        """:meth:`lists` with ``resource`` as the event loop's slot: the
+        I/O node of an ``io`` op, ``n_io_nodes`` for the channel."""
+        slot = np.where(self.kind == K_NET, n_io_nodes, self.resource)
+        return [c.tolist() for c in (self.kind, slot, self.seconds,
+                                     self.is_write)]
+
     def check(self, n_io_nodes: int, node: int) -> None:
         """Reject ops the event loop would mis-serve: a kind outside
         ``KINDS``, an ``io`` op on an I/O node the machine does not
@@ -209,63 +216,55 @@ def simulate(
     raises :class:`~repro.faults.TransientIOError`).  All three default
     to ``None`` — no recording, bit-identical results.
     """
-    n = len(timelines)
+    n, n_io = len(timelines), params.n_io_nodes
     for tl in timelines:
-        tl.ops.check(params.n_io_nodes, tl.node)
-    # each rank's columns, read once as python lists
-    cols = [tl.ops.lists() for tl in timelines]
+        tl.ops.check(n_io, tl.node)
+    # each rank's columns, read once as python lists; the shared channel
+    # is resource slot ``n_io`` of the python-float free / busy lists
+    cols = [tl.ops.slot_lists(n_io) for tl in timelines]
     inj = faults
-    inj_base = (
-        (inj.injected, inj.retries, inj.retry_delay_s)
-        if inj is not None else None
-    )
-    io_free = np.zeros(params.n_io_nodes)
-    io_busy = np.zeros(params.n_io_nodes)
-    net_free = 0.0
-    net_busy = 0.0
-    clock = [0.0] * n
+    if inj is not None:
+        inj_base = (inj.injected, inj.retries, inj.retry_delay_s)
+    free = [0.0] * (n_io + 1)
+    busy = [0.0] * (n_io + 1)
     ptr = [0] * n
-    credit = [tl.overlap_credit_s for tl in timelines]
-    finish = [0.0] * n
+    credit = [float(tl.overlap_credit_s) for tl in timelines]
+    # a node's next arrival while it has requests, then its finish time
+    clock = [0.0] * n
     waited = 0
     wait_time = 0.0
     n_events = 0
-    heap: list[tuple[float, int]] = []
 
-    def schedule(i: int) -> None:
-        """Advance node i through compute ops; queue its next request."""
+    def advance(i: int, t: float, j: int) -> tuple[float, int]:
+        """Walk node i past compute ops from op j at t, recording them."""
         kind, _, seconds, _ = cols[i]
-        t, j = clock[i], ptr[i]
         while j < len(kind) and kind[j] == K_COMPUTE:
             d = seconds[j]
             if events is not None and d > 0.0:
                 events.append(SimEvent(i, "compute", 0, t, t, t + d))
             t += d
             j += 1
-        clock[i], ptr[i] = t, j
-        if j < len(kind):
-            heapq.heappush(heap, (t, i))
-        else:
-            finish[i] = t
+        return t, j
 
     for i in range(n):
-        schedule(i)
+        clock[i], ptr[i] = advance(i, 0.0, 0)
+    # (arrival, node) of every node's next request: the head is served
+    # in place, then re-keyed (heapreplace) or popped when its node is done
+    heap = [(clock[i], i) for i in range(n) if ptr[i] < len(cols[i][0])]
+    heapq.heapify(heap)
     try:
         while heap:
-            arrival, i = heapq.heappop(heap)
-            kinds, resources, seconds, writes = cols[i]
+            arrival, i = heap[0]
+            kind, slot, seconds, writes = cols[i]
             j = ptr[i]
-            kind, res, service_s = kinds[j], resources[j], seconds[j]
-            if kind == K_NET:
-                start = max(arrival, net_free)
+            res, service_s = slot[j], seconds[j]
+            if inj is None or res == n_io:  # net requests are never perturbed
+                start = free[res]
+                if start < arrival:
+                    start = arrival
                 done = start + service_s
-                net_free = done
-                net_busy += service_s
-            elif inj is None:
-                start = max(arrival, io_free[res])
-                done = start + service_s
-                io_free[res] = done
-                io_busy[res] += service_s
+                free[res] = done
+                busy[res] += service_s
             else:
                 # perturbed, fallible request: each attempt waits for the
                 # queue and any outage covering it, occupies the I/O node
@@ -273,14 +272,13 @@ def simulate(
                 # backs off before re-queueing.  The recorded wait spans
                 # arrival to the *first* attempt's start; retries extend
                 # ``done`` (and the node's blocked time) instead.
-                t, n_failed = arrival, 0
-                start = done = arrival
+                ready, n_failed = arrival, 0
                 while True:
-                    start_a = inj.sim_defer(res, max(t, io_free[res]))
+                    start_a = inj.sim_defer(res, max(ready, free[res]))
                     svc = service_s * inj.sim_multiplier(res, start_a)
                     done = start_a + svc
-                    io_free[res] = done
-                    io_busy[res] += svc
+                    free[res] = done
+                    busy[res] += svc
                     if n_failed == 0:
                         start = start_a
                     if not inj.sim_error(res, writes[j], start_a):
@@ -288,21 +286,15 @@ def simulate(
                     n_failed += 1
                     if n_failed > inj.policy.max_retries:
                         inj.sim_give_up(res, writes[j], done, n_failed)
-                    t = done + inj.sim_retry_delay(n_failed, done)
+                    ready = done + inj.sim_retry_delay(n_failed, done)
             if start > arrival:
                 waited += 1
                 wait_time += start - arrival
             if events is not None:
-                events.append(
-                    SimEvent(
-                        i,
-                        KINDS[kind],
-                        res if kind == K_IO else NET,
-                        arrival,
-                        start,
-                        done,
-                    )
-                )
+                events.append(SimEvent(
+                    i, KINDS[kind[j]], NET if res == n_io else res,
+                    arrival, start, done,
+                ))
             if metrics is not None:
                 metrics.histogram("sim.queue_wait_us").observe(
                     (start - arrival) * 1e6
@@ -310,24 +302,38 @@ def simulate(
                 metrics.histogram("sim.service_us").observe(
                     service_s * 1e6
                 )
-                metrics.counter(f"sim.{KINDS[kind]}_requests").inc()
+                metrics.counter(f"sim.{KINDS[kind[j]]}_requests").inc()
+            n_events += 1
             # double-buffered prefetch: spend overlap credit to hide
             # blocked time under the preceding compute (the data was
             # fetched early)
-            use = min(credit[i], done - arrival)
-            credit[i] -= use
-            clock[i] = max(arrival, done - use)
-            ptr[i] += 1
-            n_events += 1
-            schedule(i)
+            if credit[i]:
+                use = min(credit[i], done - arrival)
+                credit[i] -= use
+                t = max(arrival, done - use)
+            else:
+                t = done
+            j += 1
+            if events is None:
+                while j < len(kind) and kind[j] == K_COMPUTE:
+                    t += seconds[j]
+                    j += 1
+            else:
+                t, j = advance(i, t, j)
+            clock[i] = t
+            if j < len(kind):
+                ptr[i] = j
+                heapq.heapreplace(heap, (t, i))
+            else:
+                heapq.heappop(heap)
     finally:
         _prof.WORK.sim_events += n_events
 
     result = SimResult(
-        max(finish) if finish else 0.0,
-        finish,
-        io_busy,
-        net_busy,
+        max(clock) if clock else 0.0,
+        clock,
+        np.array(busy[:n_io]),
+        busy[n_io],
         waited,
         wait_time,
         n_events,

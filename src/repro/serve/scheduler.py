@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from ..collective.sim import K_COMPUTE, K_NET, OpTable, io_ops, nest_ops
+from ..collective.sim import K_COMPUTE, OpTable, io_ops, nest_ops
 from ..faults import FaultConfig, TransientIOError
 from ..obs import Observability
 from ..optimizer import build_version
@@ -247,7 +247,7 @@ class _RunningJob:
     against the shared resource queues."""
 
     job: Job
-    #: per rank, the :class:`OpTable` columns as python lists
+    #: per rank, the :meth:`OpTable.slot_lists` of its timeline
     ops: list[list[list]]
     ptr: list[int]
     clock: list[float]
@@ -314,10 +314,10 @@ class JobScheduler:
         self._running: dict[int, _RunningJob] = {}
         self._base_seed = script.seed
 
-        # the shared machine: persistent resource-free times across jobs
-        self._io_free = np.zeros(profile.params.n_io_nodes)
-        self._net_free = 0.0
-        self._net_busy = 0.0
+        # the shared machine: persistent free times and busy totals per
+        # resource slot (OpTable.slot_lists; the last is the channel)
+        self._free = [0.0] * (profile.params.n_io_nodes + 1)
+        self._busy = [0.0] * (profile.params.n_io_nodes + 1)
         self._waited = 0
         self._wait_time = 0.0
         self._n_events = 0
@@ -351,7 +351,7 @@ class JobScheduler:
             self._tenants,
             waited_requests=self._waited,
             wait_time_s=self._wait_time,
-            net_busy_s=self._net_busy,
+            net_busy_s=self._busy[-1],
             n_events=self._n_events,
             cache=self.cache,
         )
@@ -457,19 +457,13 @@ class JobScheduler:
         :func:`repro.collective.sim.simulate`'s discipline, with the
         resource-free times persistent across jobs."""
         jr = self._running[job_id]
-        kind, resource, seconds, _ = jr.ops[rank]
+        _, slot, seconds, _ = jr.ops[rank]
         j = jr.ptr[rank]
-        service_s = seconds[j]
-        if kind[j] == K_NET:
-            start = max(t, self._net_free)
-            done = start + service_s
-            self._net_free = done
-            self._net_busy += service_s
-        else:
-            res = resource[j]
-            start = max(t, float(self._io_free[res]))
-            done = start + service_s
-            self._io_free[res] = done
+        res, service_s = slot[j], seconds[j]
+        start = max(t, self._free[res])
+        done = start + service_s
+        self._free[res] = done
+        self._busy[res] += service_s
         if start > t:
             self._waited += 1
             self._wait_time += start - t
@@ -742,7 +736,7 @@ class JobScheduler:
             OpTable.concat(
                 nest_ops(params, nr, self._cache_mask(job, nr))
                 for nr in rr.nest_runs
-            ).lists()
+            ).slot_lists(params.n_io_nodes)
             for rr in run.node_results
         ]
 

@@ -1,21 +1,56 @@
 """Event-driven simulator: determinism, reduction to the closed form,
-FIFO contention, the shared net channel, and overlap credit."""
+FIFO contention, the shared net channel, and overlap credit.
+
+The event loop is one tight loop over python lists, the shared channel
+one more resource slot.  The heap loop it replaced — numpy free/busy
+arrays, a separate channel, a ``schedule`` call plus a push and a pop
+per event — is kept here unedited as the reference model
+(:func:`_reference_simulate`), and generated timelines (with and without
+faults, events and metrics) are run through both side by side: every
+``SimResult`` field, the full event list and the metrics snapshot agree
+exactly.  Where the reference returns ``np.float64`` (a queue wait won a
+``max``) the loop returns a python ``float`` of the same value.
+"""
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import fields, replace
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import MachineParams, OOCExecutor
 from repro.collective.sim import (
+    K_COMPUTE,
+    K_IO,
+    K_NET,
+    KINDS,
     NET,
     NodeTimeline,
     OpTable,
+    SimEvent,
     SimOp,
+    SimResult,
     event_makespan,
     io_node_of,
     nest_ops,
     simulate,
 )
 from repro.engine.executor import NestRun
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    LatencyWindow,
+    Outage,
+    ResiliencePolicy,
+    TransientIOError,
+)
+from repro.obs import MetricsRegistry
+from repro.obs import profile as _prof
 from repro.parallel.model import makespan
 from repro.runtime.stats import IOStats
 
@@ -326,3 +361,370 @@ class TestReduction:
         closed = makespan(results)
         sim = event_makespan(params, results)
         assert sim.makespan_s >= closed * (1 - 1e-12)
+
+
+# -- the reference: the heap loop, as it was --------------------------------
+
+
+def _reference_simulate(
+    params: MachineParams,
+    timelines: Sequence[NodeTimeline],
+    *,
+    events: list[SimEvent] | None = None,
+    metrics=None,
+    faults=None,
+) -> SimResult:
+    """Run the event simulation over per-node timelines.
+
+    ``events`` (a list to append to) records every request as a fully
+    timed :class:`SimEvent`; ``metrics`` (a
+    :class:`repro.obs.MetricsRegistry`) receives queue-wait and
+    service-time histograms.  ``faults`` (a
+    :class:`repro.faults.FaultInjector`) perturbs ``io`` requests with
+    the plan's time-indexed faults — outage deferral, straggler and
+    latency-window multipliers at the request's start time — and draws
+    per-attempt transient failures, re-queueing failed attempts after
+    the policy's backoff (a request that exhausts its retry budget
+    raises :class:`~repro.faults.TransientIOError`).  All three default
+    to ``None`` — no recording, bit-identical results.
+    """
+    n = len(timelines)
+    for tl in timelines:
+        tl.ops.check(params.n_io_nodes, tl.node)
+    # each rank's columns, read once as python lists
+    cols = [tl.ops.lists() for tl in timelines]
+    inj = faults
+    inj_base = (
+        (inj.injected, inj.retries, inj.retry_delay_s)
+        if inj is not None else None
+    )
+    io_free = np.zeros(params.n_io_nodes)
+    io_busy = np.zeros(params.n_io_nodes)
+    net_free = 0.0
+    net_busy = 0.0
+    clock = [0.0] * n
+    ptr = [0] * n
+    credit = [tl.overlap_credit_s for tl in timelines]
+    finish = [0.0] * n
+    waited = 0
+    wait_time = 0.0
+    n_events = 0
+    heap: list[tuple[float, int]] = []
+
+    def schedule(i: int) -> None:
+        """Advance node i through compute ops; queue its next request."""
+        kind, _, seconds, _ = cols[i]
+        t, j = clock[i], ptr[i]
+        while j < len(kind) and kind[j] == K_COMPUTE:
+            d = seconds[j]
+            if events is not None and d > 0.0:
+                events.append(SimEvent(i, "compute", 0, t, t, t + d))
+            t += d
+            j += 1
+        clock[i], ptr[i] = t, j
+        if j < len(kind):
+            heapq.heappush(heap, (t, i))
+        else:
+            finish[i] = t
+
+    for i in range(n):
+        schedule(i)
+    try:
+        while heap:
+            arrival, i = heapq.heappop(heap)
+            kinds, resources, seconds, writes = cols[i]
+            j = ptr[i]
+            kind, res, service_s = kinds[j], resources[j], seconds[j]
+            if kind == K_NET:
+                start = max(arrival, net_free)
+                done = start + service_s
+                net_free = done
+                net_busy += service_s
+            elif inj is None:
+                start = max(arrival, io_free[res])
+                done = start + service_s
+                io_free[res] = done
+                io_busy[res] += service_s
+            else:
+                # perturbed, fallible request: each attempt waits for the
+                # queue and any outage covering it, occupies the I/O node
+                # for the multiplied service time, and a failed attempt
+                # backs off before re-queueing.  The recorded wait spans
+                # arrival to the *first* attempt's start; retries extend
+                # ``done`` (and the node's blocked time) instead.
+                t, n_failed = arrival, 0
+                start = done = arrival
+                while True:
+                    start_a = inj.sim_defer(res, max(t, io_free[res]))
+                    svc = service_s * inj.sim_multiplier(res, start_a)
+                    done = start_a + svc
+                    io_free[res] = done
+                    io_busy[res] += svc
+                    if n_failed == 0:
+                        start = start_a
+                    if not inj.sim_error(res, writes[j], start_a):
+                        break
+                    n_failed += 1
+                    if n_failed > inj.policy.max_retries:
+                        inj.sim_give_up(res, writes[j], done, n_failed)
+                    t = done + inj.sim_retry_delay(n_failed, done)
+            if start > arrival:
+                waited += 1
+                wait_time += start - arrival
+            if events is not None:
+                events.append(
+                    SimEvent(
+                        i,
+                        KINDS[kind],
+                        res if kind == K_IO else NET,
+                        arrival,
+                        start,
+                        done,
+                    )
+                )
+            if metrics is not None:
+                metrics.histogram("sim.queue_wait_us").observe(
+                    (start - arrival) * 1e6
+                )
+                metrics.histogram("sim.service_us").observe(
+                    service_s * 1e6
+                )
+                metrics.counter(f"sim.{KINDS[kind]}_requests").inc()
+            # double-buffered prefetch: spend overlap credit to hide
+            # blocked time under the preceding compute (the data was
+            # fetched early)
+            use = min(credit[i], done - arrival)
+            credit[i] -= use
+            clock[i] = max(arrival, done - use)
+            ptr[i] += 1
+            n_events += 1
+            schedule(i)
+    finally:
+        _prof.WORK.sim_events += n_events
+
+    result = SimResult(
+        max(finish) if finish else 0.0,
+        finish,
+        io_busy,
+        net_busy,
+        waited,
+        wait_time,
+        n_events,
+    )
+    if inj is not None:
+        result.faults_injected = inj.injected - inj_base[0]
+        result.fault_retries = inj.retries - inj_base[1]
+        result.fault_retry_delay_s = inj.retry_delay_s - inj_base[2]
+    return result
+
+
+# -- the one tight loop against the reference -------------------------------
+
+#: dyadic seconds add exactly, so arrivals on different nodes tie often
+SECONDS = st.one_of(
+    st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]),
+    st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def _ops(n_io):
+    return st.one_of(
+        st.builds(compute, SECONDS),
+        st.builds(
+            lambda r, s, w: SimOp("io", resource=r, service_s=s, is_write=w),
+            st.integers(0, n_io - 1), SECONDS, st.booleans(),
+        ),
+        # a net row's resource is not read: NET or anything else
+        st.builds(
+            lambda r, s: SimOp("net", resource=r, service_s=s),
+            st.sampled_from([NET, 0]), SECONDS,
+        ),
+    )
+
+
+@st.composite
+def machines(draw):
+    """(params, timelines): 1–6 nodes, 1–4 I/O nodes, mixed ops, some
+    nodes with overlap credit."""
+    n_io = draw(st.integers(1, 4))
+    timelines = [
+        NodeTimeline(
+            node,
+            draw(st.lists(_ops(n_io), max_size=12)),
+            overlap_credit_s=draw(st.one_of(st.just(0.0), SECONDS)),
+        )
+        for node in range(draw(st.integers(1, 6)))
+    ]
+    return MachineParams(n_io_nodes=n_io), timelines
+
+
+#: the node tie-break decides who waits: both requests arrive at t = 0
+TIE = (
+    MachineParams(n_io_nodes=1),
+    [NodeTimeline(0, [io(0, 1.0)]), NodeTimeline(1, [io(0, 0.5)])],
+)
+#: credit hides the first call; the second queues behind the first
+CREDIT = (
+    MachineParams(n_io_nodes=1),
+    [NodeTimeline(0, [compute(1.0), io(0, 0.4), io(0, 0.4)],
+                  overlap_credit_s=0.3)],
+)
+
+#: what ``SimResult`` declares each field to be
+FIELD_TYPES = dict(
+    makespan_s=float, net_busy_s=float, wait_time_s=float,
+    fault_retry_delay_s=float, waited_requests=int, n_events=int,
+    faults_injected=int, fault_retries=int,
+)
+
+
+def assert_same_result(got, want):
+    """Every field ``==`` the reference's, and of its declared type."""
+    for f in fields(SimResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "io_busy_s":
+            assert type(a) is np.ndarray and a.dtype == np.float64
+            assert np.array_equal(a, b)
+        elif f.name == "node_finish_s":
+            assert a == b and all(type(x) is float for x in a)
+        else:
+            assert a == b, f.name
+            assert type(a) is FIELD_TYPES[f.name], f.name
+
+
+def assert_same_events(got, want):
+    assert got == want
+    assert all(
+        type(t) is float
+        for e in got for t in (e.arrival_s, e.start_s, e.end_s)
+    )
+
+
+def run_both(params, timelines):
+    """(result, events, metrics) of the loop and of the reference."""
+    out = []
+    for sim in (simulate, _reference_simulate):
+        events, reg = [], MetricsRegistry()
+        out.append((sim(params, timelines, events=events, metrics=reg),
+                    events, reg.to_dict()))
+    return out
+
+
+class TestOneLoopEqualsTheHeapLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(machines())
+    @example(TIE)
+    @example(CREDIT)
+    def test_results_events_and_metrics(self, machine):
+        params, timelines = machine
+        (got, got_ev, got_m), (want, want_ev, want_m) = run_both(
+            params, timelines
+        )
+        assert_same_result(got, want)
+        assert_same_events(got_ev, want_ev)
+        assert got_m == want_m
+        # recording changes nothing
+        assert_same_result(simulate(params, timelines), want)
+
+
+def _plan(seed, n_io, **kw):
+    return FaultPlan(
+        seed=seed,
+        stragglers={n_io - 1: 2.0},
+        latency_windows=(LatencyWindow(0, 0.25, 1.5, 3.0),),
+        outages=(Outage(0, 0.5, 1.0),),
+        **kw,
+    )
+
+
+def run_both_faulty(params, timelines, plan, policy):
+    """As :func:`run_both`, each side with its own injector of the same
+    plan: (result or error message, events, metrics, injector)."""
+    out = []
+    for sim in (simulate, _reference_simulate):
+        inj = FaultInjector(plan, policy)
+        events, reg = [], MetricsRegistry()
+        try:
+            res = sim(params, timelines, events=events, metrics=reg,
+                      faults=inj)
+        except TransientIOError as e:
+            res = str(e)
+        out.append((res, events, reg.to_dict(), inj))
+    return out
+
+
+class TestFaultsEqualTheHeapLoop:
+    """Outages, stragglers, latency windows and error draws with retries
+    and backoff perturb ``io`` requests identically in both loops."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        machines(),
+        st.integers(0, 2**16),
+        st.sampled_from([0.0, 0.2, 0.5]),
+        st.integers(0, 4),
+        st.sampled_from([0.0, 0.5]),
+    )
+    def test_perturbed_runs(self, machine, seed, rate, retries, jitter):
+        params, timelines = machine
+        plan = _plan(seed, params.n_io_nodes, read_error_rate=rate,
+                     write_error_rate=rate / 2)
+        policy = ResiliencePolicy(
+            max_retries=retries, backoff_base_s=0.125, jitter=jitter
+        )
+        (got, got_ev, got_m, got_inj), (want, want_ev, want_m, want_inj) = (
+            run_both_faulty(params, timelines, plan, policy)
+        )
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_result(got, want)
+            assert got_m == want_m
+        assert_same_events(got_ev, want_ev)
+        for name in ("injected", "retries", "retry_delay_s", "events"):
+            assert getattr(got_inj, name) == getattr(want_inj, name), name
+
+    def test_give_up(self):
+        """Scheduled errors on the first three attempts against a budget
+        of two retries: the first request gives up, named identically."""
+        params = MachineParams(n_io_nodes=2)
+        timelines = [
+            NodeTimeline(0, [io(0, 0.25), compute(0.5), io(1, 0.25)]),
+            NodeTimeline(1, [net(0.125), io(0, 0.25)]),
+        ]
+        plan = _plan(1, 2, error_ops=frozenset({0, 1, 2}))
+        policy = ResiliencePolicy(max_retries=2, backoff_base_s=0.125)
+        (got, got_ev, _, got_inj), (want, want_ev, _, want_inj) = (
+            run_both_faulty(params, timelines, plan, policy)
+        )
+        assert isinstance(want, str) and "after 3 attempt(s)" in want
+        assert got == want
+        assert_same_events(got_ev, want_ev)
+        assert (got_inj.injected, got_inj.retries, got_inj.retry_delay_s) == (
+            want_inj.injected, want_inj.retries, want_inj.retry_delay_s
+        ) == (3, 2, 0.375)
+        assert got_inj.events == want_inj.events
+
+
+class TestTypeStableMakespan:
+    def test_contended_collective_run_returns_python_floats(self):
+        """``mat`` / ``col`` on 4 nodes queues (a wait wins the ``max``,
+        where the heap loop returned ``np.float64``)."""
+        from repro.collective import CollectiveConfig
+        from repro.experiments.harness import _scaled_params
+        from repro.optimizer import build_version
+        from repro.parallel import run_version_parallel
+        from repro.workloads import build_workload
+
+        params = replace(_scaled_params(16), n_io_nodes=4)
+        cfg = build_version(
+            "col", build_workload("mat", 16), params=params, n_nodes=4
+        )
+        run = run_version_parallel(
+            cfg, 4, params=params, trace=True,
+            collective=CollectiveConfig(mode="auto"),
+        )
+        sim = run.collective.sim
+        assert sim.waited_requests > 0
+        assert type(run.time_s) is float
+        assert all(type(t) is float for t in sim.node_finish_s)

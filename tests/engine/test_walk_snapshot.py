@@ -6,7 +6,10 @@ geometry moved behind :class:`repro.engine.plan.TileSpace`:
 - per (workload, version): every rank's stats, I/O-node loads, per-nest
   traces, ``tiles_executed``, peak memory and the makespan, over {1, 4}
   nodes × plain / cache / ``tile_sizes`` / collective / faults, plus a
-  lone real-mode executor's array contents;
+  lone real-mode executor's array contents (the makespan is hashed as
+  ``float``, its value: these were re-recorded with that one change
+  applied to the commit before the event simulator's loop returned
+  python floats where it had returned ``np.float64``);
 - per ``autotune_joint`` program (perfbench's eleven, n=32, 4 nodes):
   ``solve_joint().to_dict()`` — the model's tile count and
   representative tile feed every priced configuration (these eleven
@@ -93,7 +96,7 @@ def _digest(workload, version):
                 cfg, n_nodes, params=PARAMS, trace=True, **kw
             )
             h.update(repr((
-                label, n_nodes, run.time_s, run.total_stats.to_dict(),
+                label, n_nodes, float(run.time_s), run.total_stats.to_dict(),
                 [_rank_view(r) for r in run.node_results],
             )).encode())
     # a lone real-mode executor: the walk moves data, so the arrays'
