@@ -38,7 +38,7 @@ def _time(program, order):
         decision.program,
         decision.layout_objects(default="col"),
         params=params,
-        real=False,
+        backend="simulate",
         memory_budget=16 * program.binding()["N"],
     )
     return ex.run().stats.io_time_s, decision.layouts

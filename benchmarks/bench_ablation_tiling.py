@@ -31,7 +31,7 @@ def _run(workload, settings, tiling):
         cfg.program,
         cfg.layouts,
         params=settings.params,
-        real=False,
+        backend="simulate",
         tiling=tiling,
         memory_budget=max(64, total // settings.params.memory_fraction),
     )

@@ -44,7 +44,7 @@ def _run(decision, params, memory_budget=None, cache=None):
         decision.program,
         decision.layout_objects(),
         params=params,
-        real=False,
+        backend="simulate",
         memory_budget=memory_budget,
         cache=cache,
     )

@@ -26,7 +26,7 @@ def _run(decision, settings, program):
         decision.program,
         decision.layout_objects(default="col"),
         params=settings.params,
-        real=False,
+        backend="simulate",
         memory_budget=max(64, total // settings.params.memory_fraction),
     )
     return ex.run().stats.total_time_s

@@ -132,7 +132,7 @@ def run_digest(cfg, n_nodes, kw):
 def real_digest(cfg):
     h = hashlib.sha256()
     with OOCExecutor(
-        cfg.program, cfg.layouts, params=PARAMS, real=True,
+        cfg.program, cfg.layouts, params=PARAMS, backend="memory",
         tiling=cfg.tiling, storage_spec=cfg.storage_spec, trace=True,
     ) as ex:
         h.update(repr(rank_view(ex.run())).encode())

@@ -32,7 +32,7 @@ def sweep(n=64):
             ("ooc", ooc_tiling),
         ):
             ex = OOCExecutor(
-                program, layouts, params=params, real=False,
+                program, layouts, params=params, backend="simulate",
                 tiling=tiling, memory_budget=budget,
             )
             calls[label] = ex.run().stats.calls

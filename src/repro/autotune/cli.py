@@ -217,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="memory budget in elements per node")
     p_solve.add_argument(
         "--solver", default="auto",
-        choices=("auto", "milp", "exhaustive", "descent"),
+        choices=("auto", "milp", "exhaustive"),
         help="stage-A layout solver (default: auto)")
 
     p_cal = sub.add_parser(
@@ -233,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="observe/recalibrate rounds (default: 3)")
     p_loop.add_argument(
         "--solver", default="auto",
-        choices=("auto", "milp", "exhaustive", "descent"),
+        choices=("auto", "milp", "exhaustive"),
         help="stage-A layout solver (default: auto)")
 
     args = parser.parse_args(argv)

@@ -2,14 +2,13 @@
 
 Stage A solves the layout/loop slice with the exact machinery of
 :mod:`repro.optimizer.ilp` (MILP when scipy's HiGHS is available,
-exhaustive enumeration as the recorded fallback, or the deterministic
-coordinate-descent solver on request).  Stage B prices the remaining
-machine knobs — per-nest block sizes, the tile-cache share of the
-memory budget, and the collective aggregator count — on the
-configuration model of :mod:`repro.autotune.model`, by deterministic
-grid sweep: the per-nest block choice is separable once the cache
-share is fixed, so the sweep is ``|cache| x |cb_nodes|`` outer by
-``|blocks|`` inner.
+exhaustive enumeration as the recorded fallback or on request).  Stage
+B prices the remaining machine knobs — per-nest block sizes, the
+tile-cache share of the memory budget, and the collective aggregator
+count — on the configuration model of :mod:`repro.autotune.model`, by
+deterministic grid sweep: the per-nest block choice is separable once
+the cache share is fixed, so the sweep is ``|cache| x |cb_nodes|``
+outer by ``|blocks|`` inner.
 
 The result is a typed :class:`TuneDecision`: every knob carries its
 chosen value, the candidates it beat, and the predicted-cost delta of
@@ -74,8 +73,8 @@ class TuneDecision:
     """A complete machine configuration plus its provenance."""
 
     decision: GlobalDecision
-    #: which stage-A solver actually ran: "milp" | "exhaustive" |
-    #: "descent" (a failed MILP records the fallback here)
+    #: which stage-A solver actually ran: "milp" | "exhaustive" (a
+    #: failed MILP records the fallback here)
     solver: str
     #: stage-A objective (the paper's call model, relative units)
     objective: float

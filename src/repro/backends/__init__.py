@@ -17,8 +17,8 @@ cost model can be validated against a byte-moving implementation:
   time (:class:`ObjectStoreParams`).
 
 Select a backend with ``OOCExecutor(..., backend="mmap")`` (or an
-instance), or keep the legacy ``real=True/False`` aliases.  See
-``docs/backends.md``.
+instance); the low-level ``OOCFile`` / ``OutOfCoreArray.create`` keep
+the legacy ``real=True/False`` aliases.  See ``docs/backends.md``.
 """
 
 from .base import (

@@ -297,7 +297,7 @@ class _Timer:
 
 
 def resolve_backend(backend, real: bool | None = None) -> StorageBackend:
-    """Resolve the executor's ``backend=``/``real=`` pair to an instance.
+    """Resolve a ``backend=``/``real=`` pair to an instance.
 
     - ``backend`` may be a :class:`StorageBackend`, a kind string
       (``"memory"``, ``"simulate"``, ``"mmap"``, ``"chunked"``,

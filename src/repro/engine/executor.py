@@ -514,20 +514,15 @@ class OOCExecutor:
     tiling:
         per-nest :class:`TilingSpec` factory (default: the paper's
         all-but-innermost rule).
-    real:
-        move actual data and interpret element loops (small sizes /
-        verification) vs. accounting only.  Alias for the two default
-        backends (``None``, the default, means in-memory); given together
-        with a ``backend`` it must agree with it
-        (:class:`~repro.backends.BackendError` otherwise).
     backend:
         where array bytes live (:mod:`repro.backends`): a
         :class:`~repro.backends.StorageBackend` instance or a kind
-        string (``"memory"``, ``"simulate"``, ``"mmap"``, ``"chunked"``,
-        ``"object"``).  ``None`` resolves from ``real``.  Accounted
-        ``IOStats`` are identical for every data-carrying backend;
-        measuring backends additionally report
-        :class:`~repro.backends.BackendMetrics`.
+        string (``"memory"``, the default, ``"simulate"`` for accounting
+        only, ``"mmap"``, ``"chunked"``, ``"object"``).  A data-carrying
+        backend moves actual data and interprets the element loops
+        (small sizes / verification).  Accounted ``IOStats`` are
+        identical for every data-carrying backend; measuring backends
+        additionally report :class:`~repro.backends.BackendMetrics`.
     dtype:
         element dtype carried by the backend files (default float64).
     plans:
@@ -546,7 +541,6 @@ class OOCExecutor:
         params: MachineParams | None = None,
         binding: Mapping[str, int] | None = None,
         memory_budget: int | None = None,
-        real: bool | None = None,
         backend: StorageBackend | str | None = None,
         dtype=None,
         tiling: Callable[[LoopNest], TilingSpec] | Mapping[str, TilingSpec] = ooc_tiling,
@@ -559,7 +553,6 @@ class OOCExecutor:
         cache: CacheConfig | None = None,
         trace: bool = False,
         obs: Observability | None = None,
-        bounds: Sequence[object] | None = None,
         faults: FaultConfig | None = None,
         profile: ProfileConfig | None = None,
         plans: Mapping[str, NestPlan] | None = None,
@@ -578,18 +571,13 @@ class OOCExecutor:
         # finished into RunResult.profile.  None (the default) profiles
         # nothing.
         self._profile = profile
-        # precomputed static I/O lower bounds (repro.bounds); None means
-        # derive them at obs-finish time against the effective memory
-        self._bounds = bounds
         self._faults = faults
         self.program = program
         self.params = params or MachineParams()
         self.binding = program.binding(binding)
-        # storage backend: the boolean `real` is an alias for the two
-        # default backends (None ⇒ in-memory); an explicit backend
-        # decides for itself whether data moves (real) or only
-        # accounting runs, and a contradicting `real` is a BackendError
-        backend = resolve_backend(backend, real)
+        # the backend decides whether data moves (real) or only
+        # accounting runs (None ⇒ in-memory)
+        backend = resolve_backend(backend)
         self.real = backend.real
         self._dtype = dtype
         self.shapes = {
@@ -772,19 +760,16 @@ class OOCExecutor:
                 obs.record_nest_io(rec)
             obs.note_predictions(self.predicted_io())
             # optimality: a lone executor owns the whole program, so it
-            # can derive (or adopt) bounds itself; rank executors inside
-            # the SPMD driver see only their slab and leave bounds to
-            # the driver, which knows the node count
+            # derives the bounds itself; rank executors inside the SPMD
+            # driver see only their slab and leave bounds to the
+            # driver, which knows the node count
             if self.node_slice is None:
-                bounds = self._bounds
-                if bounds is None:
-                    from ..bounds import run_bounds
+                from ..bounds import run_bounds
 
-                    bounds = run_bounds(
-                        self.program, self.binding, self.memory_budget,
-                        self.memory.peak, 1, self._cache is not None,
-                    )
-                obs.note_bounds(bounds)
+                obs.note_bounds(run_bounds(
+                    self.program, self.binding, self.memory_budget,
+                    self.memory.peak, 1, self._cache is not None,
+                ))
                 obs.note_modeled_elements(self.predicted_elements())
             obs.publish_gauges()
         if obs.config.metrics:

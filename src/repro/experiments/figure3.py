@@ -129,7 +129,7 @@ def figure3() -> tuple[str, Figure3Result]:
             program,
             layouts,
             params=FIGURE3_PARAMS,
-            real=False,
+            backend="simulate",
             tiling=tiling,
             memory_budget=MEMORY_ELEMENTS,
         )

@@ -4,24 +4,23 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..obs.report import Column, render_table
+
 
 def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[str]],
     title: str | None = None,
 ) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for c, cell in enumerate(row):
-            widths[c] = max(widths[c], len(cell))
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
+    """Left-aligned string columns as wide as their widest cell, two
+    spaces apart, each underlined by its own dashes."""
+    widths = [
+        max([len(h), *(len(row[c]) for row in rows)])
+        for c, h in enumerate(headers)
+    ]
+    columns = [Column(h, w, sep="  ") for h, w in zip(headers, widths)]
+    dashes = ["-" * w for w in widths]
+    return "\n".join(render_table(title, columns, [dashes, *rows], rule=False))
 
 
 def fmt(value: float, decimals: int = 1) -> str:

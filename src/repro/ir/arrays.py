@@ -100,9 +100,6 @@ class ArrayRef:
         env.update(point)
         return tuple(s.evaluate(env) for s in self.subscripts)
 
-    def uses_vars(self, names: set[str]) -> bool:
-        return any(k in names for s in self.subscripts for k in s.names)
-
     def substituted(self, mapping: Mapping[str, AffineExpr]) -> "ArrayRef":
         return ArrayRef(
             self.array, tuple(s.substitute(mapping) for s in self.subscripts)

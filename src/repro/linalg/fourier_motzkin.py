@@ -165,9 +165,6 @@ class ConstraintSystem:
     def copy(self) -> "ConstraintSystem":
         return ConstraintSystem(self.variables, self.params, self.constraints)
 
-    def is_infeasible_trivially(self) -> bool:
-        return any(c.is_trivially_false() for c in self.constraints)
-
     def satisfied(self, binding: Mapping[str, int]) -> bool:
         return all(c.evaluate(binding) >= 0 for c in self.constraints)
 

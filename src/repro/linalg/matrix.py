@@ -51,10 +51,6 @@ class IMat:
         return IMat([[int(v)] for v in vec])
 
     @staticmethod
-    def row_vector(vec: Sequence[int]) -> "IMat":
-        return IMat([list(vec)])
-
-    @staticmethod
     def diag(entries: Sequence[int]) -> "IMat":
         n = len(entries)
         return IMat(
@@ -188,9 +184,6 @@ class IMat:
 
     def is_unimodular(self) -> bool:
         return self.is_square and abs(self.det()) == 1
-
-    def is_nonsingular(self) -> bool:
-        return self.is_square and self.det() != 0
 
     def inverse_pair(self) -> tuple["IMat", int]:
         """Return ``(adj, d)`` with exact inverse ``adj / d`` (d = det != 0).

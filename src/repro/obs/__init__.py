@@ -48,7 +48,6 @@ from .export import (
     decode_key,
     encode_key,
     load_trace,
-    parse_openmetrics,
     render_openmetrics,
     sanitize,
     validate_trace_events,
@@ -87,10 +86,8 @@ from .report import (
     RedistRecord,
     build_drift,
     build_optimality,
-    drift_totals,
     io_record,
     nest_records,
-    optimality_totals,
     render_report,
     report_totals,
 )
@@ -404,13 +401,10 @@ __all__ = [
     "chrome_trace_events",
     "decode_key",
     "doc_from_journal",
-    "drift_totals",
     "encode_key",
     "io_record",
     "load_trace",
     "nest_records",
-    "optimality_totals",
-    "parse_openmetrics",
     "payload_from_journal",
     "publish_work",
     "read_journal",

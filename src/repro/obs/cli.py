@@ -62,6 +62,7 @@ import argparse
 import sys
 
 from . import Observability, _payload_report, load_trace
+from .baselines import BaselineError
 
 
 def _load(path: str, fold=None):
@@ -95,16 +96,18 @@ def _load(path: str, fold=None):
     return None
 
 
-def _user_errors(cmd):
+def _user_errors(cmd, errors=(KeyError, ValueError)):
     """Wrap a command whose arguments reach the library as given: its
-    named ``KeyError`` / ``ValueError`` (unknown workload or version,
-    non-positive ``--n`` / ``--nodes`` / ``--top`` / ``--memory``) is
-    one ``error:`` line and exit code 2, not a traceback."""
+    named ``errors`` (by default ``KeyError`` / ``ValueError``: unknown
+    workload or version, non-positive ``--n`` / ``--nodes`` / ``--top``
+    / ``--memory``; a :class:`~repro.obs.baselines.BaselineError` for
+    ``regress``) are one ``error:`` line and exit code 2, not a
+    traceback."""
 
     def wrapped(args: argparse.Namespace) -> int:
         try:
             return cmd(args)
-        except (KeyError, ValueError) as e:
+        except errors as e:
             print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)
             return 2
 
@@ -248,7 +251,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     from ..bounds import program_bounds
     from ..optimizer import build_version
     from ..workloads import build_analytics, build_workload
-    from .report import _render_optimality
+    from .report import Column, render_optimality, render_table
 
     try:
         program = build_workload(args.workload, args.n)
@@ -258,18 +261,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         bounds = program_bounds(
             program, memory_elements=args.memory, n_nodes=args.nodes
         )
-        header = (
-            f"{'nest':<16} {'rule':<22} {'bound':>10} "
-            f"{'reads>=':>10} {'writes>=':>10}  detail"
-        )
-        print(header)
-        print("-" * len(header))
-        for nb in bounds:
-            print(
-                f"{nb.nest:<16} {nb.rule:<22} {nb.bound_elements:>10.0f} "
-                f"{nb.read_elements:>10.0f} {nb.write_elements:>10.0f}  "
-                f"{nb.detail}"
-            )
+        print("\n".join(render_table(None, (
+            Column("nest", 16), Column("rule", 22),
+            Column("bound", 10, ">", ".0f", get="bound_elements"),
+            Column("reads>=", 10, ">", ".0f", get="read_elements"),
+            Column("writes>=", 10, ">", ".0f", get="write_elements"),
+            Column("detail", sep="  "),
+        ), bounds)))
         print(
             f"M={bounds[0].memory_elements if bounds else args.memory} "
             f"elements/node, {args.nodes} node(s)"
@@ -284,20 +282,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         f"{args.workload}/{args.version} on {args.nodes} node(s), "
         f"path={'two-phase' if args.collective else 'independent'}"
     )
-    print("\n".join(_render_optimality(obs.report.optimality, stats)))
+    print("\n".join(render_optimality(obs.report.optimality, stats)))
     if args.out:
         print(f"trace -> {args.out}")
     return 0
 
 
 def cmd_regress_capture(args: argparse.Namespace) -> int:
-    from .baselines import BaselineError, capture
+    from .baselines import capture
 
-    try:
-        doc = capture(args.out, args.bench or None, smoke=args.smoke)
-    except BaselineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    doc = capture(args.out, args.bench or None, smoke=args.smoke)
     print(
         f"captured {len(doc['results'])} benchmark result(s) "
         f"(smoke={doc['smoke']}, rev={str(doc['git_rev'])[:12]}) "
@@ -307,32 +301,40 @@ def cmd_regress_capture(args: argparse.Namespace) -> int:
 
 
 def cmd_regress_check(args: argparse.Namespace) -> int:
-    from .baselines import BaselineError
     from .regress import TolerancePolicy, check_paths, render_regress
 
-    try:
-        report = check_paths(
-            args.baseline, args.current,
-            TolerancePolicy(rel_tol=args.rel_tol),
-        )
-    except BaselineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    report = check_paths(
+        args.baseline, args.current, TolerancePolicy(rel_tol=args.rel_tol),
+    )
     print(render_regress(report))
     return 0 if report.ok else 1
 
 
 def cmd_regress_report(args: argparse.Namespace) -> int:
-    from .baselines import BaselineError, load_baseline
+    from .baselines import load_baseline
     from .regress import summarize_baseline
 
-    try:
-        doc = load_baseline(args.baseline)
-    except BaselineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    print(summarize_baseline(doc))
+    print(summarize_baseline(load_baseline(args.baseline)))
     return 0
+
+
+def _program_args(p: argparse.ArgumentParser) -> None:
+    """The workload version a running command observes."""
+    p.add_argument("--workload", default="adi")
+    p.add_argument("--version", default="c-opt")
+    p.add_argument("--n", type=int, default=24)
+    p.add_argument("--nodes", type=int, default=4)
+
+
+def _collective_args(
+    p: argparse.ArgumentParser,
+    help: str = "run through the two-phase collective layer + event sim",
+) -> None:
+    p.add_argument("--collective", action="store_true", help=help)
+    p.add_argument(
+        "--mode", default="auto", choices=("auto", "always", "never"),
+        help="collective mode (with --collective)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,18 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap = sub.add_parser(
         "capture", help="run a workload with observability on, export trace"
     )
-    p_cap.add_argument("--workload", default="adi")
-    p_cap.add_argument("--version", default="c-opt")
-    p_cap.add_argument("--n", type=int, default=24)
-    p_cap.add_argument("--nodes", type=int, default=4)
-    p_cap.add_argument(
-        "--collective", action="store_true",
-        help="run through the two-phase collective layer + event sim",
-    )
-    p_cap.add_argument(
-        "--mode", default="auto", choices=("auto", "always", "never"),
-        help="collective mode (with --collective)",
-    )
+    _program_args(p_cap)
+    _collective_args(p_cap)
     p_cap.add_argument("--out", default="trace.json")
     p_cap.add_argument(
         "--journal", default=None, metavar="PATH",
@@ -381,18 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run a workload under cProfile, print the by-layer top report",
     )
-    p_prof.add_argument("--workload", default="adi")
-    p_prof.add_argument("--version", default="c-opt")
-    p_prof.add_argument("--n", type=int, default=24)
-    p_prof.add_argument("--nodes", type=int, default=4)
-    p_prof.add_argument(
-        "--collective", action="store_true",
-        help="run through the two-phase collective layer + event sim",
-    )
-    p_prof.add_argument(
-        "--mode", default="auto", choices=("auto", "always", "never"),
-        help="collective mode (with --collective)",
-    )
+    _program_args(p_prof)
+    _collective_args(p_prof)
     p_prof.add_argument(
         "--top", type=int, default=20, metavar="N",
         help="rows to show per table (default 20)",
@@ -455,10 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds",
         help="static I/O lower bounds + achieved-vs-bound optimality",
     )
-    p_bounds.add_argument("--workload", default="adi")
-    p_bounds.add_argument("--version", default="c-opt")
-    p_bounds.add_argument("--n", type=int, default=24)
-    p_bounds.add_argument("--nodes", type=int, default=4)
+    _program_args(p_bounds)
     p_bounds.add_argument(
         "--memory", type=int, default=None, metavar="ELEMENTS",
         help="per-node memory capacity M (default: executor's budget)",
@@ -467,14 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--static", action="store_true",
         help="print the static bounds only, without running",
     )
-    p_bounds.add_argument(
-        "--collective", action="store_true",
-        help="run through the two-phase collective layer",
-    )
-    p_bounds.add_argument(
-        "--mode", default="auto", choices=("auto", "always", "never"),
-        help="collective mode (with --collective)",
-    )
+    _collective_args(p_bounds, "run through the two-phase collective layer")
     p_bounds.add_argument(
         "--out", default=None, metavar="PATH",
         help="also export the obs trace JSON",
@@ -502,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bench", action="append", default=[], metavar="ARG",
         help="pytest selection arg (repeatable; default: benchmarks/)",
     )
-    p_rc.set_defaults(func=cmd_regress_capture)
+    p_rc.set_defaults(func=_user_errors(cmd_regress_capture, BaselineError))
 
     p_rk = reg_sub.add_parser(
         "check", help="diff current results against a baseline (CI gate)"
@@ -516,13 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--rel-tol", type=float, default=0.01, metavar="FRAC",
         help="relative tolerance for modeled float values (default 0.01)",
     )
-    p_rk.set_defaults(func=cmd_regress_check)
+    p_rk.set_defaults(func=_user_errors(cmd_regress_check, BaselineError))
 
     p_rr = reg_sub.add_parser(
         "report", help="summarize a stored baseline file"
     )
     p_rr.add_argument("baseline", help="stored baseline JSON")
-    p_rr.set_defaults(func=cmd_regress_report)
+    p_rr.set_defaults(func=_user_errors(cmd_regress_report, BaselineError))
     return parser
 
 

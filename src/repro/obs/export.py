@@ -211,8 +211,8 @@ def sanitize(obj: object) -> object:
 
 
 class OpenMetricsError(ValueError):
-    """An OpenMetrics document violates the exposition format (carries
-    the offending 1-based line number when raised by the parser)."""
+    """A registry cannot be written in the exposition format (two names
+    collide after sanitization, or an instrument type is unknown)."""
 
 
 def _om_name(name: str) -> str:
@@ -325,118 +325,3 @@ def render_openmetrics(registry) -> str:
                 )
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def _om_parse_labels(s: str, lineno: int) -> tuple[dict[str, str], int]:
-    """Parse a ``key="value",...}`` label block (``s`` starts just after
-    the ``{``); returns the labels and the index just past the ``}``."""
-    labels: dict[str, str] = {}
-    i = 0
-    try:
-        while True:
-            if s[i] == "}":
-                return labels, i + 1
-            eq = s.index("=", i)
-            key = s[i:eq]
-            if not key or s[eq + 1] != '"':
-                raise OpenMetricsError(
-                    f"line {lineno}: malformed label near {s[i:]!r}"
-                )
-            i = eq + 2
-            buf: list[str] = []
-            while True:
-                c = s[i]
-                if c == "\\":
-                    nxt = s[i + 1]
-                    buf.append(
-                        {"\\": "\\", '"': '"', "n": "\n"}.get(nxt, nxt)
-                    )
-                    i += 2
-                elif c == '"':
-                    i += 1
-                    break
-                else:
-                    buf.append(c)
-                    i += 1
-            labels[key] = "".join(buf)
-            if s[i] == ",":
-                i += 1
-            elif s[i] != "}":
-                raise OpenMetricsError(
-                    f"line {lineno}: expected ',' or '}}' after label "
-                    f"{key!r}"
-                )
-    except (IndexError, ValueError):
-        raise OpenMetricsError(
-            f"line {lineno}: unterminated label block"
-        ) from None
-
-
-def parse_openmetrics(text: str) -> dict[str, object]:
-    """Validate an exposition document and decode it into
-    ``{"types": {family: type}, "samples": {(name, labels...): value}}``
-    — the structured form the round-trip tests compare.  Raises
-    :class:`OpenMetricsError` on format violations: unknown or
-    duplicate ``# TYPE``, malformed samples, text after (or a missing)
-    ``# EOF`` terminator."""
-    types: dict[str, str] = {}
-    samples: dict[tuple, float] = {}
-    saw_eof = False
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if saw_eof:
-            if line:
-                raise OpenMetricsError(
-                    f"line {lineno}: content after the # EOF terminator"
-                )
-            continue
-        if not line:
-            continue
-        if line == "# EOF":
-            saw_eof = True
-            continue
-        if line.startswith("# TYPE "):
-            parts = line.split(" ")
-            if len(parts) != 4:
-                raise OpenMetricsError(
-                    f"line {lineno}: malformed # TYPE line: {line!r}"
-                )
-            fam, typ = parts[2], parts[3]
-            if typ not in ("counter", "gauge", "histogram"):
-                raise OpenMetricsError(
-                    f"line {lineno}: unknown metric type {typ!r}"
-                )
-            if fam in types:
-                raise OpenMetricsError(
-                    f"line {lineno}: duplicate # TYPE for {fam!r}"
-                )
-            types[fam] = typ
-            continue
-        if line.startswith("#"):
-            continue  # HELP/UNIT comments pass through unvalidated
-        if "{" in line:
-            name, rest = line.split("{", 1)
-            labels, end = _om_parse_labels(rest, lineno)
-            value_text = rest[end:].strip()
-        else:
-            name, sep, value_text = line.partition(" ")
-            labels = {}
-            if not sep:
-                raise OpenMetricsError(
-                    f"line {lineno}: sample has no value: {line!r}"
-                )
-            value_text = value_text.strip()
-        if not name:
-            raise OpenMetricsError(
-                f"line {lineno}: sample has no metric name: {line!r}"
-            )
-        try:
-            value = float(value_text)
-        except ValueError:
-            raise OpenMetricsError(
-                f"line {lineno}: sample value is not a number: "
-                f"{value_text!r}"
-            ) from None
-        samples[(name,) + tuple(sorted(labels.items()))] = value
-    if not saw_eof:
-        raise OpenMetricsError("missing # EOF terminator")
-    return {"types": types, "samples": samples}

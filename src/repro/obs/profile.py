@@ -40,6 +40,8 @@ from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 from typing import Iterable, Mapping
 
+from .report import Column, render_table
+
 #: the unlabeled work counters, in publication order
 WORK_KEYS = (
     "plan_runs_calls", "priced_runs", "sim_events", "cache_probes",
@@ -427,6 +429,14 @@ def validate_collapsed(lines: Iterable[str]) -> None:
 
 # -- rendering --------------------------------------------------------------
 
+#: the span table of ``hotspots.spans`` payload rows
+SPAN_COLUMNS = (
+    Column("span", 24, get="name"), Column("count", 10, ">"),
+    Column("self_s", 10, ">", ".6f"), Column("total_s", 10, ">", ".6f"),
+    Column("us/call", 10, ">", ".2f",
+           get=lambda r: float(r.get("per_call_us", 0.0))),
+)
+
 
 def render_profile(profile: Mapping[str, object], *, top: int = 20) -> str:
     """The ``top``-style section from a serialized profile payload
@@ -438,21 +448,23 @@ def render_profile(profile: Mapping[str, object], *, top: int = 20) -> str:
     layers = profile.get("layers")
     if layers:
         total = float(layers["total_s"])
-        rows = [(r["layer"], r["calls"], r["self_s"]) for r in layers["rows"]]
-        header = f"{'layer':<24} {'calls':>10} {'self_s':>10} {'share':>7}"
-        lines = [
+        rows = layers["rows"]
+        unattributed = {
+            "layer": "unattributed", "calls": "",
+            "self_s": layers["unattributed_s"],
+        }
+        lines = render_table(
             "wall time by layer (cProfile self time; non-repro callees "
             "charged to the calling layer)",
-            header,
-            "-" * len(header),
-        ]
-        for name, calls, self_s in rows[:top] + [
-            ("unattributed", "", layers["unattributed_s"])
-        ]:
-            lines.append(
-                f"{name:<24} {calls:>10} {float(self_s):>10.6f} "
-                f"{100.0 * self_s / total if total else 0.0:>6.1f}%"
-            )
+            (
+                Column("layer", 24), Column("calls", 10, ">"),
+                Column("self_s", 10, ">", ".6f"),
+                Column("share", 7, ">", ".1f", "%", get=lambda r: (
+                    100.0 * r["self_s"] / total if total else 0.0
+                )),
+            ),
+            rows[:top] + [unattributed],
+        )
         if len(rows) > top:
             lines.append(f"  ... ({len(rows) - top} more layer(s))")
         lines.append(
@@ -462,19 +474,9 @@ def render_profile(profile: Mapping[str, object], *, top: int = 20) -> str:
         sections.append(lines)
     spans = list((profile.get("hotspots") or {}).get("spans") or [])
     if spans:
-        header = (
-            f"{'span':<24} {'count':>10} {'self_s':>10} "
-            f"{'total_s':>10} {'us/call':>10}"
+        lines = render_table(
+            "span aggregates (wall spans by name)", SPAN_COLUMNS, spans[:top]
         )
-        lines = [
-            "span aggregates (wall spans by name)", header, "-" * len(header)
-        ]
-        for r in spans[:top]:
-            lines.append(
-                f"{r['name']:<24} {r['count']:>10} "
-                f"{float(r['self_s']):>10.6f} {float(r['total_s']):>10.6f} "
-                f"{float(r.get('per_call_us', 0.0)):>10.2f}"
-            )
         if len(spans) > top:
             lines.append(f"  ... ({len(spans) - top} more span name(s))")
         sections.append(lines)

@@ -10,20 +10,94 @@ trustworthy: the table is the stats, just attributed.
 ``render_report`` prints the per-nest × per-array table (Tables 1–3 of
 the paper live on exactly this attribution); ``report_totals`` sums the
 records for cross-checking against :meth:`IOStats.to_dict` output.
+
+Every text table of the system is drawn by :func:`render_table` from
+declared :class:`Column` objects: a new section is columns plus a row map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .profile import render_profile
+
+@dataclass(frozen=True)
+class Column:
+    """One declared column of a text table: its header, its width and
+    alignment (``"<"`` or ``">"``), the format spec and suffix of a
+    non-string cell, the separator written before it, and what its
+    cell reads from a row — the row's field (or key) named ``get``, or
+    ``get(row)``; the field named like the header by default.  A string
+    cell is written as is, ``None`` as ``-``."""
+
+    header: str
+    width: int = 0
+    align: str = "<"
+    fmt: str = ""
+    suffix: str = ""
+    sep: str = " "
+    get: str | Callable[[object], object] | None = None
+
+    def value(self, row: object) -> object:
+        get = self.get or self.header
+        if callable(get):
+            return get(row)
+        return row[get] if isinstance(row, Mapping) else getattr(row, get)
+
+    def cell(self, value: object) -> str:
+        if value is None:
+            value = "-"
+        elif not isinstance(value, str):
+            value = format(value, self.fmt) + self.suffix
+        return f"{value:{self.align}{self.width}}"
+
+
+def render_table(
+    title: str | None,
+    columns: Sequence[Column],
+    rows: Iterable[object],
+    total: object = None,
+    *,
+    rule: bool = True,
+) -> list[str]:
+    """The one text-table renderer: an optional title line, the header,
+    a dash rule as wide as the header (unless ``rule`` is false), one
+    line per row and, when given, a rule and the ``total`` row.  A row
+    that is a tuple or list holds its cells in column order; any other
+    row (a record, a payload dict) is read by each column's getter."""
+
+    def line(row) -> str:
+        if not isinstance(row, (tuple, list)):
+            row = [c.value(row) for c in columns]
+        cells = [c.cell(v) for c, v in zip(columns, row)]
+        return cells[0] + "".join(
+            c.sep + v for c, v in zip(columns[1:], cells[1:])
+        )
+
+    header = line([c.header for c in columns])
+    dashes = "-" * len(header)
+    lines = [title] if title else []
+    lines += [header, *([dashes] if rule else []), *map(line, rows)]
+    if total is not None:
+        lines += [dashes, line(total)]
+    return lines
+
+
+class _Record:
+    """The report records' payload form: their fields, as a dict."""
+
+    def to_dict(self) -> dict[str, object]:
+        return dict(vars(self))
+
+    @classmethod
+    def from_dict(cls, d: Mapping[str, object]):
+        return cls(**d)
 
 
 @dataclass
-class NestIORecord:
+class NestIORecord(_Record):
     """I/O attributed to one (nest, array/file) pair, all ranks of one
     compute node (``node``) or aggregated (``node=None``)."""
 
@@ -41,16 +115,9 @@ class NestIORecord:
     #: "independent" | "two-phase" (collective runs) | "direct"
     path: str = "direct"
 
-    def to_dict(self) -> dict[str, object]:
-        return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "NestIORecord":
-        return cls(**d)
-
 
 @dataclass
-class RedistRecord:
+class RedistRecord(_Record):
     """Redistribution-phase traffic of one two-phase collective nest."""
 
     nest: str
@@ -58,16 +125,9 @@ class RedistRecord:
     elements: int = 0
     time_s: float = 0.0
 
-    def to_dict(self) -> dict[str, object]:
-        return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "RedistRecord":
-        return cls(**d)
-
 
 @dataclass
-class CostDriftRecord:
+class CostDriftRecord(_Record):
     """Predicted-vs-measured I/O for one (nest, array) pair.
 
     ``predicted_calls`` is the optimizer's relative I/O estimate
@@ -104,22 +164,15 @@ class CostDriftRecord:
             return None
         return (self.predicted_calls - self.measured_calls) / self.measured_calls
 
-    def to_dict(self) -> dict[str, object]:
-        return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "CostDriftRecord":
-        return cls(**d)
-
 
 @dataclass
-class OptimalityRecord:
+class OptimalityRecord(_Record):
     """Achieved-vs-optimal telemetry for one nest.
 
     Pairs the static I/O lower bound from :mod:`repro.bounds` (and the
     cost model's element estimate) with the nest's measured transfers,
     aggregated over *all* of the nest's records — every rank, array and
-    path — so :func:`optimality_totals` equals :func:`report_totals`
+    path — so :func:`report_totals` of the rows equals it of the records
     (and hence the folded :class:`IOStats`) exactly.
     """
 
@@ -147,13 +200,6 @@ class OptimalityRecord:
             return None
         return self.measured_elements / self.bound_elements
 
-    def to_dict(self) -> dict[str, object]:
-        return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, object]) -> "OptimalityRecord":
-        return cls(**d)
-
 
 @dataclass
 class IOReport:
@@ -169,21 +215,17 @@ class IOReport:
     optimality: list[OptimalityRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "records": [r.to_dict() for r in self.records],
-            "redist": [r.to_dict() for r in self.redist],
-            "drift": [r.to_dict() for r in self.drift],
-            "optimality": [r.to_dict() for r in self.optimality],
-        }
+        return {k: [r.to_dict() for r in v] for k, v in vars(self).items()}
 
     @classmethod
     def from_dict(cls, d: Mapping[str, object]) -> "IOReport":
-        return cls(
-            [NestIORecord.from_dict(r) for r in d.get("records", [])],
-            [RedistRecord.from_dict(r) for r in d.get("redist", [])],
-            [CostDriftRecord.from_dict(r) for r in d.get("drift", [])],
-            [OptimalityRecord.from_dict(r) for r in d.get("optimality", [])],
-        )
+        return cls(*(
+            [record.from_dict(r) for r in d.get(key, [])]
+            for key, record in (
+                ("records", NestIORecord), ("redist", RedistRecord),
+                ("drift", CostDriftRecord), ("optimality", OptimalityRecord),
+            )
+        ))
 
 
 def io_record(
@@ -246,28 +288,53 @@ def nest_records(
     return out
 
 
+#: the exact call/element counters every view of the records sums
+COUNTERS = ("read_calls", "write_calls", "elements_read", "elements_written")
+
+
 def report_totals(records: Iterable[object]) -> dict[str, int]:
     """Exact call/element totals over the records — must equal the run's
-    folded :class:`IOStats` counters.
+    folded :class:`IOStats` counters, for the records and for each table
+    derived from them (drift, optimality).
 
     Accepts mixed iterables: anything without the call counters (e.g. a
     :class:`RedistRecord` — redistribution traffic is interconnect
     messages, not file I/O) is skipped rather than crashing, so callers
     can pass a report's full record soup."""
-    out = {
-        "read_calls": 0,
-        "write_calls": 0,
-        "elements_read": 0,
-        "elements_written": 0,
-    }
+    out = dict.fromkeys(COUNTERS, 0)
     for r in records:
-        if not hasattr(r, "read_calls"):
-            continue
-        out["read_calls"] += r.read_calls
-        out["write_calls"] += r.write_calls
-        out["elements_read"] += r.elements_read
-        out["elements_written"] += r.elements_written
+        if hasattr(r, "read_calls"):
+            for k in COUNTERS:
+                out[k] += getattr(r, k)
     return out
+
+
+def _fold(
+    records: Iterable[NestIORecord],
+    key: Callable[[NestIORecord], object],
+    start: Callable[[NestIORecord], object],
+) -> dict:
+    """The one fold of per-rank records into table rows: one row per
+    ``key(record)`` in first-seen order, begun by ``start(record)`` with
+    zero counters; each record adds its :data:`COUNTERS` (and its
+    ``io_time_s``, where the row has one), and a row whose records ran
+    on different paths is ``"mixed"``."""
+    rows: dict = {}
+    for r in records:
+        row = rows.get(key(r))
+        if row is None:
+            row = rows[key(r)] = start(r)
+        for k in COUNTERS:
+            setattr(row, k, getattr(row, k) + getattr(r, k))
+        if hasattr(row, "io_time_s"):
+            row.io_time_s += r.io_time_s
+        if row.path != r.path:
+            row.path = "mixed"
+    return rows
+
+
+def _by_array(r: NestIORecord) -> tuple[str, str]:
+    return r.nest, r.array
 
 
 def build_drift(
@@ -284,41 +351,17 @@ def build_drift(
     (a nest the run never executed) are appended with zero measured
     I/O so the divergence is visible rather than silently dropped.
     """
-    rows = _aggregate(records)
-    out: list[CostDriftRecord] = []
-    seen: set[tuple[str, str]] = set()
-    for (nest, array), row in rows.items():
-        predicted = predictions.get(nest, {}).get(array)
-        seen.add((nest, array))
-        out.append(
-            CostDriftRecord(
-                nest=nest,
-                array=array,
-                predicted_calls=predicted,
-                read_calls=row.read_calls,
-                write_calls=row.write_calls,
-                elements_read=row.elements_read,
-                elements_written=row.elements_written,
-                io_time_s=row.io_time_s,
-                path=row.path,
-            )
-        )
+    rows = _fold(records, _by_array, lambda r: CostDriftRecord(
+        r.nest, r.array, predictions.get(r.nest, {}).get(r.array),
+        path=r.path,
+    ))
     for nest, per_array in predictions.items():
         for array, predicted in per_array.items():
-            if (nest, array) not in seen:
-                out.append(
-                    CostDriftRecord(
-                        nest=nest, array=array,
-                        predicted_calls=predicted, path="unexecuted",
-                    )
+            if (nest, array) not in rows:
+                rows[nest, array] = CostDriftRecord(
+                    nest, array, predicted, path="unexecuted"
                 )
-    return out
-
-
-def drift_totals(drift: Iterable[CostDriftRecord]) -> dict[str, int]:
-    """Measured call/element totals of the drift table — the acceptance
-    contract pins these equal to the run's folded :class:`IOStats`."""
-    return report_totals(drift)
+    return list(rows.values())
 
 
 def build_optimality(
@@ -332,75 +375,97 @@ def build_optimality(
 
     Aggregation is per *nest* (not per array): ``h-opt`` group files
     surface as ``group:<g>`` pseudo-arrays, and the bound is a per-nest
-    quantity anyway.  Every record contributes to some row, so
-    :func:`optimality_totals` equals :func:`report_totals` exactly;
-    bounds for nests the run never executed are appended with zero
-    measured transfers and ``path="unexecuted"``.
+    quantity anyway.  Every record contributes to some row, so the
+    rows' :func:`report_totals` equal the records' exactly; bounds for
+    nests the run never executed are appended with zero measured
+    transfers and ``path="unexecuted"``.
     """
     modeled = modeled or {}
-    rows: dict[str, OptimalityRecord] = {}
-    for r in records:
-        row = rows.get(r.nest)
-        if row is None:
-            b = bounds.get(r.nest, {})
-            bound = b.get("bound_elements")
-            rows[r.nest] = row = OptimalityRecord(
-                nest=r.nest,
-                rule=b.get("rule"),
-                bound_elements=None if bound is None else float(bound),
-                modeled_elements=modeled.get(r.nest),
-                path=r.path,
-                detail=str(b.get("detail", "")),
-            )
-        row.read_calls += r.read_calls
-        row.write_calls += r.write_calls
-        row.elements_read += r.elements_read
-        row.elements_written += r.elements_written
-        if row.path != r.path:
-            row.path = "mixed"
-    for nest, b in bounds.items():
+
+    def row(nest: str, path: str) -> OptimalityRecord:
+        b = bounds.get(nest, {})
+        bound = b.get("bound_elements")
+        return OptimalityRecord(
+            nest=nest,
+            rule=b.get("rule"),
+            bound_elements=None if bound is None else float(bound),
+            modeled_elements=modeled.get(nest),
+            path=path,
+            detail=str(b.get("detail", "")),
+        )
+
+    rows = _fold(records, lambda r: r.nest, lambda r: row(r.nest, r.path))
+    for nest in bounds:
         if nest not in rows:
-            bound = b.get("bound_elements")
-            rows[nest] = OptimalityRecord(
-                nest=nest,
-                rule=b.get("rule"),
-                bound_elements=None if bound is None else float(bound),
-                modeled_elements=modeled.get(nest),
-                path="unexecuted",
-                detail=str(b.get("detail", "")),
-            )
+            rows[nest] = row(nest, "unexecuted")
     return list(rows.values())
 
 
-def optimality_totals(optimality: Iterable[OptimalityRecord]) -> dict[str, int]:
-    """Measured call/element totals of the optimality table — pinned
-    equal to the run's folded :class:`IOStats`, like the other views."""
-    return report_totals(optimality)
+def _cross_check(
+    label: str, records: Iterable[object], stats: Mapping[str, object] | None
+) -> list[str]:
+    """The "measured totals vs folded IOStats" line of a view (none
+    without the run's stats)."""
+    if stats is None:
+        return []
+    totals = report_totals(records)
+    match = all(totals[k] == stats.get(k) for k in totals)
+    return [
+        f"{label} vs folded IOStats: "
+        + ("exact match" if match else f"MISMATCH (stats={stats})")
+    ]
 
 
-def _aggregate(
-    records: Sequence[NestIORecord],
-) -> dict[tuple[str, str], NestIORecord]:
-    """Collapse per-rank records into (nest, array) rows, issue order."""
-    rows: dict[tuple[str, str], NestIORecord] = {}
-    for r in records:
-        key = (r.nest, r.array)
-        row = rows.get(key)
-        if row is None:
-            rows[key] = NestIORecord(
-                r.nest, r.array, r.read_calls, r.write_calls,
-                r.elements_read, r.elements_written, r.io_time_s,
-                node=None, path=r.path,
-            )
-        else:
-            row.read_calls += r.read_calls
-            row.write_calls += r.write_calls
-            row.elements_read += r.elements_read
-            row.elements_written += r.elements_written
-            row.io_time_s += r.io_time_s
-            if row.path != r.path:
-                row.path = "mixed"
-    return rows
+_NEST, _ARRAY, _PATH = Column("nest", 16), Column("array", 12), Column("path", 11)
+
+#: the per-nest × per-array table of :class:`NestIORecord` rows
+NEST_COLUMNS = (
+    _NEST, _ARRAY, _PATH, Column("reads", 8, ">", get="read_calls"),
+    Column("writes", 8, ">", get="write_calls"),
+    Column("elems read", 12, ">", get="elements_read"),
+    Column("elems written", 14, ">", get="elements_written"),
+)
+DRIFT_COLUMNS = (
+    _NEST, _ARRAY, _PATH,
+    Column("predicted", 10, ">", ".1f", get="predicted_calls"),
+    Column("measured", 9, ">", get="measured_calls"),
+    Column("error", 8, ">", "+.1%", get="error"),
+)
+OPTIMALITY_COLUMNS = (
+    _NEST, Column("rule", 22, get=lambda r: r.rule or None), _PATH,
+    Column("bound", 10, ">", ".0f", get="bound_elements"),
+    Column("modeled", 10, ">", ".0f", get="modeled_elements"),
+    Column("measured", 10, ">", get="measured_elements"),
+    Column("ratio", 7, ">", ".2f", "x"),
+)
+#: the autotuning knob table of ``Autotuner.summary()["knobs"]`` rows
+KNOB_COLUMNS = (
+    Column("knob", 14, get=lambda k: str(k.get("knob"))),
+    Column("chosen", 40, get=lambda k: _clip(str(k.get("chosen")), 40)),
+    Column("revert costs", 12, ">", "+.4f", "s",
+           get=lambda k: float(k.get("delta_s", 0.0))),
+)
+
+
+def _stat(tenant: Mapping[str, object], *keys: str) -> int:
+    st = tenant.get("stats") or {}
+    return sum(int(st.get(k, 0)) for k in keys)
+
+
+#: every column a per-tenant serving table can show, of
+#: ``ServeResult.summary_dict()["tenants"]`` rows (:func:`render_tenants`)
+TENANT_COLUMNS = {c.header: c for c in (
+    Column("tenant", 12),
+    Column("jobs", 5, ">", get=lambda t: t.get("submitted", 0)),
+    Column("done", 5, ">", get=lambda t: t.get("completed", 0)),
+    Column("failed", 6, ">", get=lambda t: t.get("failed", 0)),
+    Column("retries", 7, ">", get=lambda t: t.get("retries", 0)),
+    Column("queued_s", 9, ">", ".3f",
+           get=lambda t: float(t.get("queue_delay_s", 0.0))),
+    Column("calls", 8, ">", get=lambda t: _stat(t, "read_calls", "write_calls")),
+    Column("elements", 12, ">",
+           get=lambda t: _stat(t, "elements_read", "elements_written")),
+)}
 
 
 def render_report(
@@ -424,62 +489,41 @@ def render_report(
     :meth:`repro.obs.profile.ProfileResult.to_dict` payload), the event
     simulator's summary line (``sim``), and — when the run's folded
     stats are available — an explicit totals cross-check."""
-    rows = _aggregate(report.records)
-    header = (
-        f"{'nest':<16} {'array':<12} {'path':<11} "
-        f"{'reads':>8} {'writes':>8} {'elems read':>12} {'elems written':>14}"
-    )
-    lines = [header, "-" * len(header)]
-    for (nest, array), r in rows.items():
-        lines.append(
-            f"{nest:<16} {array:<12} {r.path:<11} "
-            f"{r.read_calls:>8} {r.write_calls:>8} "
-            f"{r.elements_read:>12} {r.elements_written:>14}"
-        )
-    totals = report_totals(report.records)
-    lines.append("-" * len(header))
-    lines.append(
-        f"{'TOTAL':<16} {'':<12} {'':<11} "
-        f"{totals['read_calls']:>8} {totals['write_calls']:>8} "
-        f"{totals['elements_read']:>12} {totals['elements_written']:>14}"
+    # the profiler's own renderer, so this and `obs top` agree
+    from .profile import render_profile
+
+    rows = _fold(report.records, _by_array, lambda r: NestIORecord(
+        r.nest, r.array, path=r.path
+    ))
+    lines = render_table(
+        None, NEST_COLUMNS, rows.values(),
+        ("TOTAL", "", "", *report_totals(report.records).values()),
     )
     for rd in report.redist:
         lines.append(
             f"redist {rd.nest}: {rd.messages} messages, "
             f"{rd.elements} elements, {rd.time_s:.3f}s"
         )
-    if stats is not None:
-        match = all(
-            totals[k] == stats.get(k) for k in totals
-        )
-        lines.append(
-            "cross-check vs folded IOStats: "
-            + ("exact match" if match else f"MISMATCH (stats={stats})")
-        )
+    lines += _cross_check("cross-check", report.records, stats)
+    sections = []
     if stats is not None and "retries" in stats:
         # IOStats serializes its fault counters only when something
         # fired, so this section appears exactly for fault-active runs
-        lines.append("")
-        lines.extend(_render_resilience(stats))
+        sections.append(_render_resilience(stats))
     if report.drift:
-        lines.append("")
-        lines.extend(_render_drift(report.drift, stats))
+        sections.append(_render_drift(report.drift, stats))
     if report.optimality:
-        lines.append("")
-        lines.extend(_render_optimality(report.optimality, stats))
+        sections.append(render_optimality(report.optimality, stats))
     if serve:
-        lines.append("")
-        lines.extend(_render_serve(serve))
+        sections.append(_render_serve(serve))
     if autotune:
-        lines.append("")
-        lines.extend(_render_autotune(autotune))
+        sections.append(_render_autotune(autotune))
     if profile:
-        lines.append("")
-        # the profiler's own renderer, so this and `obs top` agree
-        lines.extend(render_profile(profile).splitlines())
+        sections.append(render_profile(profile).splitlines())
     if metrics:
-        lines.append("")
-        lines.extend(_render_metrics(metrics))
+        sections.append(_render_metrics(metrics))
+    for section in sections:
+        lines += ["", *section]
     if sim:
         lines.append(
             f"event sim: makespan={sim['makespan_s']:.3f}s "
@@ -522,16 +566,7 @@ def _render_autotune(autotune: Mapping[str, object]) -> list[str]:
     )
     knobs = autotune.get("knobs") or []
     if knobs:
-        header = f"{'knob':<14} {'chosen':<40} {'revert costs':>12}"
-        lines += [header, "-" * len(header)]
-        for k in knobs:
-            chosen = str(k.get("chosen"))
-            if len(chosen) > 40:
-                chosen = chosen[:37] + "..."
-            lines.append(
-                f"{str(k.get('knob')):<14} {chosen:<40} "
-                f"{float(k.get('delta_s', 0.0)):>+11.4f}s"
-            )
+        lines += render_table(None, KNOB_COLUMNS, knobs)
     for ev in autotune.get("history") or []:
         lines.append(
             f"event: {ev.get('event', '?')} — {ev.get('detail', '')}"
@@ -539,57 +574,64 @@ def _render_autotune(autotune: Mapping[str, object]) -> list[str]:
     return lines
 
 
+def _clip(text: str, width: int) -> str:
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
+def render_tenants(
+    title: str | None,
+    tenants: Mapping[str, Mapping[str, object]],
+    headers: Sequence[str],
+    *,
+    total: bool = False,
+) -> list[str]:
+    """The per-tenant table of a serving run from its summary payload
+    (``ServeResult.summary_dict()["tenants"]``): the ``headers`` columns
+    of :data:`TENANT_COLUMNS`, and with ``total`` a TOTAL row of the
+    calls and elements.  Every number is read straight from the
+    payload, whose per-tenant stats are the exact fold of the tenant's
+    per-job :class:`~repro.runtime.stats.IOStats`."""
+    columns = [TENANT_COLUMNS[h] for h in headers]
+    rows = [{"tenant": name, **t} for name, t in tenants.items()]
+    sums = {"tenant": "TOTAL"} | {
+        h: sum(TENANT_COLUMNS[h].value(r) for r in rows)
+        for h in ("calls", "elements")
+    }
+    return render_table(
+        title, columns, rows,
+        [sums.get(h, "") for h in headers] if total else None,
+    )
+
+
 def _render_serve(serve: Mapping[str, object]) -> list[str]:
     """The multi-tenant serving section: one row per tenant with job
-    outcomes, queueing delay and the tenant's folded I/O counters.
-    Every number is read straight from the scheduler's summary payload,
-    whose per-tenant stats are the exact fold of the tenant's per-job
-    :class:`~repro.runtime.stats.IOStats` — the same exactness contract
-    as the nest table above."""
-    header = (
-        f"{'tenant':<12} {'jobs':>5} {'done':>5} {'failed':>6} "
-        f"{'queued_s':>9} {'calls':>8} {'elements':>12}"
-    )
+    outcomes, queueing delay and the tenant's folded I/O counters —
+    the same exactness contract as the nest table above."""
     policy = serve.get("policy")
     if isinstance(policy, Mapping):
         policy = " ".join(f"{k}={v}" for k, v in sorted(policy.items()))
-    lines = [
+    lines = render_tenants(
         "serving (repro.serve)" + (f" — {policy}" if policy else ""),
-        header,
-        "-" * len(header),
-    ]
-    tenants = serve.get("tenants") or {}
-    total_calls = total_elems = 0
-    for name, t in tenants.items():
-        st = t.get("stats") or {}
-        calls = int(st.get("read_calls", 0)) + int(st.get("write_calls", 0))
-        elems = int(st.get("elements_read", 0)) + int(
-            st.get("elements_written", 0)
-        )
-        total_calls += calls
-        total_elems += elems
-        lines.append(
-            f"{name:<12} {t.get('submitted', 0):>5} "
-            f"{t.get('completed', 0):>5} {t.get('failed', 0):>6} "
-            f"{float(t.get('queue_delay_s', 0.0)):>9.3f} "
-            f"{calls:>8} {elems:>12}"
-        )
-    lines.append("-" * len(header))
-    lines.append(
-        f"{'TOTAL':<12} {'':>5} {'':>5} {'':>6} {'':>9} "
-        f"{total_calls:>8} {total_elems:>12}"
+        serve.get("tenants") or {},
+        ("tenant", "jobs", "done", "failed", "queued_s", "calls", "elements"),
+        total=True,
     )
     if serve.get("makespan_s") is not None:
         lines.append(f"served makespan: {float(serve['makespan_s']):.3f}s")
-    cache = serve.get("cache")
-    if cache:
-        lines.append(
-            f"shared cache: hits={cache.get('hits', 0)} "
-            f"misses={cache.get('misses', 0)} "
-            f"evictions={cache.get('evictions', 0)} "
-            f"saved={float(cache.get('saved_io_s', 0.0)):.3f}s"
-        )
-    return lines
+    return lines + render_cache_line(serve.get("cache"))
+
+
+def render_cache_line(cache: Mapping[str, object] | None) -> list[str]:
+    """The shared tile cache's line of a serving summary (none without
+    a cache)."""
+    if not cache:
+        return []
+    return [
+        f"shared cache: hits={cache.get('hits', 0)} "
+        f"misses={cache.get('misses', 0)} "
+        f"evictions={cache.get('evictions', 0)} "
+        f"saved={float(cache.get('saved_io_s', 0.0)):.3f}s"
+    ]
 
 
 def _render_resilience(stats: Mapping[str, object]) -> list[str]:
@@ -613,80 +655,41 @@ def _render_drift(
     """The cost-model validation table: predicted vs measured calls per
     (nest, array) with the signed relative model error, plus the exact
     measured-totals cross-check the acceptance contract pins."""
-    header = (
-        f"{'nest':<16} {'array':<12} {'path':<11} "
-        f"{'predicted':>10} {'measured':>9} {'error':>8}"
+    lines = render_table(
+        "cost-model drift (predicted vs measured I/O calls)", DRIFT_COLUMNS,
+        drift,
     )
-    lines = ["cost-model drift (predicted vs measured I/O calls)", header,
-             "-" * len(header)]
-    errors: list[float] = []
-    for r in drift:
-        pred = "-" if r.predicted_calls is None else f"{r.predicted_calls:.1f}"
-        err = r.error
-        if err is None:
-            err_s = "-"
-        else:
-            errors.append(abs(err))
-            err_s = f"{100.0 * err:+.1f}%"
-        lines.append(
-            f"{r.nest:<16} {r.array:<12} {r.path:<11} "
-            f"{pred:>10} {r.measured_calls:>9} {err_s:>8}"
-        )
+    errors = [abs(r.error) for r in drift if r.error is not None]
     if errors:
         lines.append(
             f"model error: mean |e|={100.0 * sum(errors) / len(errors):.1f}% "
             f"max |e|={100.0 * max(errors):.1f}% over {len(errors)} pair(s)"
         )
-    totals = drift_totals(drift)
-    if stats is not None:
-        match = all(totals[k] == stats.get(k) for k in totals)
-        lines.append(
-            "drift measured totals vs folded IOStats: "
-            + ("exact match" if match else f"MISMATCH (stats={stats})")
-        )
-    return lines
+    return lines + _cross_check("drift measured totals", drift, stats)
 
 
-def _render_optimality(
+def render_optimality(
     optimality: Sequence[OptimalityRecord], stats: Mapping[str, object] | None
 ) -> list[str]:
     """The achieved-vs-lower-bound table: per nest the derivation rule,
     static bound, modeled and measured element transfers and the
     achieved/bound ratio (1.0 = I/O-optimal), plus the same exact
     measured-totals cross-check the other report views pin."""
-    header = (
-        f"{'nest':<16} {'rule':<22} {'path':<11} "
-        f"{'bound':>10} {'modeled':>10} {'measured':>10} {'ratio':>7}"
+    lines = render_table(
+        "optimality (achieved vs I/O lower bound, repro.bounds)",
+        OPTIMALITY_COLUMNS, optimality,
     )
-    lines = ["optimality (achieved vs I/O lower bound, repro.bounds)", header,
-             "-" * len(header)]
-    bound_sum = 0.0
-    measured_sum = 0
-    for r in optimality:
-        bound = "-" if r.bound_elements is None else f"{r.bound_elements:.0f}"
-        modeled = "-" if r.modeled_elements is None else f"{r.modeled_elements:.0f}"
-        ratio = r.ratio
-        ratio_s = "-" if ratio is None else f"{ratio:.2f}x"
-        if r.bound_elements and r.bound_elements > 0:
-            bound_sum += r.bound_elements
-            measured_sum += r.measured_elements
-        lines.append(
-            f"{r.nest:<16} {r.rule or '-':<22} {r.path:<11} "
-            f"{bound:>10} {modeled:>10} {r.measured_elements:>10} {ratio_s:>7}"
-        )
-    if bound_sum > 0:
+    bounded = [r for r in optimality if r.ratio is not None]
+    if bounded:
+        bound_sum = sum(r.bound_elements for r in bounded)
+        measured_sum = sum(r.measured_elements for r in bounded)
         lines.append(
             f"run ratio: {measured_sum / bound_sum:.2f}x over bounded nests "
             f"(bound={bound_sum:.0f}, measured={measured_sum})"
         )
-    totals = optimality_totals(optimality)
-    if stats is not None:
-        match = all(totals[k] == stats.get(k) for k in totals)
-        lines.append(
-            "optimality measured totals vs folded IOStats: "
-            + ("exact match" if match else f"MISMATCH (stats={stats})")
-        )
-    return lines
+    return lines + _cross_check(
+        "optimality measured totals", optimality, stats
+    )
 
 
 def _render_metrics(metrics: Mapping[str, Mapping[str, object]]) -> list[str]:

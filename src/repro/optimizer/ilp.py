@@ -44,11 +44,8 @@ from .locality import (
     hyperplane_from_direction,
 )
 
-#: sentinel direction meaning "this array's layout is unconstrained"
-FREE = ("*",)
-
 #: the solver names a decision can report having used
-SOLVERS = ("milp", "exhaustive", "descent")
+SOLVERS = ("milp", "exhaustive")
 
 
 class MilpError(RuntimeError):
@@ -295,61 +292,6 @@ def solve_milp(
     return q_choice, directions, cost
 
 
-def solve_descent(
-    models: Sequence[_NestModel],
-    dirs: Mapping[str, list[tuple[int, ...]]],
-    binding: Mapping[str, int],
-) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]], float]:
-    """Deterministic coordinate descent — the MILP-free fallback.
-
-    Start from each nest's first legal ``q`` and each array's best
-    direction given those; then alternate sweeps (nests in program
-    order picking the best ``q`` given current directions, arrays in
-    sorted order picking the best direction given current ``q``\\s)
-    until a full sweep changes nothing.  Every step is an argmin over
-    an explicitly ordered candidate list with strict-improvement
-    acceptance, so the result is deterministic; it is a local optimum,
-    not guaranteed global like the other two solvers.
-    """
-    q_choice = {m.nest.name: m.q_options[0] for m in models}
-    directions: dict[str, tuple[int, ...]] = {}
-    for name in sorted(dirs):
-        best_d, best_c = None, None
-        for d in dirs[name]:
-            c = _array_cost(models, q_choice, name, d, binding)
-            if best_c is None or c < best_c:
-                best_d, best_c = d, c
-        if best_d is not None:
-            directions[name] = best_d
-    for _ in range(32):  # descent converges in a handful of sweeps
-        changed = False
-        for m in models:
-            best_q, best_c = None, None
-            for q in m.q_options:
-                trial = dict(q_choice)
-                trial[m.nest.name] = q
-                c = _total_cost(models, trial, directions, binding)
-                if best_c is None or c < best_c:
-                    best_q, best_c = q, c
-            if best_q is not None and best_q != q_choice[m.nest.name]:
-                q_choice[m.nest.name] = best_q
-                changed = True
-        for name in sorted(dirs):
-            best_d, best_c = None, None
-            for d in dirs[name]:
-                c = _array_cost(models, q_choice, name, d, binding)
-                if best_c is None or c < best_c:
-                    best_d, best_c = d, c
-            if best_d is not None and best_d != directions.get(name):
-                directions[name] = best_d
-                changed = True
-        if not changed:
-            break
-    return q_choice, directions, _total_cost(
-        models, q_choice, directions, binding
-    )
-
-
 def optimize_program_ilp(
     program: Program,
     *,
@@ -358,7 +300,7 @@ def optimize_program_ilp(
 ) -> GlobalDecision:
     """Jointly optimal layouts + loop choices (extension of the paper).
 
-    ``solver`` requests ``"milp"``, ``"exhaustive"`` or ``"descent"``.
+    ``solver`` requests ``"milp"`` or ``"exhaustive"``.
     A failed/unavailable MILP falls back to the exhaustive solver and
     the fallback is *recorded*: the decision report carries a
     structured ``solver`` event with the failure reason, and its data
@@ -382,10 +324,8 @@ def optimize_program_ilp(
                 f"MILP failed, fell back to exhaustive: {e}",
                 {"requested": solver, "used": used, "reason": str(e)},
             ))
-    elif solver == "exhaustive":
-        q_choice, directions, cost = solve_exhaustive(models, dirs, b)
     else:
-        q_choice, directions, cost = solve_descent(models, dirs, b)
+        q_choice, directions, cost = solve_exhaustive(models, dirs, b)
 
     transforms: dict[str, IMat] = {}
     new_nests = []

@@ -87,10 +87,8 @@ def run_version_parallel(
     memory_per_node: int | None = None,
     collective: CollectiveConfig | None = None,
     obs: Observability | None = None,
-    bounds: Sequence[object] | None = None,
     faults: FaultConfig | None = None,
     trace: bool = False,
-    real: bool | None = None,
     backend: StorageBackend | str | None = None,
     profile: ProfileConfig | None = None,
     cache: CacheConfig | None = None,
@@ -136,16 +134,14 @@ def run_version_parallel(
     I/O-node queues.  Tracing never changes the accounting; stats are
     bit-identical either way.
 
-    ``real``/``backend`` pick the storage backend every rank executes
-    against (:mod:`repro.backends`): the default (``real=None``) stays
-    simulate-only accounting, ``real=True`` moves actual data per rank,
-    and ``backend`` (an instance or a kind string) selects a concrete
-    byte-moving backend — each rank gets its own clone, so per-rank
-    file namespaces and measured metrics stay independent, and
-    :attr:`ParallelRun.backend_metrics` folds the measured side across
-    ranks.  A ``real`` that contradicts the ``backend`` is a
-    :class:`~repro.backends.BackendError`.  Accounted stats are
-    identical for every data-carrying backend.
+    ``backend`` picks the storage backend every rank executes against
+    (:mod:`repro.backends`): the default (``None``) stays simulate-only
+    accounting, and an instance or a kind string (``"memory"``,
+    ``"mmap"``, ...) moves actual data per rank — each rank gets its own
+    clone, so per-rank file namespaces and measured metrics stay
+    independent, and :attr:`ParallelRun.backend_metrics` folds the
+    measured side across ranks.  Accounted stats are identical for
+    every data-carrying backend.
 
     ``profile`` (a :class:`repro.obs.ProfileConfig`) turns on
     deterministic work counting — and, with ``cprofile=True``, the
@@ -175,8 +171,8 @@ def run_version_parallel(
     stagger = max(1, total_elements // n_nodes)
     # one backend per rank: the resolved one plus clones of it, so
     # rank-private file namespaces never collide and metrics attribute
-    # per rank.  With neither knob given the driver stays simulate-only
-    first = resolve_backend(backend, bool(real) if backend is None else real)
+    # per rank.  Without a backend the driver stays simulate-only
+    first = resolve_backend("simulate" if backend is None else backend)
     # one capture spans every rank plus the collective re-pricing
     with _prof.capture(profile, obs) as cap:
         # nothing but a rank's slab and files depends on the rank: rank
@@ -216,15 +212,13 @@ def run_version_parallel(
                 # directories
                 ex.close()
         if obs is not None and obs.config.per_array:
-            if bounds is None:
-                from ..bounds import run_bounds
+            from ..bounds import run_bounds
 
-                bounds = run_bounds(
-                    cfg.program, b, budget,
-                    max((r.peak_memory for r in results), default=0),
-                    n_nodes, cache is not None,
-                )
-            obs.note_bounds(bounds)
+            obs.note_bounds(run_bounds(
+                cfg.program, b, budget,
+                max((r.peak_memory for r in results), default=0),
+                n_nodes, cache is not None,
+            ))
         if collective is None:
             run = ParallelRun(cfg.name, n_nodes, makespan(results), results)
             if obs is not None and obs.config.per_array:

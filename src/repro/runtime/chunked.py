@@ -43,7 +43,6 @@ class InterleavedChunkedStore:
         block: Sequence[int],
         pfs: ParallelFileSystem,
         *,
-        real: bool | None = None,
         backend=None,
         dtype=None,
         file_name: str | None = None,
@@ -81,7 +80,7 @@ class InterleavedChunkedStore:
             self._in_strides[r] = self._in_strides[r + 1] * self.block[r + 1]
         total = int(np.prod(self._grid)) * self._block_slots * self._n_arrays
         self.file = OOCFile(
-            file_name or "+".join(self.names), total, pfs, real=real,
+            file_name or "+".join(self.names), total, pfs,
             backend=backend, dtype=dtype,
             chunk_elements=self._block_slots,
         )

@@ -49,6 +49,7 @@ import numpy as np
 from ..collective.sim import K_COMPUTE, OpTable, io_ops, nest_ops
 from ..faults import FaultConfig, TransientIOError
 from ..obs import Observability
+from ..obs.report import Column, render_cache_line, render_table, render_tenants
 from ..optimizer import build_version
 from ..parallel import ParallelRun, run_version_parallel
 from ..runtime import IOStats
@@ -201,43 +202,32 @@ class ServeResult:
 
     def describe(self) -> str:
         """Human-readable schedule + tenant table (the CLI's output)."""
-        lines = [
-            f"{'t(s)':>10}  {'event':<7} {'job':>4}  "
-            f"{'tenant':<12} {'workload':<8}"
-        ]
-        for t, event, jid in self.schedule:
-            spec = self.jobs[jid].spec
-            lines.append(
-                f"{t:>10.3f}  {event:<7} {jid:>4}  "
-                f"{spec.tenant:<12} {spec.workload:<8}"
-            )
-        lines.append("")
-        header = (
-            f"{'tenant':<12} {'jobs':>5} {'done':>5} {'failed':>6} "
-            f"{'retries':>7} {'queued_s':>9} {'calls':>8}"
+        lines = render_table(
+            None,
+            (
+                Column("t(s)", 10, ">", ".3f"), Column("event", 7, sep="  "),
+                Column("job", 4, ">"), Column("tenant", 12, sep="  "),
+                Column("workload", 8),
+            ),
+            [
+                (t, event, jid, self.jobs[jid].spec.tenant,
+                 self.jobs[jid].spec.workload)
+                for t, event, jid in self.schedule
+            ],
+            rule=False,
         )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for name in sorted(self.tenants):
-            s = self.tenants[name]
-            lines.append(
-                f"{name:<12} {s.submitted:>5} {s.completed:>5} "
-                f"{s.failed:>6} {s.retries:>7} {s.queue_delay_s:>9.3f} "
-                f"{s.stats.calls:>8}"
-            )
+        summary = self.summary_dict()
+        lines.append("")
+        lines += render_tenants(None, summary["tenants"], (
+            "tenant", "jobs", "done", "failed", "retries", "queued_s", "calls",
+        ))
         lines.append(
             f"makespan: {self.makespan_s:.3f}s  "
             f"(policy={self.policy.fairness}, "
             f"queue waits {self.waited_requests}, "
             f"{self.wait_time_s:.3f}s)"
         )
-        if self.cache is not None:
-            lines.append(
-                f"shared cache: hits={self.cache.hits} "
-                f"misses={self.cache.misses} "
-                f"evictions={self.cache.evictions} "
-                f"saved={self.cache.saved_io_s:.3f}s"
-            )
+        lines += render_cache_line(summary.get("cache"))
         return "\n".join(lines)
 
 

@@ -19,13 +19,17 @@ class TestSolve:
         assert main(["solve", "--workload", "mxm", "--n", "16",
                      "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
-        assert record["solver"] in ("milp", "exhaustive", "descent")
+        assert record["solver"] in ("milp", "exhaustive")
         assert record["predicted_cost_s"] > 0
 
     def test_descent_solver_requested(self, capsys):
-        assert main(["solve", "--workload", "trans", "--n", "16",
-                     "--solver", "descent", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["solver"] == "descent"
+        # the coordinate-descent solver is gone: asking for it is a
+        # usage error, not a silent substitution
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--workload", "trans", "--n", "16",
+                  "--solver", "descent", "--json"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'descent'" in capsys.readouterr().err
 
     def test_unknown_workload_exits_2(self, capsys):
         assert main(["solve", "--workload", "nope"]) == 2

@@ -77,7 +77,7 @@ class TestSolveJoint:
         # scipy ships in the test environment, so auto resolves to milp
         assert d.solver == "milp"
 
-    @pytest.mark.parametrize("solver", ["exhaustive", "descent"])
+    @pytest.mark.parametrize("solver", ["exhaustive", "milp"])
     def test_explicit_solvers_run_and_record(self, solver):
         d = _solve(solver=solver)
         assert d.solver == solver

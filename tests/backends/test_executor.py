@@ -1,5 +1,5 @@
 """Executor and runtime integration: backend selection, dtype
-threading, legacy ``real=`` aliases, obs gauges."""
+threading, the files' legacy ``real=`` aliases, obs gauges."""
 
 from dataclasses import replace
 
@@ -46,7 +46,7 @@ class TestBackendSelection:
         assert ex.real is True
 
     def test_real_false_is_simulate(self):
-        ex = _make(_cfg(), real=False)
+        ex = _make(_cfg(), backend="simulate")
         assert ex.backend.kind == "simulate"
         assert ex.real is False
 
@@ -61,29 +61,34 @@ class TestBackendSelection:
             assert ex.backend is b
 
     def test_legacy_real_flags_bit_identical(self):
+        # the legacy flags live on only in the low-level files, where
+        # they are the two default backends
+        pfs = ParallelFileSystem(PARAMS)
+        assert OOCFile("a", 8, pfs, real=True).backend.kind == "memory"
+        assert OOCFile("b", 8, pfs, real=False).backend.kind == "simulate"
         cfg = _cfg()
-        legacy = _make(cfg, real=True).run()
         default = _make(cfg).run()
         explicit = _make(cfg, backend="memory").run()
-        assert str(legacy.stats) == str(default.stats) == str(explicit.stats)
-        sim = _make(cfg, real=False).run()
-        assert str(sim.stats) == str(default.stats)
+        sim = _make(cfg, backend="simulate").run()
+        assert str(default.stats) == str(explicit.stats) == str(sim.stats)
 
     def test_executor_real_contradicting_backend_errors(self):
+        # the executor takes no `real=` alias; a file still checks the pair
+        with pytest.raises(TypeError, match="real"):
+            _make(_cfg(), real=False)
+        pfs = ParallelFileSystem(PARAMS)
         with pytest.raises(BackendError, match="contradicts"):
-            _make(_cfg(), real=False, backend="memory")
+            OOCFile("a", 8, pfs, real=False, backend="memory")
         # an agreeing pair stays accepted
-        assert _make(_cfg(), real=True, backend="memory").real is True
+        assert OOCFile("b", 8, pfs, real=True, backend="memory").real
 
     def test_driver_real_contradicting_backend_errors(self):
-        with pytest.raises(BackendError, match="contradicts"):
-            run_version_parallel(
-                _cfg(), 2, params=PARAMS, real=True, backend="simulate"
-            )
+        with pytest.raises(TypeError, match="real"):
+            run_version_parallel(_cfg(), 2, params=PARAMS, real=True)
         # the driver's default stays simulate-only, the executor's in-memory
         run = run_version_parallel(_cfg(), 2, params=PARAMS)
         explicit = run_version_parallel(
-            _cfg(), 2, params=PARAMS, real=False, backend="simulate"
+            _cfg(), 2, params=PARAMS, backend="simulate"
         )
         assert str(run.total_stats) == str(explicit.total_stats)
 

@@ -1,5 +1,5 @@
 """Optimality telemetry wired through the observability stack: off is
-bit-identical (bounds=None / obs=None), the report section renders with
+bit-identical (obs=None), the report section renders with
 the exact-totals cross-check, gauges publish, payloads round-trip, and
 the CLI subcommand works end to end."""
 
@@ -16,8 +16,8 @@ from repro.obs import (
     Observability,
     OptimalityRecord,
     build_optimality,
-    optimality_totals,
     render_report,
+    report_totals,
 )
 from repro.obs.cli import main as obs_main
 from repro.optimizer import build_version
@@ -43,8 +43,9 @@ def _stats_fields(stats):
 
 
 class TestOffByDefault:
-    """Acceptance gate: with bounds=None and obs off, every execution
-    path stays bit-identical — pinned on adi and mxm."""
+    """Acceptance gate: with obs on (bounds derived at the run's end)
+    or off, every execution path stays bit-identical — pinned on adi
+    and mxm."""
 
     @pytest.mark.parametrize("workload", ["adi", "mxm"])
     @pytest.mark.parametrize("collective", [None, CollectiveConfig()])
@@ -53,10 +54,9 @@ class TestOffByDefault:
         base = run_version_parallel(
             cfg, N_NODES, params=PARAMS, collective=collective,
         )
-        bounds = program_bounds(cfg.program, n_nodes=N_NODES)
         on = run_version_parallel(
             cfg, N_NODES, params=PARAMS, collective=collective,
-            obs=Observability(), bounds=bounds,
+            obs=Observability(),
         )
         assert _stats_fields(on.total_stats) == _stats_fields(
             base.total_stats
@@ -74,7 +74,6 @@ class TestOffByDefault:
         on = OOCExecutor(
             cfg.program, cfg.layouts, params=PARAMS, tiling=cfg.tiling,
             storage_spec=cfg.storage_spec, obs=Observability(),
-            bounds=program_bounds(cfg.program),
         ).run()
         assert _stats_fields(on.stats) == _stats_fields(base.stats)
         assert str(on.stats) == str(base.stats)
@@ -82,13 +81,16 @@ class TestOffByDefault:
 
 class TestOptimalityView:
     def test_explicit_bounds_are_adopted(self):
+        # bounds registered after the run's own derivation win (the fold
+        # keeps a nest's last registration)
         cfg = _cfg("mxm")
         bounds = program_bounds(cfg.program, memory_elements=64)
         obs = Observability()
         OOCExecutor(
             cfg.program, cfg.layouts, params=PARAMS, tiling=cfg.tiling,
-            storage_spec=cfg.storage_spec, obs=obs, bounds=bounds,
+            storage_spec=cfg.storage_spec, obs=obs,
         ).run()
+        obs.note_bounds(bounds)
         by_nest = {r.nest: r for r in obs.report.optimality}
         for nb in bounds:
             assert by_nest[nb.nest].bound_elements == nb.bound_elements
@@ -106,7 +108,7 @@ class TestOptimalityView:
         lone, driven = Observability(), Observability()
         OOCExecutor(
             cfg.program, cfg.layouts, params=PARAMS, tiling=cfg.tiling,
-            storage_spec=cfg.storage_spec, real=False, obs=lone, **kw,
+            storage_spec=cfg.storage_spec, backend="simulate", obs=lone, **kw,
         ).run()
         run_version_parallel(cfg, 1, params=PARAMS, obs=driven, **kw)
         assert lone.bounds == driven.bounds
@@ -135,7 +137,7 @@ class TestOptimalityView:
         obs.note_bounds(program_bounds(_cfg("mxm").program))
         assert obs.report.optimality
         assert all(r.path == "unexecuted" for r in obs.report.optimality)
-        totals = optimality_totals(obs.report.optimality)
+        totals = report_totals(obs.report.optimality)
         assert all(v == 0 for v in totals.values())
 
     def test_build_optimality_aggregates_per_nest(self):
@@ -151,7 +153,7 @@ class TestOptimalityView:
         assert rows["n1"].measured_elements == 60
         assert rows["n1"].ratio == pytest.approx(1.5)
         assert rows["n2"].bound_elements is None and rows["n2"].ratio is None
-        totals = optimality_totals(rows.values())
+        totals = report_totals(rows.values())
         assert totals["elements_read"] == 55
         assert totals["elements_written"] == 15
 

@@ -10,7 +10,7 @@ import pytest
 from repro.collective import CollectiveConfig
 from repro.engine import OOCExecutor
 from repro.experiments.harness import _scaled_params
-from repro.obs import Observability, optimality_totals
+from repro.obs import Observability, report_totals
 from repro.optimizer.strategies import VERSION_NAMES, build_version
 from repro.parallel import run_version_parallel
 from repro.workloads import build_analytics, build_workload
@@ -40,7 +40,7 @@ def _check(optimality, stats):
             f"{r.nest}: bound {r.bound_elements} > measured "
             f"{r.measured_elements} (rule {r.rule})"
         )
-    totals = optimality_totals(optimality)
+    totals = report_totals(optimality)
     sd = stats.to_dict()
     assert all(totals[k] == sd.get(k) for k in totals), (totals, sd)
 

@@ -67,8 +67,8 @@ ALL_PROGRAMS = [matmul_program, two_nest_program, stencil_program, triangular_pr
 def run_pair(program, cache, *, real, memory_budget=40, **kw):
     init = initial_arrays(program, program.binding(None)) if real else None
     ex = OOCExecutor(
-        program, params=SMALL, real=real, memory_budget=memory_budget,
-        initial=init, cache=cache, **kw,
+        program, params=SMALL, backend="memory" if real else "simulate",
+        memory_budget=memory_budget, initial=init, cache=cache, **kw,
     )
     return ex, ex.run(), init
 
@@ -82,7 +82,8 @@ class TestDisabledIsIdentical:
         p = make()
         init = initial_arrays(p, p.binding(None)) if real else None
         none_res = OOCExecutor(
-            p, params=SMALL, real=real, memory_budget=40, initial=init
+            p, params=SMALL, backend="memory" if real else "simulate",
+            memory_budget=40, initial=init,
         ).run()
         _, off_res, _ = run_pair(p, None, real=real)
         assert none_res.stats == off_res.stats
@@ -206,6 +207,6 @@ class TestAccountingInvariants:
         p = matmul_program(5)
         with pytest.raises(ValueError, match="leave memory"):
             OOCExecutor(
-                p, params=SMALL, real=False, memory_budget=40,
+                p, params=SMALL, backend="simulate", memory_budget=40,
                 cache=CacheConfig(budget_elements=40),
             )

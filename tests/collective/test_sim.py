@@ -335,7 +335,7 @@ def _run_nodes(n_nodes, version="col", n=32):
             params=params,
             binding=binding,
             memory_budget=budget,
-            real=False,
+            backend="simulate",
             tiling=cfg.tiling,
             storage_spec=cfg.storage_spec,
             pfs=pfs,

@@ -151,7 +151,7 @@ def test_workloads_bit_for_bit_through_the_executor(workload, version):
     out = {}
     for vectorize in (False, True):
         ex = OOCExecutor(
-            cfg.program, cfg.layouts, params=SMALL, real=True,
+            cfg.program, cfg.layouts, params=SMALL, backend="memory",
             memory_budget=600, tiling=cfg.tiling, storage_spec=cfg.storage_spec,
             initial=init, vectorize=vectorize, edges=cfg.edges,
         )

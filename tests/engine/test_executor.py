@@ -82,7 +82,7 @@ class TestOOCExecutorSemantics:
         init = initial_arrays(p, {"N": 5})
         expect = interpret_program(p, initial=init)
         ex = OOCExecutor(
-            p, params=SMALL, real=True, tiling=tiling,
+            p, params=SMALL, backend="memory", tiling=tiling,
             memory_budget=30, initial=init,
         )
         ex.run()
@@ -103,7 +103,7 @@ class TestOOCExecutorSemantics:
         init = initial_arrays(p, {"N": 5})
         expect = interpret_program(p, initial=init)
         ex = OOCExecutor(
-            p, layouts, params=SMALL, real=True, memory_budget=40, initial=init
+            p, layouts, params=SMALL, backend="memory", memory_budget=40, initial=init
         )
         ex.run()
         for name in ("U", "V", "W"):
@@ -114,7 +114,7 @@ class TestOOCExecutorSemantics:
         init = initial_arrays(p, {"N": 4})
         expect = interpret_program(p, initial=init)
         ex = OOCExecutor(
-            p, params=SMALL, real=True, memory_budget=50, initial=init
+            p, params=SMALL, backend="memory", memory_budget=50, initial=init
         )
         ex.run()
         np.testing.assert_allclose(ex.array_data("C"), expect["C"])
@@ -129,7 +129,7 @@ class TestOOCExecutorSemantics:
             "W": LinearStoreSpec(row_major(2)),
         }
         ex = OOCExecutor(
-            p, params=SMALL, real=True, memory_budget=80,
+            p, params=SMALL, backend="memory", memory_budget=80,
             storage_spec=spec, initial=init,
         )
         ex.run()
@@ -148,7 +148,9 @@ class TestOOCExecutorSemantics:
         p = b.build()
         init = initial_arrays(p, {"N": 6})
         expect = interpret_program(p, initial=init)
-        ex = OOCExecutor(p, params=SMALL, real=True, memory_budget=30, initial=init)
+        ex = OOCExecutor(
+            p, params=SMALL, backend="memory", memory_budget=30, initial=init
+        )
         ex.run()
         np.testing.assert_allclose(ex.array_data("A"), expect["A"])
 
@@ -167,7 +169,9 @@ class TestOOCExecutorSemantics:
         p = b.build()
         init = initial_arrays(p, {"N": 5})
         expect = interpret_program(p, initial=init)
-        ex = OOCExecutor(p, params=SMALL, real=True, memory_budget=30, initial=init)
+        ex = OOCExecutor(
+            p, params=SMALL, backend="memory", memory_budget=30, initial=init
+        )
         ex.run()
         np.testing.assert_allclose(ex.array_data("Y"), expect["Y"])
         np.testing.assert_allclose(ex.array_data("X"), expect["X"])
@@ -177,8 +181,8 @@ class TestOOCExecutorAccounting:
     def test_simulate_matches_real_io_counts(self):
         p = motivating_program(6)
         kw = dict(params=SMALL, memory_budget=40)
-        real = OOCExecutor(p, real=True, **kw).run()
-        sim = OOCExecutor(p, real=False, **kw).run()
+        real = OOCExecutor(p, backend="memory", **kw).run()
+        sim = OOCExecutor(p, backend="simulate", **kw).run()
         assert real.stats.read_calls == sim.stats.read_calls
         assert real.stats.write_calls == sim.stats.write_calls
         assert real.stats.elements_moved == sim.stats.elements_moved
@@ -186,14 +190,14 @@ class TestOOCExecutorAccounting:
 
     def test_memory_budget_respected(self):
         p = motivating_program(8)
-        ex = OOCExecutor(p, params=SMALL, real=False, memory_budget=40)
+        ex = OOCExecutor(p, params=SMALL, backend="simulate", memory_budget=40)
         res = ex.run()
         assert res.peak_memory <= 40
 
     def test_weight_scales_stats(self):
         p1 = matmul_program(6, weight=1)
         p3 = matmul_program(6, weight=3)
-        kw = dict(params=SMALL, real=False, memory_budget=60)
+        kw = dict(params=SMALL, backend="simulate", memory_budget=60)
         s1 = OOCExecutor(p1, **kw).run().stats
         s3 = OOCExecutor(p3, **kw).run().stats
         assert s3.read_calls == 3 * s1.read_calls
@@ -212,7 +216,7 @@ class TestOOCExecutorAccounting:
             p.nests[1], IMat([[0, 1], [1, 0]])
         )
         optimized = p.with_nests([p.nests[0], interchanged])
-        kw = dict(params=SMALL, real=False, memory_budget=80)
+        kw = dict(params=SMALL, backend="simulate", memory_budget=80)
         good = OOCExecutor(
             optimized,
             {"U": row_major(2), "V": col_major(2), "W": row_major(2)},
@@ -237,7 +241,7 @@ class TestOOCExecutorAccounting:
         ex = OOCExecutor(
             optimized,
             {"U": row_major(2), "V": col_major(2), "W": row_major(2)},
-            params=SMALL, real=True, memory_budget=40, initial=init,
+            params=SMALL, backend="memory", memory_budget=40, initial=init,
         )
         ex.run()
         for name in ("U", "V", "W"):
@@ -245,14 +249,14 @@ class TestOOCExecutorAccounting:
 
     def test_nest_runs_reported(self):
         p = motivating_program(6)
-        res = OOCExecutor(p, params=SMALL, real=False, memory_budget=40).run()
+        res = OOCExecutor(p, params=SMALL, backend="simulate", memory_budget=40).run()
         assert [r.nest_name for r in res.nest_runs] == ["nest1", "nest2"]
         assert all(r.tiles_executed > 0 for r in res.nest_runs)
         assert res.serial_time_s > 0
 
     def test_array_data_unavailable_in_simulate(self):
         p = motivating_program(4)
-        ex = OOCExecutor(p, params=SMALL, real=False, memory_budget=40)
+        ex = OOCExecutor(p, params=SMALL, backend="simulate", memory_budget=40)
         with pytest.raises(RuntimeError):
             ex.array_data("U")
 

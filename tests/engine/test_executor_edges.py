@@ -29,7 +29,7 @@ class TestBudgetEdges:
     def test_over_budget_plan_still_runs(self):
         # budget below one row of footprint: plan falls back, marks over
         p = big_inner_program()
-        ex = OOCExecutor(p, params=SMALL, real=False, memory_budget=70)
+        ex = OOCExecutor(p, params=SMALL, backend="simulate", memory_budget=70)
         res = ex.run()
         assert res.stats.calls > 0
         # peak above budget is recorded, not hidden
@@ -43,14 +43,14 @@ class TestBudgetEdges:
         init = initial_arrays(p, p.binding())
         expected = interpret_program(p, initial=init)
         ex = OOCExecutor(
-            p, params=SMALL, real=True, memory_budget=70, initial=init
+            p, params=SMALL, backend="memory", memory_budget=70, initial=init
         )
         ex.run()
         np.testing.assert_allclose(ex.array_data("A"), expected["A"])
 
     def test_generous_budget_zero_overruns(self):
         p = big_inner_program(8)
-        ex = OOCExecutor(p, params=SMALL, real=False, memory_budget=10**6)
+        ex = OOCExecutor(p, params=SMALL, backend="simulate", memory_budget=10**6)
         res = ex.run()
         assert res.over_budget_tiles == 0
         assert res.peak_memory <= 10**6
@@ -64,7 +64,7 @@ class TestStorageSpecEdges:
             layouts={"A": row_major(2), "B": row_major(2)},
             storage_spec={"A": LinearStoreSpec(diagonal())},
             params=SMALL,
-            real=False,
+            backend="simulate",
             memory_budget=200,
         )
         # A uses the diagonal layout from the spec, B the layouts dict
@@ -73,7 +73,7 @@ class TestStorageSpecEdges:
 
     def test_default_layout_is_row_major(self):
         p = big_inner_program(8)
-        ex = OOCExecutor(p, params=SMALL, real=False, memory_budget=200)
+        ex = OOCExecutor(p, params=SMALL, backend="simulate", memory_budget=200)
         assert ex._stores["A"].arrays["A"].layout.hyperplane.g == (1, 0)
 
 
@@ -83,7 +83,7 @@ class TestTilingCallableOrMapping:
 
         p = big_inner_program(8)
         ex = OOCExecutor(
-            p, params=SMALL, real=False, memory_budget=10**6,
+            p, params=SMALL, backend="simulate", memory_budget=10**6,
             tiling={"n": TilingSpec((True, True))},
         )
         res = ex.run()
@@ -96,7 +96,7 @@ class TestTilingCallableOrMapping:
         # named, and at construction — not a bare KeyError mid-run
         with pytest.raises(ValueError, match="no spec for nest 'n'"):
             OOCExecutor(
-                p, params=SMALL, real=False, memory_budget=10**6,
+                p, params=SMALL, backend="simulate", memory_budget=10**6,
                 tiling={"other": TilingSpec((True, True))},
             )
 

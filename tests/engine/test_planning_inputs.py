@@ -20,7 +20,7 @@ CFG = build_version("col", PROGRAM)
 
 
 def _executor(**kw):
-    return OOCExecutor(PROGRAM, real=False, **kw)
+    return OOCExecutor(PROGRAM, backend="simulate", **kw)
 
 
 def _spmd(cfg=CFG, **kw):

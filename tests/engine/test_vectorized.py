@@ -113,7 +113,7 @@ def _compare_paths(program, budget=3000):
     results = {}
     for vectorize in (False, True):
         ex = OOCExecutor(
-            program, params=SMALL, real=True,
+            program, params=SMALL, backend="memory",
             memory_budget=budget, initial=init, vectorize=vectorize,
         )
         ex.run()

@@ -103,7 +103,7 @@ def _digest(workload, version):
     # bytes pin the tile boxes and their order as well
     cfg = build_version(version, program, params=PARAMS)
     with OOCExecutor(
-        cfg.program, cfg.layouts, params=PARAMS, real=True,
+        cfg.program, cfg.layouts, params=PARAMS, backend="memory",
         tiling=cfg.tiling, storage_spec=cfg.storage_spec, trace=True,
     ) as ex:
         h.update(repr(_rank_view(ex.run())).encode())

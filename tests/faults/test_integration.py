@@ -69,7 +69,7 @@ def _executor(workload="adi", **kw):
     cfg = _cfg(workload)
     return OOCExecutor(
         cfg.program, cfg.layouts, params=PARAMS, tiling=cfg.tiling,
-        storage_spec=cfg.storage_spec, real=False, **kw,
+        storage_spec=cfg.storage_spec, backend="simulate", **kw,
     )
 
 

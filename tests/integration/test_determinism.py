@@ -42,7 +42,7 @@ class TestDeterminism:
         outs = []
         for _ in range(2):
             ex = OOCExecutor(
-                p, params=SETTINGS.params, real=True,
+                p, params=SETTINGS.params, backend="memory",
                 memory_budget=500, initial=init,
             )
             ex.run()

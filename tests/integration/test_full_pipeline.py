@@ -43,7 +43,7 @@ class TestFullPipeline:
             decision.program,
             decision.layout_objects(),
             params=SMALL,
-            real=True,
+            backend="memory",
             memory_budget=200,
             initial=init,
         )
@@ -72,13 +72,13 @@ class TestFullPipeline:
         base = OOCExecutor(
             program,
             {a.name: col_major(a.rank) for a in program.arrays},
-            params=SMALL, real=True, memory_budget=150,
+            params=SMALL, backend="memory", memory_budget=150,
             binding=binding, initial=init,
         ).run()
         decision = optimize_program(program, binding=binding)
         opt = OOCExecutor(
             decision.program, decision.layout_objects(),
-            params=SMALL, real=True, memory_budget=150,
+            params=SMALL, backend="memory", memory_budget=150,
             binding=binding, initial=init,
         ).run()
         assert opt.stats.calls < base.stats.calls

@@ -85,7 +85,7 @@ class TestRandomProgramEquivalence:
             program,
             layouts,
             params=SMALL,
-            real=True,
+            backend="memory",
             tiling=TILINGS[tiling_idx],
             memory_budget=data.draw(
                 st.sampled_from([40, 120, 4000]), label="budget"
@@ -125,7 +125,7 @@ class TestRandomProgramEquivalence:
             decision.program,
             decision.layout_objects(),
             params=SMALL,
-            real=True,
+            backend="memory",
             memory_budget=200,
             initial=init,
         )

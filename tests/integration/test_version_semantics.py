@@ -36,7 +36,7 @@ def test_version_preserves_semantics(workload, version):
         cfg.program,
         cfg.layouts,
         params=SMALL,
-        real=True,
+        backend="memory",
         tiling=cfg.tiling,
         storage_spec=cfg.storage_spec,
         memory_budget=4000,
@@ -66,7 +66,7 @@ def test_tight_memory_still_correct(workload):
         cfg.program,
         cfg.layouts,
         params=SMALL,
-        real=True,
+        backend="memory",
         tiling=cfg.tiling,
         memory_budget=max(32, total // 4),
         initial=init,

@@ -14,7 +14,6 @@ from repro.obs import (
     NestIORecord,
     Observability,
     build_drift,
-    drift_totals,
     render_report,
     report_totals,
 )
@@ -40,7 +39,7 @@ def _run(workload, *, version="c-opt", collective=None, obs=None):
 
 
 def _assert_exact(drift, stats):
-    totals = drift_totals(drift)
+    totals = report_totals(drift)
     assert totals["read_calls"] == stats.read_calls
     assert totals["write_calls"] == stats.write_calls
     assert totals["elements_read"] == stats.elements_read
@@ -166,7 +165,7 @@ class TestBuildDrift:
     def test_totals_equal_record_totals_regardless_of_predictions(self):
         records = self._measured()
         drift = build_drift(records, {"ghost": {"B": 7.0}})
-        assert drift_totals(drift) == report_totals(records)
+        assert report_totals(drift) == report_totals(records)
 
     def test_error_is_signed_relative(self):
         r = CostDriftRecord("n", "A", predicted_calls=90.0,

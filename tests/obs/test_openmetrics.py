@@ -1,15 +1,166 @@
 """Prometheus/OpenMetrics text exposition (repro.obs.export): format
-rules, label escaping, and render → parse round trips."""
+rules, label escaping, and the exact text of a registry and of its
+snapshot, recorded before the package stopped shipping a parser.  The
+exposition is read back here by a format checker kept beside its tests
+(nothing in the package reads OpenMetrics)."""
 
 import pytest
 
 from repro.obs import (
     MetricsRegistry,
     OpenMetricsError,
-    parse_openmetrics,
     registry_from_snapshot,
     render_openmetrics,
 )
+
+#: ``render_openmetrics(_registry())``, byte for byte
+REGISTRY_TEXT = """\
+# TYPE cache_capacity gauge
+cache_capacity 4096
+# TYPE io_call_size histogram
+io_call_size_bucket{le="10"} 1
+io_call_size_bucket{le="100"} 2
+io_call_size_bucket{le="+Inf"} 3
+io_call_size_sum 333.0
+io_call_size_count 3
+# TYPE io_read_calls counter
+io_read_calls_total{node="0"} 5
+io_read_calls_total{node="1"} 7
+# EOF
+"""
+
+#: the same registry rebuilt from its snapshot (counter and gauge values
+#: come back as floats)
+SNAPSHOT_TEXT = """\
+# TYPE cache_capacity gauge
+cache_capacity 4096.0
+# TYPE io_call_size histogram
+io_call_size_bucket{le="10"} 1
+io_call_size_bucket{le="100"} 2
+io_call_size_bucket{le="+Inf"} 3
+io_call_size_sum 333.0
+io_call_size_count 3
+# TYPE io_read_calls counter
+io_read_calls_total{node="0"} 5.0
+io_read_calls_total{node="1"} 7.0
+# EOF
+"""
+
+
+def _parse_labels(s: str, lineno: int) -> tuple[dict[str, str], int]:
+    """Parse a ``key="value",...}`` label block (``s`` starts just after
+    the ``{``); returns the labels and the index just past the ``}``."""
+    labels: dict[str, str] = {}
+    i = 0
+    try:
+        while True:
+            if s[i] == "}":
+                return labels, i + 1
+            eq = s.index("=", i)
+            key = s[i:eq]
+            if not key or s[eq + 1] != '"':
+                raise OpenMetricsError(
+                    f"line {lineno}: malformed label near {s[i:]!r}"
+                )
+            i = eq + 2
+            buf: list[str] = []
+            while True:
+                c = s[i]
+                if c == "\\":
+                    nxt = s[i + 1]
+                    buf.append(
+                        {"\\": "\\", '"': '"', "n": "\n"}.get(nxt, nxt)
+                    )
+                    i += 2
+                elif c == '"':
+                    i += 1
+                    break
+                else:
+                    buf.append(c)
+                    i += 1
+            labels[key] = "".join(buf)
+            if s[i] == ",":
+                i += 1
+            elif s[i] != "}":
+                raise OpenMetricsError(
+                    f"line {lineno}: expected ',' or '}}' after label "
+                    f"{key!r}"
+                )
+    except (IndexError, ValueError):
+        raise OpenMetricsError(
+            f"line {lineno}: unterminated label block"
+        ) from None
+
+
+def parse_openmetrics(text: str) -> dict[str, object]:
+    """The format checker the tests read rendered text with: validate
+    an exposition document and decode it into ``{"types": {family:
+    type}, "samples": {(name, labels...): value}}``.  Raises
+    :class:`OpenMetricsError` on format violations: unknown or
+    duplicate ``# TYPE``, malformed samples, text after (or a missing)
+    ``# EOF`` terminator — the ``TestParse`` cases keep it from passing
+    anything."""
+    types: dict[str, str] = {}
+    samples: dict[tuple, float] = {}
+    saw_eof = False
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if saw_eof:
+            if line:
+                raise OpenMetricsError(
+                    f"line {lineno}: content after the # EOF terminator"
+                )
+            continue
+        if not line:
+            continue
+        if line == "# EOF":
+            saw_eof = True
+            continue
+        if line.startswith("# TYPE "):
+            parts = line.split(" ")
+            if len(parts) != 4:
+                raise OpenMetricsError(
+                    f"line {lineno}: malformed # TYPE line: {line!r}"
+                )
+            fam, typ = parts[2], parts[3]
+            if typ not in ("counter", "gauge", "histogram"):
+                raise OpenMetricsError(
+                    f"line {lineno}: unknown metric type {typ!r}"
+                )
+            if fam in types:
+                raise OpenMetricsError(
+                    f"line {lineno}: duplicate # TYPE for {fam!r}"
+                )
+            types[fam] = typ
+            continue
+        if line.startswith("#"):
+            continue  # HELP/UNIT comments pass through unvalidated
+        if "{" in line:
+            name, rest = line.split("{", 1)
+            labels, end = _parse_labels(rest, lineno)
+            value_text = rest[end:].strip()
+        else:
+            name, sep, value_text = line.partition(" ")
+            labels = {}
+            if not sep:
+                raise OpenMetricsError(
+                    f"line {lineno}: sample has no value: {line!r}"
+                )
+            value_text = value_text.strip()
+        if not name:
+            raise OpenMetricsError(
+                f"line {lineno}: sample has no metric name: {line!r}"
+            )
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise OpenMetricsError(
+                f"line {lineno}: sample value is not a number: "
+                f"{value_text!r}"
+            ) from None
+        samples[(name,) + tuple(sorted(labels.items()))] = value
+    if not saw_eof:
+        raise OpenMetricsError("missing # EOF terminator")
+    return {"types": types, "samples": samples}
 
 
 def _registry():
@@ -79,8 +230,9 @@ class TestRender:
 
 class TestParse:
     def test_round_trip_values(self):
-        reg = _registry()
-        parsed = parse_openmetrics(render_openmetrics(reg))
+        text = render_openmetrics(_registry())
+        assert text == REGISTRY_TEXT
+        parsed = parse_openmetrics(text)
         s = parsed["samples"]
         assert s[("io_read_calls_total", ("node", "0"))] == 5.0
         assert s[("io_read_calls_total", ("node", "1"))] == 7.0
@@ -131,6 +283,7 @@ class TestSnapshotRoundTrip:
     def test_registry_snapshot_renders_identically(self):
         reg = _registry()
         rebuilt = registry_from_snapshot(reg.to_dict())
+        assert render_openmetrics(rebuilt) == SNAPSHOT_TEXT
         assert parse_openmetrics(render_openmetrics(rebuilt)) == \
             parse_openmetrics(render_openmetrics(reg))
 

@@ -12,8 +12,7 @@ from repro.obs import (
     Observability,
     RedistRecord,
     build_drift,
-    drift_totals,
-    optimality_totals,
+    build_optimality,
     report_totals,
 )
 from repro.optimizer import build_version
@@ -46,17 +45,21 @@ class TestEmpty:
         _assert_totals_equal_stats(totals, IOStats())
 
     def test_drift_totals_empty(self):
-        assert drift_totals([]) == {k: 0 for k in TOTAL_KEYS}
+        assert report_totals(build_drift([], {})) == {
+            k: 0 for k in TOTAL_KEYS
+        }
 
     def test_optimality_totals_empty(self):
-        assert optimality_totals([]) == {k: 0 for k in TOTAL_KEYS}
+        assert report_totals(build_optimality([], {})) == {
+            k: 0 for k in TOTAL_KEYS
+        }
 
     def test_build_drift_empty_records_keeps_predictions_visible(self):
         drift = build_drift([], {"n1": {"A": 12.5}})
         assert len(drift) == 1
         assert drift[0].path == "unexecuted"
         assert drift[0].predicted_calls == 12.5
-        assert drift_totals(drift) == {k: 0 for k in TOTAL_KEYS}
+        assert report_totals(drift) == {k: 0 for k in TOTAL_KEYS}
 
 
 class TestPredictedNone:
@@ -70,7 +73,7 @@ class TestPredictedNone:
         assert by_array["B"].predicted_calls is None
         assert by_array["B"].error is None
         _assert_totals_equal_stats(
-            drift_totals(drift), _fold_records(records)
+            report_totals(drift), _fold_records(records)
         )
 
     def test_explicit_none_prediction_record(self):
@@ -80,7 +83,7 @@ class TestPredictedNone:
         )
         assert r.error is None
         assert r.measured_calls == 3
-        totals = drift_totals([r])
+        totals = report_totals([r])
         assert totals["elements_read"] == 8
         assert totals["elements_written"] == 4
 
@@ -123,9 +126,9 @@ class TestDegradedMix:
         paths = {r.path for r in obs.report.records}
         assert "independent" in paths  # the degraded nests
         _assert_totals_equal_stats(report_totals(obs.report.records), stats)
-        _assert_totals_equal_stats(drift_totals(obs.report.drift), stats)
+        _assert_totals_equal_stats(report_totals(obs.report.drift), stats)
         _assert_totals_equal_stats(
-            optimality_totals(obs.report.optimality), stats
+            report_totals(obs.report.optimality), stats
         )
 
     def test_degraded_bounds_still_hold(self):

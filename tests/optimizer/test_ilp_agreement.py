@@ -1,20 +1,21 @@
 """Solver agreement across the full workload registry.
 
-The MILP formulation, the exhaustive enumerator and (where it reaches
-the global optimum) the coordinate-descent fallback must agree — the
+The MILP formulation and the exhaustive enumerator must agree — the
 MILP's linearization of the (q, direction) product terms is exact, so
-any objective gap is a formulation bug, not noise.  Run at small ``n``:
-the q-option products stay tiny (max 24 combinations) so exhaustive
-enumeration is cheap for every one of the 13 codes.
+any objective gap is a formulation bug, not noise — and no local search
+may beat the exhaustive optimum: a deterministic coordinate descent,
+kept here as the witness, never does.  Run at small ``n``: the q-option
+products stay tiny (max 24 combinations) so exhaustive enumeration is
+cheap for every one of the 13 codes.
 """
 
 import pytest
 
 from repro.optimizer import optimize_program_ilp
 from repro.optimizer.ilp import (
+    _array_cost,
     _build_models,
     _total_cost,
-    solve_descent,
     solve_exhaustive,
 )
 from repro.transforms import normalize_program
@@ -27,6 +28,28 @@ from repro.workloads import (
 
 ALL = [(name, False) for name in workload_names()] + \
     [(name, True) for name in analytics_names()]
+
+
+def solve_descent(models, dirs, b):
+    """Deterministic coordinate descent to a local optimum: each nest's
+    first legal ``q``, then alternate sweeps — every nest's best ``q``
+    given the directions, every array's best direction given the
+    nests' ``q`` — until a sweep changes nothing."""
+    q_choice = {m.nest.name: m.q_options[0] for m in models}
+    directions = {}
+    for _ in range(32):  # descent converges in a handful of sweeps
+        before = (dict(q_choice), dict(directions))
+        for m in models:
+            q_choice[m.nest.name] = min(m.q_options, key=lambda q: _total_cost(
+                models, {**q_choice, m.nest.name: q}, directions, b
+            ))
+        for name in sorted(dirs):
+            directions[name] = min(dirs[name], key=lambda d: _array_cost(
+                models, q_choice, name, d, b
+            ))
+        if (q_choice, directions) == before:
+            break
+    return q_choice, directions, _total_cost(models, q_choice, directions, b)
 
 
 def _models(name, analytics, n=8):

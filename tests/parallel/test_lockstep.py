@@ -220,7 +220,7 @@ def test_generated_nests_any_rank_count_any_block(
 
     def rank(r):
         return OOCExecutor(
-            program, params=params, real=False, trace=True, pfs=pfs_of(r),
+            program, params=params, backend="simulate", trace=True, pfs=pfs_of(r),
             node_slice=(r, n_nodes), plans={plan.nest.name: plan},
             **LAYOUTS[layout](array.rank),
         )

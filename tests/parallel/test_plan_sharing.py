@@ -68,7 +68,7 @@ def _lone_ranks(cfg, n_nodes, kw):
         pfs.advance(rank * max(1, total // n_nodes))
         results.append(OOCExecutor(
             cfg.program, cfg.layouts, params=PARAMS, memory_budget=budget,
-            real=False, tiling=cfg.tiling, storage_spec=cfg.storage_spec,
+            backend="simulate", tiling=cfg.tiling, storage_spec=cfg.storage_spec,
             pfs=pfs, node_slice=(rank, n_nodes) if n_nodes > 1 else None,
             trace=True,
             **{k: v for k, v in kw.items() if k != "collective"},
@@ -173,7 +173,7 @@ def test_run_twice_plans_once(real, monkeypatch):
     program = _program("adi")
     plans = _counted(monkeypatch, executor_mod, "plan_nest")
     analyses = _counted(monkeypatch, plan_mod, "analyze_nest")
-    ex = OOCExecutor(program, params=PARAMS, real=real)
+    ex = OOCExecutor(program, params=PARAMS, backend="memory" if real else "simulate")
     first, second = ex.run(), ex.run()
     assert plans.call_count == len(program.nests)
     # real mode's vectorizability check and the planner share one

@@ -34,12 +34,12 @@ class TestNodeSlicing:
         """The per-node compute iteration counts sum to the full count."""
         p = copy_program(12)
         full = OOCExecutor(
-            p, params=SMALL, real=False, memory_budget=120
+            p, params=SMALL, backend="simulate", memory_budget=120
         ).run()
         total = 0.0
         for rank in range(4):
             r = OOCExecutor(
-                p, params=SMALL, real=False, memory_budget=120,
+                p, params=SMALL, backend="simulate", memory_budget=120,
                 node_slice=(rank, 4),
             ).run()
             total += r.stats.compute_time_s
@@ -57,7 +57,7 @@ class TestNodeSlicing:
         # build node 0 first (it creates and initializes the arrays),
         # then reuse its storage for the other slices
         ex0 = OOCExecutor(
-            p, params=SMALL, real=True, memory_budget=200,
+            p, params=SMALL, backend="memory", memory_budget=200,
             initial=init, pfs=pfs, node_slice=(0, 2),
         )
         ex0.run()
@@ -86,7 +86,7 @@ class TestNodeSlicing:
         runs = []
         for rank in range(2):
             ex = OOCExecutor(
-                p, params=SMALL, real=False, memory_budget=10**6,
+                p, params=SMALL, backend="simulate", memory_budget=10**6,
                 tiling=no_tiling, node_slice=(rank, 2),
             )
             runs.append(ex.run())

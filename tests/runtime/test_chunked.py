@@ -17,7 +17,10 @@ def make_store(names=("A", "B"), shape=(8, 8), block=(4, 4), real=True, **kw):
     params = MachineParams(**kw)
     ctx = IOContext(params)
     pfs = ParallelFileSystem(params)
-    return InterleavedChunkedStore(names, shape, block, pfs, real=real), ctx
+    backend = "memory" if real else "simulate"
+    return InterleavedChunkedStore(
+        names, shape, block, pfs, backend=backend
+    ), ctx
 
 
 class TestInterleavedChunkedStore:
@@ -210,7 +213,7 @@ def test_a_block_of_groups_equals_the_loop_run_for_run(data):
     pfs = ParallelFileSystem(MachineParams())
     pfs.advance(data.draw(st.integers(0, 99)))
     store = InterleavedChunkedStore(
-        names, shape, block, pfs, real=False, origin=origin
+        names, shape, block, pfs, backend="simulate", origin=origin
     )
     requests = st.tuples(st.sampled_from(names), regions_of(shape))
     groups = data.draw(st.lists(st.lists(requests, min_size=1, max_size=3),

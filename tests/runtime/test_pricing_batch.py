@@ -349,7 +349,7 @@ def _walk(cfg, params, node_slice, static):
     ex = OOCExecutor(
         cfg.program, cfg.layouts, params=params, tiling=cfg.tiling,
         storage_spec=cfg.storage_spec, trace=True, node_slice=node_slice,
-        real=False,
+        backend="simulate",
     )
     assert ex._static_io  # simulate mode, no cache, no injector
     ex._static_io = static
@@ -404,7 +404,7 @@ class TestWholeWalk:
     def test_a_traced_batch_is_one_call_table(self):
         cfg = build_version("col", _program("mxm", N), params=PARAMS)
         ex = OOCExecutor(
-            cfg.program, cfg.layouts, params=PARAMS, trace=True, real=False
+            cfg.program, cfg.layouts, params=PARAMS, trace=True, backend="simulate"
         )
         for nr in ex.run().nest_runs:
             assert isinstance(nr.trace, CallTable)

@@ -79,7 +79,7 @@ class TestWorkloadSemantics:
         expect = interpret_program(p, initial=init)
         cfg = build_version("c-opt", p, params=SMALL)
         ex = OOCExecutor(
-            cfg.program, cfg.layouts, params=SMALL, real=True,
+            cfg.program, cfg.layouts, params=SMALL, backend="memory",
             tiling=cfg.tiling, storage_spec=cfg.storage_spec,
             memory_budget=2000, initial=init,
         )
@@ -97,7 +97,7 @@ class TestWorkloadSemantics:
         expect = interpret_program(p, initial=init)
         cfg = build_version(version, p, params=SMALL)
         ex = OOCExecutor(
-            cfg.program, cfg.layouts, params=SMALL, real=True,
+            cfg.program, cfg.layouts, params=SMALL, backend="memory",
             tiling=cfg.tiling, storage_spec=cfg.storage_spec,
             memory_budget=2000, initial=init,
         )
