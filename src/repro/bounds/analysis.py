@@ -35,7 +35,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..ir.arrays import ArrayRef
+from ..ir.domain import affine, domain, loop_range
 from ..ir.expr import BinOp, Expr, Ref, UnOp
 from ..ir.nest import LoopNest
 from ..ir.program import Program
@@ -60,13 +63,17 @@ DOMAIN_ENUM_CAP = 4096
 # iteration domain
 
 
-def _midpoint_env(nest: LoopNest, binding: Mapping[str, int]) -> dict[str, int]:
-    """Binding plus every loop var pinned at its midpoint (outer-in)."""
+def _midpoint_ranges(
+    nest: LoopNest, binding: Mapping[str, int]
+) -> tuple[dict[str, tuple[int, int]], dict[str, int]]:
+    """Each loop's range with the enclosing vars pinned at their
+    midpoints, and the binding plus those midpoints (outer-in)."""
+    rng: dict[str, tuple[int, int]] = {}
     env = dict(binding)
     for loop in nest.loops:
-        lo, hi = loop.eval_range(env)
+        lo, hi = rng[loop.var] = loop.eval_range(env)
         env[loop.var] = (lo + hi) // 2 if hi >= lo else lo
-    return env
+    return rng, env
 
 
 def _coupled_vars(nest: LoopNest) -> set[str]:
@@ -89,45 +96,27 @@ def _coupled_vars(nest: LoopNest) -> set[str]:
 def domain_size(nest: LoopNest, binding: Mapping[str, int]) -> int:
     """Number of iteration points of the nest (a safe under-count).
 
-    Exact for rectangular and singly-coupled (triangular/skewed)
-    domains up to ``DOMAIN_ENUM_CAP`` trips per coupled level; beyond
-    the cap a coupled level contributes ``trips * min(endpoint
-    recursions)``, an under-count for the affine bounds in the
-    registry.
+    The levels a later bound reads are enumerated; any other level is
+    pinned at its midpoint and weights its row by its trip count (no
+    bound below reads it).  Exact unless an enumerated level has more
+    than ``DOMAIN_ENUM_CAP`` trips at the midpoints: such a level is
+    clipped to its first ``DOMAIN_ENUM_CAP`` values (a sub-domain).
     """
-    loops = nest.loops
-
-    def rec(level: int, env: dict[str, int]) -> int:
-        if level == len(loops):
-            return 1
-        loop = loops[level]
-        lo, hi = loop.eval_range(env)
-        trips = hi - lo + 1
-        if trips <= 0:
-            return 0
-        later_dep = any(
-            loop.var in b.expr.names
-            for l2 in loops[level + 1 :]
-            for b in (*l2.lowers, *l2.uppers)
-        )
-        if not later_dep:
-            env2 = dict(env)
-            env2[loop.var] = (lo + hi) // 2
-            return trips * rec(level + 1, env2)
-        if trips <= DOMAIN_ENUM_CAP:
-            total = 0
-            env2 = dict(env)
-            for v in range(lo, hi + 1):
-                env2[loop.var] = v
-                total += rec(level + 1, env2)
-            return total
-        env_lo = dict(env)
-        env_lo[loop.var] = lo
-        env_hi = dict(env)
-        env_hi[loop.var] = hi
-        return trips * min(rec(level + 1, env_lo), rec(level + 1, env_hi))
-
-    return rec(0, dict(binding))
+    rng, _ = _midpoint_ranges(nest, binding)
+    read = {n for l in nest.loops for b in (*l.lowers, *l.uppers) for n in b.expr.names}
+    pinned = [v for v in nest.loop_vars if v not in read]
+    windows = {
+        v: (rng[v][0], rng[v][0] + DOMAIN_ENUM_CAP - 1)
+        for v in nest.loop_vars
+        if v not in pinned and rng[v][1] - rng[v][0] + 1 > DOMAIN_ENUM_CAP
+    }
+    points = domain(nest, binding, windows, pinned)
+    weight = np.ones(len(points), dtype=np.int64)
+    for k, loop in enumerate(nest.loops):
+        if loop.var in pinned:
+            lo, hi = loop_range(loop, nest.loop_vars[:k], points[:, :k], binding)
+            weight *= hi - lo + 1
+    return int(weight.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +137,7 @@ def ref_image_size(
     """
     lvars = list(nest.loop_vars)
     used = [v for v in lvars if any(s.coeff(v) for s in ref.subscripts)]
-    mid_env = _midpoint_env(nest, binding)
-    rng: dict[str, tuple[int, int]] = {}
-    env = dict(binding)
-    for loop in nest.loops:
-        rng[loop.var] = loop.eval_range(env)
-        env[loop.var] = mid_env[loop.var]
+    rng, mid_env = _midpoint_ranges(nest, binding)
 
     prod = 1
     for v in used:
@@ -175,31 +159,12 @@ def _enumerated_image(
 ) -> int:
     """Exact image over the domain slice with unused vars pinned at
     midpoints (a sub-domain, hence a safe under-count)."""
-    loops = nest.loops
-    points: set[tuple[int, ...]] = set()
-    env = dict(binding)
-
-    def rec(level: int) -> None:
-        if level == len(loops):
-            idx = tuple(s.evaluate(env) for s in ref.subscripts)
-            if all(0 <= x < d for x, d in zip(idx, shape)):
-                points.add(idx)
-            return
-        loop = loops[level]
-        lo, hi = loop.eval_range(env)
-        if lo > hi:
-            return
-        if loop.var in used:
-            for v in range(lo, hi + 1):
-                env[loop.var] = v
-                rec(level + 1)
-        else:
-            env[loop.var] = (lo + hi) // 2
-            rec(level + 1)
-        del env[loop.var]
-
-    rec(0)
-    return len(points)
+    points = domain(nest, binding, pinned=set(nest.loop_vars) - used)
+    idx = affine(ref.subscripts, nest.loop_vars, points, binding)
+    idx = idx[((idx >= 0) & (idx < np.array(shape))).all(axis=1)]
+    # distinct elements by a sort: numpy 2's hashing np.unique is ~10x slower
+    flat = np.sort(np.ravel_multi_index(tuple(idx.T), shape))
+    return int(np.count_nonzero(np.diff(flat))) + (len(flat) > 0)
 
 
 def _analytic_image(
@@ -248,14 +213,9 @@ def _analytic_image(
         comps.setdefault(find(v), set()).add(v)
 
     def sweep(var: str, dims: list[tuple[object, int]]) -> int:
-        lo, hi = rng[var]
-        env = dict(mid_env)
-        count = 0
-        for val in range(lo, hi + 1):
-            env[var] = val
-            if all(0 <= s.evaluate(env) < d for s, d in dims):
-                count += 1
-        return count
+        values = np.arange(rng[var][0], rng[var][1] + 1, dtype=np.int64)
+        idx = affine([s for s, _ in dims], (var,), values[:, None], mid_env)
+        return int(((idx >= 0) & (idx < [d for _, d in dims])).all(axis=1).sum())
 
     total = 1
     coupled_best = 0

@@ -12,11 +12,12 @@ Loop transformations must preserve every data dependence (paper Section
 
 Fast independence disproofs (GCD test, Banerjee bounds test) run first;
 remaining pairs are resolved exactly on a small instantiation of the
-parameters.  For the affine program class handled here (constant
-coefficients, parameters only in offsets/bounds) the *sign patterns* of
-dependence distances are already exhibited at small parameter values, so
-the small-model directions are the directions — the standard small-model
-argument; the instantiation size is chosen per-nest as ``depth + 3``.
+parameters (``depth + 3`` per nest by default).  The small model does
+*not* exhibit every direction pattern: ``B(2i, j) = B(3N + 2 - 2i, j)``
+carries a dependence only for even N and none at N = 5, so its default
+analysis misses the edge and a real run that vectorises on it returns
+wrong data (a strict xfail in
+``tests/dependence/test_small_model_witness.py``).
 """
 
 from .vectors import DependenceEdge, Direction, direction_of, lex_positive

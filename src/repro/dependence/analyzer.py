@@ -2,12 +2,13 @@
 
 For every pair of references to the same array (at least one a write),
 independence is first attacked with the GCD and Banerjee tests; surviving
-pairs are resolved *exactly* by enumerating the nest's iteration space at
-a small parameter binding (``param = depth + 3`` by default) and joining
-accesses on the touched element.  Affine accesses with constant
-coefficients exhibit all their distance *sign patterns* at small sizes,
-so the resulting direction vectors are complete; distance sets are
-additionally exact for uniform (equal-access-matrix) pairs.
+pairs are resolved *exactly* at one parameter binding (``param = depth +
+3`` by default) by joining the nest's columnar accesses
+(:func:`repro.ir.domain.accesses`) on the touched element.  The answer is
+exact for that binding only: ``B(2i, j) = B(3N + 2 - 2i, j)`` meets itself
+only for even N, so the default N = 5 misses its edges.
+Distance sets are additionally exact for uniform (equal-access-matrix)
+pairs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..ir.arrays import ArrayRef
+from ..ir.domain import accesses
 from ..ir.nest import LoopNest
 from ..obs import profile as _prof
 from .banerjee import banerjee_independent
@@ -49,9 +51,10 @@ def analyze_pairwise(
     r2: ArrayRef,
     r2_writes: bool,
     binding: Mapping[str, int],
-    points: Sequence[tuple[dict[str, int], tuple[int, ...]]],
+    touched: Mapping[tuple, Sequence[tuple[tuple[int, ...], tuple[int, ...]]]],
 ) -> list[DependenceEdge]:
-    """Dependences between one ordered reference pair (both orientations)."""
+    """Dependences between one ordered reference pair (both orientations);
+    ``touched`` is the nest's :func:`~repro.ir.domain.accesses`."""
     _prof.WORK.dependence_pairs += 1
     loop_vars = nest.loop_vars
     if gcd_independent(r1, r2, loop_vars):
@@ -61,19 +64,14 @@ def analyze_pairwise(
     if banerjee_independent(r1, r2, nest, binding):
         return []
 
-    s1, s2 = nest.body[s1_idx], nest.body[s2_idx]
     # hash-join on touched element
     touch1: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for env, vec in points:
-        if not s1.guarded_on({**binding, **env}):
-            continue
-        touch1.setdefault(r1.index(env, binding), []).append(vec)
+    for key, vec in touched[s1_idx, r1, r1_writes]:
+        touch1.setdefault(key, []).append(vec)
 
     hits: dict[tuple[str, int, int], set[tuple[int, ...]]] = {}
-    for env, vec2 in points:
-        if not s2.guarded_on({**binding, **env}):
-            continue
-        for vec1 in touch1.get(r2.index(env, binding), ()):
+    for key, vec2 in touched[s2_idx, r2, r2_writes]:
+        for vec1 in touch1.get(key, ()):
             if vec1 == vec2:
                 if s1_idx == s2_idx:
                     continue  # same instance of the same statement
@@ -141,10 +139,7 @@ def analyze_nest(
 ) -> list[DependenceEdge]:
     """All data dependences carried by or within one nest."""
     binding = dict(binding) if binding is not None else _small_binding(nest)
-    points = [
-        (env, tuple(env[v] for v in nest.loop_vars))
-        for env in nest.iterate(binding)
-    ]
+    touched = accesses(nest, binding)
     refs = list(nest.refs())  # (stmt_idx, ref, is_write)
     edges: list[DependenceEdge] = []
     seen_pairs: set[tuple] = set()
@@ -159,7 +154,7 @@ def analyze_nest(
                 continue
             seen_pairs.add(key)
             edges.extend(
-                analyze_pairwise(nest, i1, r1, w1, i2, r2, w2, binding, points)
+                analyze_pairwise(nest, i1, r1, w1, i2, r2, w2, binding, touched)
             )
     return _merge_edges(edges)
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 import operator
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from ..ir.arrays import ArrayRef
 from ..ir.expr import Call, Const, Ref, UnOp
-from ..ir.loops import Loop
 from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..runtime.ooc_array import Region
@@ -84,40 +83,6 @@ def interpret_program(
         for _ in range(reps):
             interpret_nest(nest, b, storage)
     return storage
-
-
-def _clipped_range(
-    loop: Loop, env: Mapping[str, int], tile_windows
-) -> tuple[int, int]:
-    """The loop's range under ``env``, clipped to its tile window."""
-    lo, hi = loop.eval_range(env)
-    if loop.var in tile_windows:
-        wlo, whi = tile_windows[loop.var]
-        lo, hi = max(lo, wlo), min(hi, whi)
-    return lo, hi
-
-
-def iterate_tile(
-    nest: LoopNest,
-    binding: Mapping[str, int],
-    tile_windows: Mapping[str, tuple[int, int]],
-) -> Iterator[dict[str, int]]:
-    """Enumerate the nest's iteration points clipped to per-variable tile
-    windows (variables absent from ``tile_windows`` keep full bounds)."""
-    env: dict[str, int] = dict(binding)
-
-    def rec(level: int) -> Iterator[dict[str, int]]:
-        if level == nest.depth:
-            yield {v: env[v] for v in nest.loop_vars}
-            return
-        loop = nest.loops[level]
-        lo, hi = _clipped_range(loop, env, tile_windows)
-        for v in range(lo, hi + 1):
-            env[loop.var] = v
-            yield from rec(level + 1)
-            del env[loop.var]
-
-    return rec(0)
 
 
 def bulk_levels(nest: LoopNest, edges=None) -> tuple[int, ...]:
@@ -257,7 +222,10 @@ def run_element_loops_vectorized(
                 flats[lhs][at[lhs]] = rhs(lambda k: flats[k][at[k]])
             return
         loop = nest.loops[level]
-        lo, hi = _clipped_range(loop, env, tile_windows)
+        lo, hi = loop.eval_range(env)
+        if loop.var in tile_windows:
+            wlo, whi = tile_windows[loop.var]
+            lo, hi = max(lo, wlo), min(hi, whi)
         values, boxed = range(lo, hi + 1), level in bulk
         if boxed and lo <= hi:
             size *= hi - lo + 1
@@ -298,7 +266,7 @@ def run_element_loops(
         return float(tiles[name][tuple(i - b for i, b in zip(idx, o))])
 
     count = 0
-    for env in iterate_tile(nest, binding, tile_windows):
+    for env in nest.iterate(binding, tile_windows):
         full = {**binding, **env}
         count += 1
         for stmt in nest.body:

@@ -11,6 +11,7 @@ program class of the paper, Section 3.2.1).  This package provides:
 - an expression AST (:mod:`repro.ir.expr`) so programs can be *executed*,
   not just analyzed,
 - :class:`Loop` / :class:`LoopNest` — perfect nests,
+- :mod:`repro.ir.domain` — a nest's iteration points as int64 columns,
 - :class:`LoopTree` nodes — imperfect nests prior to normalization,
 - :class:`Program` — arrays + nest sequence + parameters,
 - :class:`ProgramBuilder` — a small DSL used by the workload models.

@@ -9,6 +9,7 @@ from typing import Iterator, Mapping, Sequence
 
 from ..linalg import ConstraintSystem, IMat
 from .arrays import ArrayRef
+from .domain import domain
 from .loops import Loop
 from .statements import Statement
 
@@ -87,22 +88,16 @@ class LoopNest:
                 sys.add_ineq(coeffs, b.expr.const)
         return sys
 
-    def iterate(self, binding: Mapping[str, int]) -> Iterator[dict[str, int]]:
-        """Enumerate iteration points in loop order as variable bindings."""
-        env: dict[str, int] = dict(binding)
-
-        def rec(level: int) -> Iterator[dict[str, int]]:
-            if level == self.depth:
-                yield {v: env[v] for v in self.loop_vars}
-                return
-            loop = self.loops[level]
-            lo, hi = loop.eval_range(env)
-            for v in range(lo, hi + 1):
-                env[loop.var] = v
-                yield from rec(level + 1)
-                del env[loop.var]
-
-        return rec(0)
+    def iterate(
+        self,
+        binding: Mapping[str, int],
+        windows: Mapping[str, tuple[int, int]] | None = None,
+    ) -> Iterator[dict[str, int]]:
+        """Enumerate iteration points in loop order as variable bindings,
+        clipped to tile ``windows`` when given."""
+        names = self.loop_vars
+        for row in domain(self, binding, windows).tolist():
+            yield dict(zip(names, row))
 
     def _midpoint_trips(
         self,

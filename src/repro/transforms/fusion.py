@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from ..ir.domain import accesses
 from ..ir.nest import LoopNest
 
 
@@ -34,33 +35,32 @@ def can_fuse(
     binding = dict(binding) if binding is not None else {
         p: a.depth + 3 for p in set(a.params) | set(b.params)
     }
-    shared = a.arrays() & b.arrays()
-    if not shared:
-        return True
-    def touches(nest: LoopNest):
+    return not reaches_back(a, b, a.depth, binding)
+
+
+def reaches_back(
+    first: LoopNest, later: LoopNest, prefix_len: int, binding: Mapping[str, int]
+) -> bool:
+    """True when ``later`` touches an element ``first`` also touches, one
+    of the two writing, at a loop prefix (the first ``prefix_len``
+    loops, compared position by position) strictly before ``first``'s:
+    running ``first`` to completion before ``later`` reverses that pair."""
+
+    def touch_map(nest: LoopNest):
         out: dict[tuple, list[tuple[tuple[int, ...], bool]]] = {}
-        for env in nest.iterate(binding):
-            full = {**binding, **env}
-            vec = tuple(env[v] for v in nest.loop_vars)
-            for stmt in nest.body:
-                if not stmt.guarded_on(full):
-                    continue
-                for ref, is_write in stmt.all_refs():
-                    if ref.array.name not in shared:
-                        continue
-                    key = (ref.array.name,) + ref.index(env, binding)
-                    out.setdefault(key, []).append((vec, is_write))
+        for (_, ref, is_write), pairs in accesses(nest, binding).items():
+            for key, vec in pairs:
+                out.setdefault((ref.array.name, *key), []).append(
+                    (vec[:prefix_len], is_write)
+                )
         return out
 
-    ta = touches(a)
-    tb = touches(b)  # position-wise comparable: loops are pairwise matched
-
-    for key, accesses_a in ta.items():
-        for vec_b, write_b in tb.get(key, ()):
-            for vec_a, write_a in accesses_a:
-                if (write_a or write_b) and vec_b < vec_a:
-                    return False
-    return True
+    earlier = touch_map(first)
+    for key, accesses_b in touch_map(later).items():
+        for pa, wa in earlier.get(key, ()):
+            if any((wa or wb) and pb < pa for pb, wb in accesses_b):
+                return True
+    return False
 
 
 def fuse(a: LoopNest, b: LoopNest, name: str | None = None) -> LoopNest:

@@ -28,7 +28,7 @@ from ..ir.nest import LoopNest
 from ..ir.program import Program
 from ..ir.statements import Condition, Statement
 from ..ir.tree import LoopNode, StmtNode, TreeNode
-from .fusion import can_fuse, fuse
+from .fusion import can_fuse, fuse, reaches_back
 
 
 class NormalizationError(ValueError):
@@ -184,29 +184,11 @@ def _distribution_legal(
         depth = max(n.depth for n in nests)
         binding = {p: depth + 3 for n in nests for p in n.params}
 
-    def touches(nest: LoopNest):
-        out: dict[tuple, list[tuple[tuple[int, ...], bool]]] = {}
-        for env in nest.iterate(binding):
-            full = {**binding, **env}
-            prefix = tuple(env[v] for v in nest.loop_vars[:prefix_len])
-            for stmt in nest.body:
-                if not stmt.guarded_on(full):
-                    continue
-                for ref, is_write in stmt.all_refs():
-                    key = (ref.array.name,) + ref.index(env, binding)
-                    out.setdefault(key, []).append((prefix, is_write))
-        return out
-
-    maps = [touches(n) for n in nests]
-    for i in range(len(nests)):
-        for j in range(i + 1, len(nests)):
-            shared = set(maps[i]) & set(maps[j])
-            for key in shared:
-                for pa, wa in maps[i][key]:
-                    for pb, wb in maps[j][key]:
-                        if (wa or wb) and pb < pa:
-                            return False
-    return True
+    return not any(
+        reaches_back(nests[i], later, prefix_len, binding)
+        for i in range(len(nests))
+        for later in nests[i + 1 :]
+    )
 
 
 def normalize_program(
