@@ -1,178 +1,223 @@
-"""Exact dependence extraction on a small parameter instantiation.
+"""Dependences as a property of the nest, for every parameter value.
 
-For every pair of references to the same array (at least one a write),
-independence is first attacked with the GCD and Banerjee tests; surviving
-pairs are resolved *exactly* at one parameter binding (``param = depth +
-3`` by default) by joining the nest's columnar accesses
-(:func:`repro.ir.domain.accesses`) on the touched element.  The answer is
-exact for that binding only: ``B(2i, j) = B(3N + 2 - 2i, j)`` meets itself
-only for even N, so the default N = 5 misses its edges.
-Distance sets are additionally exact for uniform (equal-access-matrix)
-pairs.
+One question is answered here, by :func:`meeting_directions`: at which
+direction patterns do two references, each in its nest under its
+statement's guards, touch the same element for some binding of the
+parameters (every parameter ≥ 1)?  Loop variables of both copies and
+the parameters are unknowns; the subscript equalities (and ``==``
+guards) are solved exactly over the integers, which disproves every
+pair the GCD and coupled-Diophantine tests could.  On the solution
+lattice ``x = x0 + B·t`` the loop bounds, ``>=`` guards and parameter
+signs become inequalities in ``t``.  Patterns are refined level by
+level: an ``=`` level cuts the lattice exactly (``delta = 0``), a ``<``
+or ``>`` level adds ``±delta ≥ 1``, and a pattern is kept when
+Fourier–Motzkin finds a rational ``t``.  That relaxation only adds
+patterns, so the answer is sound for every N.
+
+:func:`analyze_nest` turns the patterns of each reference pair of one
+nest into :class:`DependenceEdge` objects: a uniform pair whose distance
+``L·d = Δ`` has one integer solution keeps that distance (``exact``);
+any other edge carries one sign vector per direction pattern.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
-
+from ..ir.affine import AffineExpr
 from ..ir.arrays import ArrayRef
-from ..ir.domain import accesses
 from ..ir.nest import LoopNest
+from ..ir.statements import Statement
+from ..linalg import (
+    Constraint, ConstraintSystem, IMat, fourier_motzkin, solve_diophantine,
+)
 from ..obs import profile as _prof
-from .banerjee import banerjee_independent
-from .dio_test import diophantine_independent
-from .gcd_test import gcd_independent
-from .vectors import DependenceEdge, direction_of
+from .vectors import DependenceEdge, lex_positive
 
-_DISTANCES_PER_EDGE_CAP = 64
+#: a reference in its statement in its nest
+Access = tuple[LoopNest, Statement, ArrayRef]
 
 
-def _small_binding(nest: LoopNest) -> dict[str, int]:
-    size = nest.depth + 3
-    return {p: size for p in nest.params}
+def meeting_directions(
+    a: Access, b: Access, levels: int
+) -> set[tuple[int, ...]]:
+    """Sign patterns (±1/0 per level) of ``x_b - x_a`` over the first
+    ``levels`` loops at which reference ``a`` at iteration ``x_a`` and
+    ``b`` at ``x_b``, each where its statement's guards hold, touch one
+    element for some parameter values (all ≥ 1)."""
+    (nest_a, _, ref_a), (nest_b, _, ref_b) = a, b
+    cols: dict = {}  # unknown -> column: a's loop variables, b's, parameters
+    for tag, nest in zip("ab", (nest_a, nest_b)):
+        cols.update({(tag, v): len(cols) + k for k, v in enumerate(nest.loop_vars)})
+    equalities, inequalities = [], []  # forms f with f == 0 / f >= 0
+    for tag, (nest, stmt, _) in zip("ab", (a, b)):
+        for g in stmt.guards:
+            form = _form(g.expr, tag, nest, cols)
+            (equalities if g.op == "==" else inequalities).append(form)
+        for loop in nest.loops:  # d·v - e >= 0 below, e - d·v >= 0 above
+            var = cols[tag, loop.var]
+            for sign, bounds in ((-1, loop.lowers), (1, loop.uppers)):
+                for bound in bounds:
+                    coeffs, const = _form(bound.expr, tag, nest, cols, sign)
+                    coeffs[var] = coeffs.get(var, 0) - sign * bound.divisor
+                    inequalities.append((coeffs, const))
+    for sa, sb in zip(ref_a.subscripts, ref_b.subscripts):
+        fa, ca = _form(sa, "a", nest_a, cols)
+        fb, cb = _form(sb, "b", nest_b, cols, -1)
+        equalities.append(({c: fa.get(c, 0) + fb.get(c, 0) for c in fa | fb}, ca + cb))
+    inequalities += [({c: 1}, -1) for key, c in cols.items() if isinstance(key, str)]
+    deltas = [  # x_b - x_a per level
+        {cols["b", vb]: 1, cols["a", va]: -1}
+        for va, vb in zip(nest_a.loop_vars[:levels], nest_b.loop_vars)
+    ]
+    base = solve_diophantine(
+        IMat([[f.get(c, 0) for c in range(len(cols))] for f, _ in equalities]),
+        [-const for _, const in equalities],
+    )
+    if base is None:
+        return set()
+    # a pattern's state: the integer lattice x = x0 + B·t of its ``=``
+    # levels, and over t the inequalities with its strict levels'
+    # ±delta - 1 >= 0 (each form a (coefficients, constant) pair)
+    lattice = (base.particular, base.basis)
+    system = [_on(lattice, *f) for f in inequalities]
+    states = {(): (lattice, system)} if _feasible(system, len(base.basis)) else {}
+    for delta in deltas:
+        refined = {}
+        for pattern, (lattice, system) in states.items():
+            coeffs, value = _on(lattice, delta, 0)
+            if not any(coeffs):  # one distance on the whole lattice
+                refined[pattern + ((value > 0) - (value < 0),)] = lattice, system
+                continue
+            for sign in (1, -1):
+                more = system + [([sign * w for w in coeffs], sign * value - 1)]
+                if _feasible(more, len(coeffs)):
+                    refined[pattern + (sign,)] = lattice, more
+            cut = solve_diophantine(IMat([coeffs]), [-value])  # t = t0 + C·u
+            if cut is not None:
+                sub = (cut.particular, cut.basis)
+                flat = [_on(sub, dict(enumerate(c)), k) for c, k in system]
+                if _feasible(flat, len(cut.basis)):
+                    refined[pattern + (0,)] = _compose(lattice, sub), flat
+        states = refined
+    return set(states)
 
 
-def _is_uniform(r1: ArrayRef, r2: ArrayRef, loop_vars: Sequence[str]) -> bool:
+def _on(lattice, coeffs: dict, const: int) -> tuple[list[int], int]:
+    """The form ``coeffs·x + const`` at ``x = x0 + B·t``, over ``t``."""
+    x0, basis = lattice
+    return (
+        [sum(w * vec[c] for c, w in coeffs.items()) for vec in basis],
+        const + sum(w * x0[c] for c, w in coeffs.items()),
+    )
+
+
+def _compose(lattice, sub):
+    """``lattice`` at its parameters ``t = t0 + C·u`` of ``sub``."""
+    x0, basis = lattice
+    rows = [
+        _on(sub, {k: vec[i] for k, vec in enumerate(basis)}, x)
+        for i, x in enumerate(x0)
+    ]
+    return [x for _, x in rows], [list(v) for v in zip(*(c for c, _ in rows))]
+
+
+def _feasible(system, dims: int) -> bool:
+    """A rational ``t`` (``dims`` of them) makes every form of ``system``
+    ``>= 0``: Fourier–Motzkin, the variable with the fewest lower ×
+    upper pairs first, keeping only the tightest of parallel
+    constraints."""
+    variables = [f"t{k}" for k in range(dims)]
+    constraints = [
+        Constraint.make(dict(zip(variables, coeffs)), const)
+        for coeffs, const in system
+    ]
+    while True:
+        tightest: dict[tuple, Constraint] = {}
+        pairs = {v: [0, 0] for v in variables}
+        for c in constraints:
+            if c.is_trivially_false():
+                return False
+            if c.coeffs not in tightest or c.const < tightest[c.coeffs].const:
+                tightest[c.coeffs] = c
+        if not variables:
+            return True
+        for c in tightest.values():
+            for v, w in c.coeffs:
+                pairs[v][w < 0] += 1
+        var = min(variables, key=lambda v: pairs[v][0] * pairs[v][1])
+        left = fourier_motzkin(ConstraintSystem(variables, (), tightest.values()), var)
+        variables, constraints = left.variables, left.constraints
+
+
+def _form(expr: AffineExpr, tag: str, nest: LoopNest, cols: dict, sign: int = 1):
+    """``sign·expr`` of copy ``tag`` as ``({column: coefficient},
+    constant)``; a name that is not one of ``nest``'s loop variables is a
+    parameter, given a column of ``cols`` when first met."""
+    coeffs: dict[int, int] = {}
+    for name, c in expr.coeffs:
+        unknown = (tag, name) if name in nest.loop_vars else name
+        col = cols.setdefault(unknown, len(cols))
+        coeffs[col] = coeffs.get(col, 0) + sign * c
+    return coeffs, sign * expr.const
+
+
+def _is_uniform(r1: ArrayRef, r2: ArrayRef, loop_vars) -> bool:
     if r1.access_matrix(loop_vars) != r2.access_matrix(loop_vars):
         return False
     # offsets must differ only by integer constants (params must match)
-    for o1, o2 in zip(r1.offset_exprs(loop_vars), r2.offset_exprs(loop_vars)):
-        if (o1 - o2).coeffs:
-            return False
-    return True
+    return not any(
+        (o1 - o2).coeffs
+        for o1, o2 in zip(r1.offset_exprs(loop_vars), r2.offset_exprs(loop_vars))
+    )
 
 
-def analyze_pairwise(
-    nest: LoopNest,
-    s1_idx: int,
-    r1: ArrayRef,
-    r1_writes: bool,
-    s2_idx: int,
-    r2: ArrayRef,
-    r2_writes: bool,
-    binding: Mapping[str, int],
-    touched: Mapping[tuple, Sequence[tuple[tuple[int, ...], tuple[int, ...]]]],
-) -> list[DependenceEdge]:
-    """Dependences between one ordered reference pair (both orientations);
-    ``touched`` is the nest's :func:`~repro.ir.domain.accesses`."""
-    _prof.WORK.dependence_pairs += 1
-    loop_vars = nest.loop_vars
-    if gcd_independent(r1, r2, loop_vars):
-        return []
-    if diophantine_independent(r1, r2, loop_vars):
-        return []
-    if banerjee_independent(r1, r2, nest, binding):
-        return []
-
-    # hash-join on touched element
-    touch1: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for key, vec in touched[s1_idx, r1, r1_writes]:
-        touch1.setdefault(key, []).append(vec)
-
-    hits: dict[tuple[str, int, int], set[tuple[int, ...]]] = {}
-    for key, vec2 in touched[s2_idx, r2, r2_writes]:
-        for vec1 in touch1.get(key, ()):
-            if vec1 == vec2:
-                if s1_idx == s2_idx:
-                    continue  # same instance of the same statement
-                # loop-independent: direction by statement order
-                if s1_idx < s2_idx:
-                    src, dst, dist = s1_idx, s2_idx, tuple(
-                        a - b for a, b in zip(vec2, vec1)
-                    )
-                    src_writes = r1_writes
-                else:
-                    src, dst, dist = s2_idx, s1_idx, tuple(
-                        a - b for a, b in zip(vec1, vec2)
-                    )
-                    src_writes = r2_writes
-            elif vec1 < vec2:
-                src, dst = s1_idx, s2_idx
-                dist = tuple(a - b for a, b in zip(vec2, vec1))
-                src_writes = r1_writes
-            else:
-                src, dst = s2_idx, s1_idx
-                dist = tuple(a - b for a, b in zip(vec1, vec2))
-                src_writes = r2_writes
-            dst_writes = r2_writes if src == s1_idx else r1_writes
-            if src_writes and dst_writes:
-                kind = "output"
-            elif src_writes:
-                kind = "flow"
-            else:
-                kind = "anti"
-            hits.setdefault((kind, src, dst), set()).add(dist)
-
-    uniform = _is_uniform(r1, r2, loop_vars)
-    edges = []
-    for (kind, src, dst), dists in hits.items():
-        edges.append(
-            DependenceEdge(
-                r1.array.name,
-                src,
-                dst,
-                kind,
-                frozenset(_cap_distances(dists)),
-                exact=uniform,
-            )
-        )
-    return edges
+def _exact_distance(r1: ArrayRef, r2: ArrayRef, loop_vars):
+    """The one integer ``d`` with ``L·d = o1 - o2`` for a uniform pair
+    (``L`` the shared access matrix), else None."""
+    if not _is_uniform(r1, r2, loop_vars):
+        return None
+    delta = [
+        (o1 - o2).const
+        for o1, o2 in zip(r1.offset_exprs(loop_vars), r2.offset_exprs(loop_vars))
+    ]
+    solution = solve_diophantine(r1.access_matrix(loop_vars), delta)
+    return None if solution is None or solution.basis else solution.particular
 
 
-def _cap_distances(dists: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """Bound the stored distance set while keeping every direction pattern
-    represented (legality only needs directions for non-uniform edges)."""
-    if len(dists) <= _DISTANCES_PER_EDGE_CAP:
-        return dists
-    by_dir: dict[tuple, list[tuple[int, ...]]] = {}
-    for d in dists:
-        by_dir.setdefault(direction_of(d), []).append(d)
-    kept: set[tuple[int, ...]] = set()
-    per_dir = max(1, _DISTANCES_PER_EDGE_CAP // len(by_dir))
-    for ds in by_dir.values():
-        kept.update(sorted(ds)[:per_dir])
-    return kept
-
-
-def analyze_nest(
-    nest: LoopNest, binding: Mapping[str, int] | None = None
-) -> list[DependenceEdge]:
+def analyze_nest(nest: LoopNest) -> list[DependenceEdge]:
     """All data dependences carried by or within one nest."""
-    binding = dict(binding) if binding is not None else _small_binding(nest)
-    touched = accesses(nest, binding)
     refs = list(nest.refs())  # (stmt_idx, ref, is_write)
-    edges: list[DependenceEdge] = []
+    hits: dict[tuple[str, int, int, str], set[tuple[int, ...]]] = {}
+    inexact: set[tuple] = set()
     seen_pairs: set[tuple] = set()
     for a, (i1, r1, w1) in enumerate(refs):
         for i2, r2, w2 in refs[a:]:
-            if not (w1 or w2):
+            if not (w1 or w2) or r1.array.name != r2.array.name:
                 continue
-            if r1.array.name != r2.array.name:
+            pair = (i1, id(r1), w1, i2, id(r2), w2)
+            if pair in seen_pairs:
                 continue
-            key = (i1, id(r1), i2, id(r2))
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            edges.extend(
-                analyze_pairwise(nest, i1, r1, w1, i2, r2, w2, binding, touched)
+            seen_pairs.add(pair)
+            _prof.WORK.dependence_pairs += 1
+            patterns = meeting_directions(
+                (nest, nest.body[i1], r1), (nest, nest.body[i2], r2), nest.depth
             )
-    return _merge_edges(edges)
-
-
-def _merge_edges(edges: list[DependenceEdge]) -> list[DependenceEdge]:
-    merged: dict[tuple, DependenceEdge] = {}
-    for e in edges:
-        key = (e.array, e.src_stmt, e.dst_stmt, e.kind)
-        if key in merged:
-            prev = merged[key]
-            merged[key] = DependenceEdge(
-                e.array,
-                e.src_stmt,
-                e.dst_stmt,
-                e.kind,
-                prev.distances | e.distances,
-                exact=prev.exact and e.exact,
-            )
-        else:
-            merged[key] = e
-    return list(merged.values())
+            exact = _exact_distance(r1, r2, nest.loop_vars)
+            for p in sorted(patterns, reverse=True):
+                if not any(p) and i1 == i2:
+                    continue  # the same instance of the same statement
+                forward = lex_positive(p) if any(p) else i1 < i2
+                vec = p if exact is None else exact
+                src, src_w, dst, dst_w = (
+                    (i1, w1, i2, w2) if forward else (i2, w2, i1, w1)
+                )
+                kind = "output" if src_w and dst_w else "flow" if src_w else "anti"
+                key = (r1.array.name, src, dst, kind)
+                hits.setdefault(key, set()).add(
+                    tuple(vec) if forward else tuple(-v for v in vec)
+                )
+                if exact is None:
+                    inexact.add(key)
+    return [
+        DependenceEdge(*key, frozenset(dists), key not in inexact)
+        for key, dists in hits.items()
+    ]

@@ -4,12 +4,12 @@ A transformation ``T`` is legal for a nest iff every dependence distance
 ``d`` stays lexicographically positive after mapping: ``T·d ≻ 0`` (a
 zero vector is fine — statement order within an iteration is untouched).
 
-For *exact* edges the stored distance set is complete and the check is
-exact.  For non-uniform edges the distances sampled at the small model
-carry every realizable sign pattern; we additionally verify the candidate
-over the sign patterns with interval arithmetic (each ``<`` component
-ranges over ``[1, ∞)``, each ``>`` over ``(-∞, -1]``), which is the
-classical conservative direction-vector test.
+For *exact* edges the stored distance is the dependence's only one and
+the check is exact.  Any other edge stores one sign vector per direction
+pattern it realises for some parameter value; the candidate is verified
+over each pattern with interval arithmetic (each ``<`` component ranges
+over ``[1, ∞)``, each ``>`` over ``(-∞, -1]``), which is the classical
+conservative direction-vector test.
 """
 
 from __future__ import annotations

@@ -42,10 +42,10 @@ class DependenceEdge:
     """A dependence between two statements of one nest on one array.
 
     ``kind`` is flow (write→read), anti (read→write) or output
-    (write→write).  ``distances`` are the sink-minus-source iteration
-    vectors actually realized; ``exact`` is True when that set is complete
-    for all parameter values (uniform dependence), otherwise the set is a
-    small-model sample whose *directions* are complete.
+    (write→write).  When ``exact`` (a uniform dependence with one
+    integer distance) ``distances`` holds that sink-minus-source
+    iteration vector; otherwise it holds one sign vector (±1/0) per
+    direction pattern the dependence realises for some parameter value.
     """
 
     array: str

@@ -3,9 +3,8 @@
 :func:`domain` expands the loops level by level into one ``(points,
 depth)`` array (column ``k`` is loop ``k``'s variable, rows in loop
 order); :func:`affine` evaluates subscripts, guards and bounds over it
-as one integer matrix product.  The interpreter's loop order, the
-dependence analyzer's element keys, the fusion and distribution checks
-and the bounds pass's images and domain sizes all read it.
+as one integer matrix product.  The interpreter's loop order and the
+bounds pass's images and domain sizes read it.
 """
 
 from __future__ import annotations
@@ -70,22 +69,3 @@ def domain(
         points = np.column_stack((points, values))
     return points
 
-
-def accesses(nest, binding: Mapping[str, int]) -> dict:
-    """``(element, iteration vector)`` of every access, in loop order,
-    per ``(statement index, ref, is_write)`` of ``nest.refs()``; a
-    guarded statement's accesses are those where its guards hold."""
-    names, points = nest.loop_vars, domain(nest, binding)
-    vecs = list(map(tuple, points.tolist()))
-    out = {}
-    for s, stmt in enumerate(nest.body):
-        live = np.ones(len(points), dtype=bool)
-        for g in stmt.guards:
-            value = affine([g.expr], names, points, binding)[:, 0]
-            live &= value == 0 if g.op == "==" else value >= 0
-        rows = np.flatnonzero(live)
-        live_vecs = [vecs[r] for r in rows.tolist()]
-        for ref, is_write in stmt.all_refs():
-            keys = affine(ref.subscripts, names, points[rows], binding).tolist()
-            out[s, ref, is_write] = list(zip(map(tuple, keys), live_vecs))
-    return out

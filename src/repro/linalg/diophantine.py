@@ -5,9 +5,10 @@
 divides its right-hand side (and zero rows have zero rhs).  The general
 solution is ``x = x0 + lattice(kernel basis)``.
 
-Used by the dependence analyzer as a complete independence disproof for
-reference pairs (strictly stronger than the per-dimension GCD test: it
-accounts for *coupled* subscripts), and exposed as public API.
+The dependence analyzer solves a reference pair's subscript equalities
+with it: no solution proves independence for every parameter value
+(coupled subscripts included), and the solution lattice is where the
+loop bounds are then checked.  Exposed as public API.
 """
 
 from __future__ import annotations

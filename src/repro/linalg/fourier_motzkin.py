@@ -136,14 +136,15 @@ class ConstraintSystem:
         if overlap:
             raise ValueError(f"names used as both variable and parameter: {overlap}")
         self.constraints: list[Constraint] = []
+        self._known: set[Constraint] = set()
         for c in constraints:
             self.add(c)
 
     def add(self, constraint: Constraint) -> None:
-        if constraint.is_trivially_true():
+        if constraint.is_trivially_true() or constraint in self._known:
             return
-        if constraint not in self.constraints:
-            self.constraints.append(constraint)
+        self._known.add(constraint)
+        self.constraints.append(constraint)
 
     def add_ineq(self, coeffs: Mapping[str, int], const: int) -> None:
         self.add(Constraint.make(coeffs, const))

@@ -4,15 +4,14 @@ compatible neighbors).
 Fusion of two adjacent nests is legal iff no element touched by the first
 nest at iteration ``p1`` and by the second at ``p2`` (one access a write)
 has ``p2 ≺ p1`` — in the fused nest that pair would execute in the wrong
-order.  We verify this exactly on a small parameter instantiation (the
-same small-model regime as the dependence analyzer).
+order.  :func:`reaches_back` asks the dependence solver
+(:func:`repro.dependence.meeting_directions`) for that pattern, for
+every value of the parameters.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from ..ir.domain import accesses
+from ..dependence import lex_positive, meeting_directions
 from ..ir.nest import LoopNest
 
 
@@ -26,41 +25,27 @@ def _bounds_match(a: LoopNest, b: LoopNest) -> bool:
     return True
 
 
-def can_fuse(
-    a: LoopNest, b: LoopNest, binding: Mapping[str, int] | None = None
-) -> bool:
+def can_fuse(a: LoopNest, b: LoopNest) -> bool:
     """True when the two adjacent nests may be fused."""
     if not _bounds_match(a, b) or a.weight != b.weight:
         return False
-    binding = dict(binding) if binding is not None else {
-        p: a.depth + 3 for p in set(a.params) | set(b.params)
-    }
-    return not reaches_back(a, b, a.depth, binding)
+    return not reaches_back(a, b, a.depth)
 
 
-def reaches_back(
-    first: LoopNest, later: LoopNest, prefix_len: int, binding: Mapping[str, int]
-) -> bool:
+def reaches_back(first: LoopNest, later: LoopNest, prefix_len: int) -> bool:
     """True when ``later`` touches an element ``first`` also touches, one
     of the two writing, at a loop prefix (the first ``prefix_len``
     loops, compared position by position) strictly before ``first``'s:
     running ``first`` to completion before ``later`` reverses that pair."""
-
-    def touch_map(nest: LoopNest):
-        out: dict[tuple, list[tuple[tuple[int, ...], bool]]] = {}
-        for (_, ref, is_write), pairs in accesses(nest, binding).items():
-            for key, vec in pairs:
-                out.setdefault((ref.array.name, *key), []).append(
-                    (vec[:prefix_len], is_write)
-                )
-        return out
-
-    earlier = touch_map(first)
-    for key, accesses_b in touch_map(later).items():
-        for pa, wa in earlier.get(key, ()):
-            if any((wa or wb) and pb < pa for pb, wb in accesses_b):
-                return True
-    return False
+    return any(
+        not lex_positive(pattern)
+        for s1, r1, w1 in first.refs()
+        for s2, r2, w2 in later.refs()
+        if (w1 or w2) and r1.array.name == r2.array.name
+        for pattern in meeting_directions(
+            (first, first.body[s1], r1), (later, later.body[s2], r2), prefix_len
+        )
+    )
 
 
 def fuse(a: LoopNest, b: LoopNest, name: str | None = None) -> LoopNest:

@@ -9,11 +9,12 @@ The pipeline per loop tree:
 2. **Recursion** — each inner loop child is normalized on its own.
 3. **Fusion** — adjacent perfect siblings with matching bounds are fused
    when :func:`repro.transforms.fusion.can_fuse` proves it safe.
-4. **Distribution** — remaining siblings become separate nests; legality
-   is verified exactly on a small model: distributing the shared outer
-   loops over children reorders any conflicting accesses only if a later
-   child touches an element *earlier* (by outer-iteration prefix) than an
-   earlier child — we check no such pair exists.
+4. **Distribution** — remaining siblings become separate nests:
+   distributing the shared outer loops over children reorders
+   conflicting accesses only if a later child touches an element
+   *earlier* (by outer-iteration prefix) than an earlier child —
+   :func:`repro.transforms.fusion.reaches_back` checks no such pair
+   exists for any value of the parameters.
 
 The result is validated structurally (each output is a perfect nest) and
 the statement multiset is preserved.
@@ -21,7 +22,7 @@ the statement multiset is preserved.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..ir.loops import Loop
 from ..ir.nest import LoopNest
@@ -102,10 +103,9 @@ def normalize_tree(
     params: Sequence[str] = (),
     weight: int = 1,
     name: str = "t",
-    binding: Mapping[str, int] | None = None,
 ) -> list[LoopNest]:
     """Convert one imperfect loop tree into a sequence of perfect nests."""
-    pieces = _normalize(tree, [], params, binding)
+    pieces = _normalize(tree, [], params)
     nests = [
         LoopNest.make(f"{name}.{k}", loops, body, tuple(params), weight)
         for k, (loops, body) in enumerate(pieces)
@@ -124,7 +124,6 @@ def _normalize(
     node: LoopNode,
     outer: list[Loop],
     params: Sequence[str],
-    binding: Mapping[str, int] | None,
 ) -> list[tuple[list[Loop], list[Statement]]]:
     node = _sink_statements(node)
     loop_children = node.loop_children()
@@ -138,7 +137,7 @@ def _normalize(
         )
     # normalize each child under the extended outer chain
     child_pieces: list[list[tuple[list[Loop], list[Statement]]]] = [
-        _normalize(c, outer + [node.loop], params, binding)
+        _normalize(c, outer + [node.loop], params)
         for c in loop_children
     ]
     flat = [p for pieces in child_pieces for p in pieces]
@@ -150,7 +149,7 @@ def _normalize(
         prev = fused[-1]
         a = LoopNest.make("a", prev[0], prev[1], tuple(params))
         b = LoopNest.make("b", piece[0], piece[1], tuple(params))
-        if can_fuse(a, b, binding):
+        if can_fuse(a, b):
             merged = fuse(a, b)
             fused[-1] = (list(merged.loops), list(merged.body))
         else:
@@ -158,42 +157,32 @@ def _normalize(
     if len(fused) == 1:
         return fused
     # distribution of the shared outer loops over the remaining pieces
-    # (paper Figure 1, second tree); verify exactly on the small model.
+    # (paper Figure 1, second tree)
     prefix_len = len(outer) + 1
     nests = [
         LoopNest.make(f"g{k}", loops, body, tuple(params))
         for k, (loops, body) in enumerate(fused)
     ]
-    if not _distribution_legal(nests, prefix_len, binding):
+    if not _distribution_legal(nests, prefix_len):
         raise NormalizationError(
             f"cannot distribute loop {node.loop.var}: dependences would reverse"
         )
     return fused
 
 
-def _distribution_legal(
-    nests: list[LoopNest],
-    prefix_len: int,
-    binding: Mapping[str, int] | None,
-) -> bool:
+def _distribution_legal(nests: list[LoopNest], prefix_len: int) -> bool:
     """Distribution executes nest ``i`` entirely before nest ``j > i``.
     Originally instances interleave by the shared outer prefix; the
     reordering is safe unless a later nest touches a conflicting element
     at a strictly smaller prefix than an earlier nest."""
-    if binding is None:
-        depth = max(n.depth for n in nests)
-        binding = {p: depth + 3 for n in nests for p in n.params}
-
     return not any(
-        reaches_back(nests[i], later, prefix_len, binding)
+        reaches_back(nests[i], later, prefix_len)
         for i in range(len(nests))
         for later in nests[i + 1 :]
     )
 
 
-def normalize_program(
-    program: Program, binding: Mapping[str, int] | None = None
-) -> Program:
+def normalize_program(program: Program) -> Program:
     """Replace the program's loop trees by their perfect-nest sequences,
     appending them before any already-perfect nests."""
     if not program.trees:
@@ -206,7 +195,6 @@ def normalize_program(
                 program.params,
                 weight=1,
                 name=f"{program.name}.t{k}",
-                binding=binding or dict(program.default_binding) or None,
             )
         )
     new_nests.extend(program.nests)

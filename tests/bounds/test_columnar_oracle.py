@@ -1,8 +1,10 @@
-"""The bounds pass and the dependence analyzer read iteration domains as
+"""The bounds pass and the enumerating dependence oracle
+(``tests/dependence/oracle.py``) read iteration domains as
 ``repro.ir.domain`` columns.  Their answers must equal those of the
 per-point recursions they replaced, kept here as the oracle, on every
 registry and analytics workload × col / l-opt / c-opt / h-opt at
-N = 32: reference images, domain sizes, accesses and edges."""
+N = 32: reference images, domain sizes and accesses (and
+``analyze_nest`` covers the directions those accesses realise)."""
 
 import functools
 
@@ -10,10 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bounds import analysis, domain_size
-from repro.dependence import analyze_nest, analyze_pairwise
-from repro.dependence.analyzer import _merge_edges, _small_binding
+from repro.dependence import analyze_nest
 from repro.ir.affine import AffineExpr
-from repro.ir.domain import accesses
 from repro.ir.statements import Condition, Statement
 from repro.optimizer.strategies import build_version
 from repro.workloads import (
@@ -23,6 +23,7 @@ from repro.workloads import (
     workload_names,
 )
 
+from ..dependence.oracle import accesses, edge_directions, enumerated_directions
 from ..engine.test_tile_space import planned_nests
 
 N = 32
@@ -128,22 +129,12 @@ def _old_accesses(nest, binding):
     return out
 
 
-def _old_analyze_nest(nest, binding=None):
-    binding = binding or _small_binding(nest)
-    touched = _old_accesses(nest, binding)
-    refs = list(nest.refs())
-    edges, seen = [], set()
-    for a, (i1, r1, w1) in enumerate(refs):
-        for i2, r2, w2 in refs[a:]:
-            if not (w1 or w2) or r1.array.name != r2.array.name:
-                continue
-            if (i1, id(r1), i2, id(r2)) in seen:
-                continue
-            seen.add((i1, id(r1), i2, id(r2)))
-            edges += analyze_pairwise(
-                nest, i1, r1, w1, i2, r2, w2, binding, touched
-            )
-    return _merge_edges(edges)
+def _check_accesses_and_edges(nest, binding):
+    touched = accesses(nest, binding)
+    assert touched == _old_accesses(nest, binding)
+    covered = edge_directions(analyze_nest(nest))
+    for key, dirs in enumerated_directions(nest, binding).items():
+        assert dirs <= covered.get(key, set()), (nest.name, key)
 
 
 @pytest.mark.parametrize("version", VERSIONS)
@@ -168,9 +159,7 @@ def test_images_and_domain_sizes(workload, version):
 def test_accesses_and_edges(workload, version):
     program, _, _ = _version(workload, version)
     for nest in program.nests:
-        binding = _small_binding(nest)
-        assert accesses(nest, binding) == _old_accesses(nest, binding)
-        assert analyze_nest(nest) == _old_analyze_nest(nest), nest.name
+        _check_accesses_and_edges(nest, {p: nest.depth + 3 for p in nest.params})
 
 
 @st.composite
@@ -201,9 +190,7 @@ def _guarded_nests(draw):
 @settings(max_examples=100, deadline=None)
 @given(_guarded_nests())
 def test_guarded_accesses_and_edges(guarded):
-    nest, binding = guarded
-    assert accesses(nest, binding) == _old_accesses(nest, binding)
-    assert analyze_nest(nest, binding) == _old_analyze_nest(nest, binding)
+    _check_accesses_and_edges(*guarded)
 
 
 def test_domain_size_beyond_the_cap_is_an_under_count(monkeypatch):

@@ -6,9 +6,7 @@ from repro.dependence import (
     DependenceEdge,
     Direction,
     analyze_nest,
-    banerjee_independent,
     direction_of,
-    gcd_independent,
     lex_positive,
     transform_is_legal,
 )
@@ -57,12 +55,17 @@ class TestVectors:
         assert e.loop_carried
 
 
+def flow_or_anti(nest):
+    return [e for e in analyze_nest(nest) if e.kind != "output"]
+
+
 class TestGcdTest:
+    """What the GCD test disproved, the exact integer solve of the
+    subscript equalities disproves inside ``analyze_nest``."""
+
     def test_different_arrays_independent(self):
         n = build_nest(lambda nb, arr, ix: nb.assign(arr("A")[ix[0], ix[1]], arr("B")[ix[0], ix[1]]))
-        refs = list(n.refs())
-        (_, w, _), (_, r, _) = refs
-        assert gcd_independent(w, r, n.loop_vars)
+        assert analyze_nest(n) == []
 
     def test_stride2_vs_odd_independent(self):
         # A(2i) vs A(2i+1): gcd 2 does not divide 1
@@ -71,8 +74,7 @@ class TestGcdTest:
                 arr("A")[2 * ix[0], ix[1]], arr("A")[2 * ix[0] + 1, ix[1]]
             )
         )
-        (_, w, _), (_, r, _) = list(n.refs())
-        assert gcd_independent(w, r, n.loop_vars)
+        assert analyze_nest(n) == []
 
     def test_same_ref_not_proven_independent(self):
         n = build_nest(
@@ -80,23 +82,35 @@ class TestGcdTest:
                 arr("A")[ix[0], ix[1]], arr("A")[ix[0] - 1, ix[1]]
             )
         )
-        (_, w, _), (_, r, _) = list(n.refs())
-        assert not gcd_independent(w, r, n.loop_vars)
+        (edge,) = analyze_nest(n)
+        assert edge.kind == "flow" and edge.distances == {(1, 0)}
 
     def test_distinct_constant_subscripts(self):
         n = build_nest(
             lambda nb, arr, ix: nb.assign(arr("A")[1, ix[1]], arr("A")[2, ix[1]])
         )
-        (_, w, _), (_, r, _) = list(n.refs())
-        assert gcd_independent(w, r, n.loop_vars)
+        assert flow_or_anti(n) == []
+        # the write itself repeats along i: an output dependence remains
+        assert [e.kind for e in analyze_nest(n)] == ["output"]
 
     def test_mismatched_param_coefficient_conservative(self):
-        # A(i + N) vs A(i): N unknown => may alias; must not claim independence
+        # A(i + N) vs A(i): N is an unknown of the solve, not cancelled;
+        # within 1 <= i, i' <= N the two never meet, for any N
         n = build_nest(
             lambda nb, arr, ix: nb.assign(
                 arr("A")[ix[0] + IndexN(), ix[1]], arr("A")[ix[0], ix[1]]
             )
         )
+        assert analyze_nest(n) == []
+        # A(i + N - 2) vs A(i) meet (i' = i + N - 2) once N >= 3
+        n = build_nest(
+            lambda nb, arr, ix: nb.assign(
+                arr("A")[ix[0] + IndexN() - 2, ix[1]], arr("A")[ix[0], ix[1]]
+            )
+        )
+        (edge,) = analyze_nest(n)
+        assert edge.kind == "flow" and not edge.exact
+        assert edge.directions == {(Direction.LT, Direction.EQ)}
 
 
 def IndexN():
@@ -106,6 +120,9 @@ def IndexN():
 
 
 class TestBanerjee:
+    """What the bounds test disproved, the loop bounds on the solution
+    lattice disprove, for every value of the parameters."""
+
     def test_disjoint_halves_independent(self):
         # write A(i), read A(i + N): ranges [1,N] vs [N+1, 2N] never meet
         b = ProgramBuilder("t", params=("N",), default_binding={"N": 6})
@@ -114,9 +131,7 @@ class TestBanerjee:
         with b.nest("n") as nb:
             i = nb.loop("i", 1, N)
             nb.assign(A[i], A[i + N])
-        nest = b.build().nests[0]
-        (_, w, _), (_, r, _) = list(nest.refs())
-        assert banerjee_independent(w, r, nest, {"N": 6})
+        assert analyze_nest(b.build().nests[0]) == []
 
     def test_overlapping_not_independent(self):
         nest = build_nest(
@@ -124,20 +139,24 @@ class TestBanerjee:
                 arr("A")[ix[0], ix[1]], arr("A")[ix[0] - 1, ix[1]]
             )
         )
-        (_, w, _), (_, r, _) = list(nest.refs())
-        assert not banerjee_independent(w, r, nest, {"N": 6})
+        assert flow_or_anti(nest)
 
     def test_triangular_nest_handled(self):
-        b = ProgramBuilder("t", params=("N",), default_binding={"N": 6})
-        N = b.param("N")
-        A = b.array("A", (N, N))
-        with b.nest("n") as nb:
-            i = nb.loop("i", 1, N)
-            j = nb.loop("j", i, N)
-            nb.assign(A[i, j], A[i, j] + 1.0)
-        nest = b.build().nests[0]
-        (_, w, _), (_, r, _) = list(nest.refs())
-        assert not banerjee_independent(w, r, nest, {"N": 6})
+        # the transpose read meets the write across the diagonal of the
+        # square, but within the triangle j >= i only on the diagonal
+        # itself, the same statement instance: no dependence
+        def transpose(lower):
+            b = ProgramBuilder("t", params=("N",), default_binding={"N": 6})
+            N = b.param("N")
+            A = b.array("A", (N, N))
+            with b.nest("n") as nb:
+                i = nb.loop("i", 1, N)
+                j = nb.loop("j", lower(i), N)
+                nb.assign(A[i, j], A[j, i] + 1.0)
+            return b.build().nests[0]
+
+        assert analyze_nest(transpose(lambda i: i)) == []
+        assert flow_or_anti(transpose(lambda i: 1))
 
 
 class TestAnalyzeNest:

@@ -117,10 +117,9 @@ class TestGlobalOptOrder:
             optimize_program(big_inner_program(8), nest_order="random")
 
 
-class TestDistanceCapping:
-    def test_directions_survive_capping(self):
-        from repro.dependence import analyze_nest
-        from repro.dependence.analyzer import _DISTANCES_PER_EDGE_CAP
+class TestTransposeEdges:
+    def test_both_orientations_as_direction_patterns(self):
+        from repro.dependence import Direction, analyze_nest
 
         b = ProgramBuilder("t", params=("N",), default_binding={"N": 20})
         N = b.param("N")
@@ -129,11 +128,12 @@ class TestDistanceCapping:
             i = nb.loop("i", 1, N)
             j = nb.loop("j", 1, N)
             nb.assign(A[i, j], A[j, i] + 1.0)
-        # large binding: the transpose dependence has ~N^2 distances
-        edges = analyze_nest(b.build().nests[0], binding={"N": 20})
-        for e in edges:
-            assert len(e.distances) <= _DISTANCES_PER_EDGE_CAP
-            # both orientations of the antisymmetric pattern kept
-            kinds = {tuple(1 if v > 0 else (-1 if v < 0 else 0) for v in d)
-                     for d in e.distances}
-            assert kinds  # non-empty after capping
+        # the transpose meets itself at ~N^2 distances (d, -d): the write
+        # first above the diagonal (flow), the read first below it
+        # (anti), each one sign vector whatever N is
+        edges = analyze_nest(b.build().nests[0])
+        pattern = (Direction.LT, Direction.GT)
+        assert {e.kind: e.directions for e in edges} == {
+            "flow": {pattern}, "anti": {pattern},
+        }
+        assert all(e.distances == {(1, -1)} and not e.exact for e in edges)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,17 +92,31 @@ class TestSolveDiophantine:
 
 class TestDependenceIntegration:
     def test_coupled_disproof_stronger_than_gcd(self):
-        """A(i+j, i+j+1) vs A(i'+j', i'+j'): dimension-wise GCD passes,
-        but the coupled system (x = y and x = y + 1) is unsolvable."""
-        from repro.dependence import diophantine_independent, gcd_independent
-        from repro.ir import ArrayDecl, ArrayRef, IndexVar
+        """A(i+j, i+j+1) vs A(i'+j', i'+j'): each dimension alone is
+        solvable, the coupled system (x = y and x = y + 1) is not."""
+        from repro.dependence import meeting_directions
+        from repro.ir import ArrayRef, ProgramBuilder
 
-        i, j = IndexVar("i"), IndexVar("j")
-        decl = ArrayDecl.make("A", [64, 64])
-        r1 = ArrayRef.make(decl, [i + j, i + j + 1])
-        r2 = ArrayRef.make(decl, [i + j, i + j])
-        assert not gcd_independent(r1, r2, ["i", "j"])
-        assert diophantine_independent(r1, r2, ["i", "j"])
+        b = ProgramBuilder("t", params=("N",), default_binding={"N": 6})
+        N = b.param("N")
+        A = b.array("A", (2 * N, 2 * N))
+        with b.nest() as nb:
+            i = nb.loop("i", 1, N)
+            j = nb.loop("j", 1, N)
+            nb.assign(A[i + j, i + j + 1], A[i + j, i + j] + 1.0)
+        nest = b.build().nests[0]
+        (stmt,) = nest.body
+        (write,), (read,) = stmt.writes(), stmt.reads()
+        assert meeting_directions((nest, stmt, write), (nest, stmt, read), 2) == set()
+        for dim in range(2):
+            one = [
+                ArrayRef(
+                    replace(r.array, dims=r.array.dims[:1]),
+                    r.subscripts[dim : dim + 1],
+                )
+                for r in (write, read)
+            ]
+            assert meeting_directions((nest, stmt, one[0]), (nest, stmt, one[1]), 2)
 
     def test_analyzer_uses_it(self):
         from repro.dependence import analyze_nest
@@ -116,15 +132,19 @@ class TestDependenceIntegration:
         edges = analyze_nest(b.build().nests[0])
         # the write/read pair is disproven by the coupled system; only the
         # genuine output dependence among write instances remains
-        assert all(e.kind == "output" for e in edges)
+        assert edges and all(e.kind == "output" for e in edges)
 
     def test_mismatched_params_conservative(self):
-        from repro.dependence import diophantine_independent
-        from repro.ir import ArrayDecl, ArrayRef, IndexVar
+        """A(i + N) vs A(i) over 1 <= i <= 2N: the parameter is an unknown
+        of the solve, and the pair meets (i' = i + N, later) for every N."""
+        from repro.dependence import Direction, analyze_nest
+        from repro.ir import ProgramBuilder
 
-        i = IndexVar("i")
-        N = IndexVar("N")
-        decl = ArrayDecl.make("A", [128])
-        r1 = ArrayRef.make(decl, [i + N])
-        r2 = ArrayRef.make(decl, [i])
-        assert not diophantine_independent(r1, r2, ["i"])
+        b = ProgramBuilder("t", params=("N",), default_binding={"N": 6})
+        N = b.param("N")
+        A = b.array("A", (3 * N,))
+        with b.nest() as nb:
+            i = nb.loop("i", 1, 2 * N)
+            nb.assign(A[i + N], A[i] + 1.0)
+        (edge,) = analyze_nest(b.build().nests[0])
+        assert edge.kind == "flow" and edge.directions == {(Direction.LT,)}
