@@ -6,8 +6,9 @@ Three findings asserted:
   x version cell: ``plan_nest_calls`` / ``dependence_pairs`` stay at
   one nest's worth however many ranks run, and
   ``addresses_enumerated`` is 0 wherever no data moves (simulate mode
-  prices a tile from its box and layout; only data-carrying runs
-  compute element addresses).  Where the wall time goes is a separate,
+  prices a tile from its box and layout; only a data-carrying run on
+  the address path — a unit-granular file, a blocked layout — computes
+  element addresses).  Where the wall time goes is a separate,
   ungated reading: outside ``--smoke`` one sweep cell is run again
   under cProfile and its top layer and the layer table's coverage are
   recorded (``python -m repro.obs profile`` prints the whole table).
@@ -179,9 +180,10 @@ def test_work_counters_repeat_bit_identical(benchmark, smoke, json_out):
             f"{sorted(first)} paths: direct/independent/two_phase"
         )
         assert first["two_phase"]["sim_events"] > 0
-        # the direct executor moves data (in-memory backend); the two
-        # parallel paths only account
-        assert first["direct"]["addresses_enumerated"] > 0
+        # the direct executor moves data (in-memory backend) without
+        # enumerating addresses: a linear-layout tile is a box of the
+        # buffer's strided view; the two parallel paths only account
+        assert first["direct"]["addresses_enumerated"] == 0
         assert first["independent"]["addresses_enumerated"] == 0
         assert first["two_phase"]["addresses_enumerated"] == 0
     json_out(

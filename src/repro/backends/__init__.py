@@ -27,13 +27,14 @@ from .base import (
     BackendFile,
     BackendMetrics,
     StorageBackend,
+    contiguous_extents,
     resolve_backend,
     validate_dtype,
 )
 from .chunked import DEFAULT_CHUNK_ELEMENTS, ChunkedBackend
 from .memory import MemoryBackend, SimulateBackend
 from .object_store import ObjectStoreParams, SimulatedObjectStore
-from .posix import MmapBackend, contiguous_extents
+from .posix import MmapBackend
 
 __all__ = [
     "BackendError",

@@ -16,8 +16,13 @@ Contract
 - A :class:`StorageBackend` is a factory for :class:`BackendFile`
   handles over a *linear element space* (the layout engine has already
   mapped array indices to file slots).
-- ``gather``/``scatter`` move data for real backends; simulate-only
-  backends raise, exactly like the old ``real=False`` buffer-less file.
+- A linear-layout array over a flat file buffer (memory, mmap) moves a
+  tile as a box of its strided view (``load_box``/``store_box``); every
+  other file or map (whole-unit files, blocked layouts, interleaved
+  stores) moves element addresses (``gather``/``scatter``) — with the
+  same measured operations and bytes.  Simulate-only backends raise,
+  exactly like the old ``real=False`` buffer-less file; a closed file
+  raises :class:`BackendError` and keeps no buffer or view.
 - Accounting (``IOStats``) never touches the backend: with any backend,
   folded stats are bit-identical to the in-memory default.
 - Backends with ``measures = True`` record :class:`BackendMetrics`
@@ -27,7 +32,8 @@ Contract
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from time import perf_counter
 from typing import Iterable
 
 import numpy as np
@@ -104,6 +110,21 @@ class BackendMetrics:
         self.wall_write_s += other.wall_write_s
         return self
 
+    def record(
+        self, is_write: bool, seconds: float, ops: int, nbytes: int
+    ) -> None:
+        """Count one access: ``ops`` operations moving ``nbytes``
+        (``seconds`` comes first so that a caller's timer stops before
+        ``ops`` is counted)."""
+        if is_write:
+            self.put_ops += ops
+            self.bytes_written += nbytes
+            self.wall_write_s += seconds
+        else:
+            self.get_ops += ops
+            self.bytes_read += nbytes
+            self.wall_read_s += seconds
+
     @classmethod
     def fold(cls, items: "Iterable[BackendMetrics]") -> "BackendMetrics":
         total = cls()
@@ -128,27 +149,98 @@ class BackendMetrics:
         )
 
 
+def contiguous_extents(addresses: np.ndarray) -> int:
+    """Number of maximal contiguous extents in an address set."""
+    if addresses.size == 0:
+        return 0
+    a = np.sort(addresses, kind="stable")
+    return 1 + int(np.count_nonzero(np.diff(a) != 1))
+
+
+def _box(region) -> tuple[slice, ...]:
+    """An inclusive ``(lo, hi)``-per-dimension region as basic slices."""
+    return tuple([slice(lo, max(hi + 1, lo)) for lo, hi in region])
+
+
 class BackendFile:
     """One linear file of ``n_elements`` scalars inside a backend.
 
-    Subclasses implement :meth:`gather` / :meth:`scatter` over int64
-    element-address arrays.  Addresses are produced by the layout
-    engine and are always in ``[0, n_elements)``.
+    :meth:`gather` / :meth:`scatter` move int64 element-address arrays
+    (produced by the layout engine, always in ``[0, n_elements)``) and
+    :meth:`load_box` / :meth:`store_box` move boxes, both over
+    :attr:`flat`; a file without one overrides the address moves.  A
+    flat file with :attr:`metrics` counts each move's maximal contiguous
+    extents — a box's from the box and the layout, not its addresses.
     """
+
+    #: the file's elements as one flat buffer, or ``None``
+    flat: np.ndarray | None = None
+    #: where a measuring flat file counts its moves
+    metrics: BackendMetrics | None = None
 
     def __init__(self, name: str, n_elements: int, dtype: np.dtype):
         self.name = name
         self.n_elements = int(n_elements)
         self.dtype = dtype
+        self.closed = False
+        self._views: dict = {}
+
+    def _check_open(self) -> None:
+        if self.closed:
+            raise BackendError(f"file {self.name} is closed")
 
     def gather(self, addresses: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        self._check_open()
+        t0 = perf_counter()
+        out = self.flat[addresses]
+        if self.metrics is not None:
+            self.metrics.record(False, perf_counter() - t0,
+                                contiguous_extents(addresses), out.nbytes)
+        return out
 
     def scatter(self, addresses: np.ndarray, values: np.ndarray) -> None:
-        raise NotImplementedError
+        self._check_open()
+        t0 = perf_counter()
+        self.flat[addresses] = values
+        if self.metrics is not None:
+            self.metrics.record(True, perf_counter() - t0,
+                                contiguous_extents(addresses),
+                                addresses.size * self.dtype.itemsize)
 
-    def close(self) -> None:  # release OS resources (mmap handles etc.)
-        pass
+    def view(self, amap, base: int) -> np.ndarray | None:
+        """The array ``amap`` places from slot ``base`` on as a strided
+        view of :attr:`flat`, kept until close; ``None``: no view."""
+        self._check_open()
+        views = self._views
+        if (amap, base) not in views:
+            views[amap, base] = (
+                None if self.flat is None else amap.view(self.flat[base:])
+            )
+        return views[amap, base]
+
+    def load_box(self, amap, base: int, region) -> np.ndarray:
+        """A copy of the region of :meth:`view`, in row-major order."""
+        t0 = perf_counter()
+        out = np.array(self.view(amap, base)[_box(region)], order="C")
+        if self.metrics is not None:
+            self.metrics.record(False, perf_counter() - t0,
+                                amap.extents(region), out.nbytes)
+        return out
+
+    def store_box(self, amap, base: int, region, values: np.ndarray) -> None:
+        """Put ``values`` (row-major) in the region of :meth:`view`."""
+        t0 = perf_counter()
+        target = self.view(amap, base)[_box(region)]
+        target[...] = np.reshape(values, target.shape)
+        if self.metrics is not None:
+            self.metrics.record(True, perf_counter() - t0,
+                                amap.extents(region), target.nbytes)
+
+    def close(self) -> None:
+        """Release the buffer and its views (subclasses: OS resources)."""
+        self.closed = True
+        self.flat = None
+        self._views.clear()
 
 
 class UnitFile(BackendFile):
@@ -182,6 +274,7 @@ class UnitFile(BackendFile):
         raise NotImplementedError
 
     def gather(self, addresses: np.ndarray) -> np.ndarray:
+        self._check_open()
         out = np.empty(addresses.shape, dtype=self.dtype)
         uids = addresses // self.unit_elements
         for uid in np.unique(uids):
@@ -192,6 +285,7 @@ class UnitFile(BackendFile):
         return out
 
     def scatter(self, addresses: np.ndarray, values: np.ndarray) -> None:
+        self._check_open()
         values = np.asarray(values).ravel()
         uids = addresses // self.unit_elements
         for uid in np.unique(uids):
@@ -269,31 +363,6 @@ class StorageBackend:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} kind={self.kind!r} files={len(self._files)}>"
-
-
-@dataclass
-class _Timer:
-    """Accumulates wall seconds into one BackendMetrics field pair."""
-
-    metrics: BackendMetrics
-    is_write: bool
-    _t0: float = field(default=0.0, repr=False)
-
-    def __enter__(self):
-        from time import perf_counter
-
-        self._t0 = perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        from time import perf_counter
-
-        dt = perf_counter() - self._t0
-        if self.is_write:
-            self.metrics.wall_write_s += dt
-        else:
-            self.metrics.wall_read_s += dt
-        return False
 
 
 def resolve_backend(backend, real: bool | None = None) -> StorageBackend:

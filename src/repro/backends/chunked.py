@@ -20,10 +20,11 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from time import perf_counter
 
 import numpy as np
 
-from .base import BackendError, StorageBackend, UnitFile, _Timer
+from .base import BackendError, StorageBackend, UnitFile
 from .posix import safe_filename
 
 #: chunk size when the layout gives no blocking hint (a flat 32 KB of
@@ -54,24 +55,24 @@ class _ChunkedFile(UnitFile):
     def _load_unit(self, cid: int) -> np.ndarray:
         """Read one whole chunk (missing chunk = zeros, as for a sparse
         dataset that was never written)."""
-        m = self._backend.metrics
         path = self._chunk_path(cid)
         ln = self._unit_len(cid)
-        with _Timer(m, is_write=False):
-            if os.path.exists(path):
-                data = np.fromfile(path, dtype=self.dtype, count=ln)
-            else:
-                data = np.zeros(ln, dtype=self.dtype)
-        m.get_ops += 1
-        m.bytes_read += ln * self.dtype.itemsize
+        t0 = perf_counter()
+        if os.path.exists(path):
+            data = np.fromfile(path, dtype=self.dtype, count=ln)
+        else:
+            data = np.zeros(ln, dtype=self.dtype)
+        self._backend.metrics.record(
+            False, perf_counter() - t0, 1, ln * self.dtype.itemsize
+        )
         return data
 
     def _store_unit(self, cid: int, data: np.ndarray) -> None:
-        m = self._backend.metrics
-        with _Timer(m, is_write=True):
-            data.tofile(self._chunk_path(cid))
-        m.put_ops += 1
-        m.bytes_written += data.size * self.dtype.itemsize
+        t0 = perf_counter()
+        data.tofile(self._chunk_path(cid))
+        self._backend.metrics.record(
+            True, perf_counter() - t0, 1, data.size * self.dtype.itemsize
+        )
 
     def chunks_on_disk(self) -> int:
         return sum(1 for f in os.listdir(self.root) if f.endswith(".bin"))

@@ -1,9 +1,9 @@
 """The default backends: in-memory buffers and simulate-only files.
 
 These two reproduce the pre-backend ``real=True`` / ``real=False``
-behavior of :class:`repro.runtime.file.OOCFile` exactly — same numpy
-fancy-indexing data path, same "simulate-only" error on data access —
-so every existing execution path stays bit-identical by construction.
+behavior of :class:`repro.runtime.file.OOCFile` exactly — one numpy
+buffer (moved by box or by address), the same "simulate-only" error on
+data access — so every execution path stays bit-identical.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from .base import BackendFile, StorageBackend
 class _MemoryFile(BackendFile):
     def __init__(self, name: str, n_elements: int, dtype: np.dtype):
         super().__init__(name, n_elements, dtype)
-        self.buffer = np.zeros(n_elements, dtype=dtype)
-
-    def gather(self, addresses: np.ndarray) -> np.ndarray:
-        return self.buffer[addresses]
-
-    def scatter(self, addresses: np.ndarray, values: np.ndarray) -> None:
-        self.buffer[addresses] = values
+        self.flat = np.zeros(n_elements, dtype=dtype)
 
 
 class MemoryBackend(StorageBackend):

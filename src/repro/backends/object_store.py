@@ -81,20 +81,16 @@ class _ObjectFile(UnitFile):
         data = self._objects.get(oid)
         if data is None:
             data = np.zeros(ln, dtype=self.dtype)
-        b.metrics.get_ops += 1
-        b.metrics.bytes_read += ln * self.dtype.itemsize
-        b.metrics.wall_read_s += b.params.get_time(ln * self.dtype.itemsize)
+        nbytes = ln * self.dtype.itemsize
+        b.metrics.record(False, b.params.get_time(nbytes), 1, nbytes)
         b._count(self.name, oid, is_put=False)
         return data
 
     def _store_unit(self, oid: int, data: np.ndarray) -> None:
         b = self._backend
         self._objects[oid] = data
-        b.metrics.put_ops += 1
-        b.metrics.bytes_written += data.size * self.dtype.itemsize
-        b.metrics.wall_write_s += b.params.put_time(
-            data.size * self.dtype.itemsize
-        )
+        nbytes = data.size * self.dtype.itemsize
+        b.metrics.record(True, b.params.put_time(nbytes), 1, nbytes)
         b._count(self.name, oid, is_put=True)
 
 

@@ -19,15 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .base import BackendFile, StorageBackend, _Timer
-
-
-def contiguous_extents(addresses: np.ndarray) -> int:
-    """Number of maximal contiguous extents in an address set."""
-    if addresses.size == 0:
-        return 0
-    a = np.sort(addresses, kind="stable")
-    return 1 + int(np.count_nonzero(np.diff(a) != 1))
+from .base import BackendFile, StorageBackend
 
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]")
@@ -49,34 +41,22 @@ class _MmapFile(BackendFile):
     def __init__(self, name, n_elements, dtype, path, backend):
         super().__init__(name, n_elements, dtype)
         self.path = path
-        self._backend = backend
+        self.metrics = backend.metrics
         # zero-filled sparse file of exactly n_elements scalars
         self._mm = np.memmap(
             path, dtype=dtype, mode="w+", shape=(max(1, n_elements),)
         )
-
-    def gather(self, addresses: np.ndarray) -> np.ndarray:
-        m = self._backend.metrics
-        with _Timer(m, is_write=False):
-            out = np.asarray(self._mm[addresses])
-        m.get_ops += contiguous_extents(addresses)
-        m.bytes_read += int(addresses.size) * self.dtype.itemsize
-        return out
-
-    def scatter(self, addresses: np.ndarray, values: np.ndarray) -> None:
-        m = self._backend.metrics
-        with _Timer(m, is_write=True):
-            self._mm[addresses] = values
-        m.put_ops += contiguous_extents(addresses)
-        m.bytes_written += int(addresses.size) * self.dtype.itemsize
-
-    def flush(self) -> None:
-        self._mm.flush()
+        # the same pages as a plain ndarray: indexing it skips the
+        # memmap subclass's per-result bookkeeping
+        self.flat = self._mm.view(np.ndarray)
 
     def close(self) -> None:
+        if self.closed:
+            return
         self._mm.flush()
         # release the map so the directory can be removed on Windows-y
-        # filesystems too; the ndarray keeps no other reference
+        # filesystems too: no buffer or view keeps a reference
+        super().close()
         del self._mm
 
 

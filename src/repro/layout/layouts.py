@@ -6,9 +6,11 @@ index domain — exactly the paper's non-singular data transformations.
 ``BlockedLayout`` stores the array as contiguous rectangular chunks (the
 "blocked layout" of Figure 2, used by the hand-optimized ``h-opt``).
 
-Address computation is vectorized over numpy index arrays: data-carrying
-runs call it for every tile transfer.  Pricing a transfer needs only the
-region's maximal contiguous file runs, which :meth:`AddressMap.runs`
+A linear map is affine, so over a flat element buffer the array is a
+strided view (:meth:`AddressMap.view`) and a tile moves as a basic slice
+of it; address computation, vectorized over numpy index arrays, is left
+to blocked maps and unit-granular files.  Pricing a transfer needs only
+the region's maximal contiguous file runs, which :meth:`AddressMap.runs`
 derives from the region's box and the layout in O(runs) — the paper's
 Figure 3, where a tile's call count follows from its shape.
 """
@@ -20,6 +22,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..linalg import IMat, unimodular_with_first_row
 from .hyperplane import Hyperplane
@@ -82,17 +85,27 @@ class AddressMap:
     ``address(x) = weights·x + origin``, and ``x + unit_step`` is the
     element stored right after ``x``."""
 
+    #: ``(dimension, |weight|)``, lightest first, when each weight is at
+    #: least the span of the lighter dimensions (a mixed-radix numeral)
+    _radix: list[tuple[int, int]] | None = None
+
     def __init__(self, weights: np.ndarray, origin: int, total: int,
-                 unit_step: Sequence[int]):
+                 unit_step: Sequence[int], shape: Sequence[int]):
         self._weights = weights  # (m,) int64: strides · D
         self._origin = int(origin)
         self.total_slots = int(total)
+        self._shape = tuple(shape)
         self._step = [int(s) for s in unit_step]
         # heaviest dimension outermost, so that a dimension-permutation
         # layout lists its entry points in file order (no sort)
         self._order = sorted(
             range(len(self._step)), key=lambda d: -abs(int(weights[d]))
         )
+        radix = [(d, abs(int(weights[d])))
+                 for d in reversed(self._order) if self._shape[d] > 1]
+        if all(w >= v * self._shape[d]
+               for (d, v), (_, w) in zip(radix, radix[1:])):
+            self._radix = radix
 
     def address(self, indices: np.ndarray) -> np.ndarray:
         """File slots for indices of shape ``(..., m)`` → ``(...,)`` int64."""
@@ -101,6 +114,32 @@ class AddressMap:
 
     def address_one(self, index: Sequence[int]) -> int:
         return int(self.address(np.asarray(index, dtype=np.int64)[None, :])[0])
+
+    def view(self, flat: np.ndarray) -> np.ndarray | None:
+        """The array as a strided view of ``flat``, the element buffer
+        from the array's slot 0 on: a region is a basic slice of it (in
+        row-major element order), and no address is computed."""
+        return as_strided(
+            flat[self._origin:], self._shape, self._weights * flat.itemsize
+        )
+
+    def extents(self, region: Sequence[tuple[int, int]]) -> int:
+        """``runs(region)[0].size``.  Over a mixed-radix map the lightest
+        dimensions merge into one extent while each weight equals the
+        length merged so far; every heavier one multiplies the count."""
+        sizes = [hi - lo + 1 for lo, hi in region]
+        if min(sizes) <= 0:
+            return 0
+        if self._radix is None:
+            return self.runs(region)[0].size
+        count, merged = 1, 1
+        for d, weight in self._radix:
+            if weight == merged:
+                merged *= sizes[d]
+            else:
+                merged = 0  # the first gap: every heavier extent counts
+                count *= sizes[d]
+        return count
 
     def runs(
         self, region: Sequence[tuple[int, int]]
@@ -247,7 +286,7 @@ class LinearLayout(Layout):
             strides[r] = strides[r + 1] * extents[r + 1]
         total = int(np.prod(extents))
         return AddressMap(
-            strides @ rows, -(strides @ t_min), total, self.unit_step()
+            strides @ rows, -(strides @ t_min), total, self.unit_step(), shape
         )
 
     def describe(self) -> str:
@@ -266,6 +305,9 @@ class _BlockedAddressMap(AddressMap):
             self._grid_strides[r] = self._grid_strides[r + 1] * self._grid[r + 1]
             self._in_strides[r] = self._in_strides[r + 1] * block[r + 1]
         self.total_slots = int(np.prod(self._grid)) * self._block_slots
+
+    def view(self, flat: np.ndarray) -> None:  # no strided view
+        return None
 
     def address(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)

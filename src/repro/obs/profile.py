@@ -66,8 +66,11 @@ class WorkCounters:
         # tile plans built and reference pairs the dependence analyzer
         # examined stay at one nest's worth however many ranks run.
         # addresses_enumerated sums the sizes of the regions whose every
-        # element address a store computed: data movement only, so 0 in
-        # a simulate-mode run (pricing derives runs from the tile's box)
+        # element address a store computed: data movement on the address
+        # path only (unit-granular files, blocked maps, interleaved
+        # stores, partial cached reads), so 0 in a simulate-mode run
+        # (pricing derives runs from the tile's box) and where a flat
+        # file moves linear-layout tiles as boxes of its view
         for key in WORK_KEYS:
             setattr(self, key, 0)
         #: interpreted Python loop iterations per phase ("element" for

@@ -51,6 +51,15 @@ class OOCFile:
     def scatter(self, addresses: np.ndarray, values: np.ndarray) -> None:
         self._bfile.scatter(addresses, values)
 
+    def view(self, amap, base: int) -> np.ndarray | None:
+        return self._bfile.view(amap, base)
+
+    def load_box(self, amap, base: int, region) -> np.ndarray:
+        return self._bfile.load_box(amap, base, region)
+
+    def store_box(self, amap, base: int, region, values: np.ndarray) -> None:
+        self._bfile.store_box(amap, base, region, values)
+
     # -- accounting ---------------------------------------------------------
 
     def account_runs(

@@ -164,16 +164,32 @@ class OutOfCoreArray:
 
     # -- data movement --------------------------------------------------------
     # A transfer is priced from `runs` (box + layout) and moved, where a
-    # file carries data, by `addresses` — two halves a caller may take
-    # apart: a static walk is accounted up front and then only moves.
+    # file carries data, by `_load` / `_store` — two halves a caller may
+    # take apart: a static walk is accounted up front and then only moves.
+
+    def _load(self, region: Region) -> np.ndarray:
+        """The region's data: a box of the file's view of the array, or
+        where there is none (unit files, blocked maps) by addresses."""
+        check_region(region, self.shape, self.name)
+        if self.file.view(self.map, self.slot_base) is None:
+            return self.file.gather(self.addresses(region)).reshape(
+                region_shape(region)
+            )
+        return self.file.load_box(self.map, self.slot_base, region)
+
+    def _store(self, region: Region, values: np.ndarray) -> None:
+        """Put ``values`` (file dtype) in the region, as :meth:`_load`."""
+        check_region(region, self.shape, self.name)
+        if self.file.view(self.map, self.slot_base) is None:
+            self.file.scatter(self.addresses(region), values.ravel())
+        else:
+            self.file.store_box(self.map, self.slot_base, region, values)
 
     def load_tile(self, region: Region) -> np.ndarray | None:
         """The tile's data (``None`` in simulate mode), accounting nothing."""
         if not self.file.real:
             return None
-        return self.file.gather(self.addresses(region)).reshape(
-            region_shape(region)
-        )
+        return self._load(region)
 
     def store_tile(self, region: Region, data: np.ndarray | None) -> None:
         """Put the tile's data in the file, accounting nothing."""
@@ -181,10 +197,7 @@ class OutOfCoreArray:
             return
         if data is None:
             raise ValueError("real-mode write requires data")
-        self.file.scatter(
-            self.addresses(region),
-            np.asarray(data, dtype=self.file.dtype).ravel(),
-        )
+        self._store(region, np.asarray(data, dtype=self.file.dtype))
 
     def read_tile(self, region: Region, ctx: IOContext) -> np.ndarray | None:
         """Fetch a tile.  Returns the tile data in real mode, else None."""
@@ -224,17 +237,16 @@ class OutOfCoreArray:
 
     def to_ndarray(self) -> np.ndarray:
         """Materialize the whole array (tests/verification)."""
-        region = tuple((0, s - 1) for s in self.shape)
-        addrs = self.addresses(region)
-        return self.file.gather(addrs).reshape(self.shape)
+        return self._load(tuple((0, s - 1) for s in self.shape))
 
     def load_ndarray(self, values: np.ndarray) -> None:
         """Initialize file contents from an in-core array (no accounting)."""
         if tuple(values.shape) != self.shape:
             raise ValueError(f"shape mismatch {values.shape} vs {self.shape}")
-        region = tuple((0, s - 1) for s in self.shape)
-        addrs = self.addresses(region)
-        self.file.scatter(addrs, values.astype(self.file.dtype).ravel())
+        self._store(
+            tuple((0, s - 1) for s in self.shape),
+            values.astype(self.file.dtype),
+        )
 
 
 class LinearStore:

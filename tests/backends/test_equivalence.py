@@ -4,10 +4,9 @@ through the direct executor, the independent parallel path, and the
 two-phase collective path.  The accounting never touches the backend,
 so these are exact-equality assertions, not tolerances.
 
-The simulate backend prices each tile from its box and layout
-(``OutOfCoreArray.runs``) where every data-carrying backend decomposes
-the addresses it moves, so simulate == memory is also the symbolic
-against the enumerated decomposition, on every workload."""
+Every mode prices each tile from its box and layout
+(``OutOfCoreArray.runs``), whether and however it moves the data, so
+simulate == memory holds on every workload."""
 
 import math
 from dataclasses import replace
@@ -183,5 +182,9 @@ def test_only_data_carrying_runs_enumerate_addresses(monkeypatch):
     enumerated = _spy_on_addresses(monkeypatch)
     run_version_parallel(cfg, N_NODES, params=PARAMS)
     assert not enumerated
+    # a flat buffer moves a linear-layout tile as a box of its view
     run_version_parallel(cfg, N_NODES, params=PARAMS, backend="memory")
+    assert not enumerated
+    # whole-chunk files move the elements at their addresses
+    run_version_parallel(cfg, N_NODES, params=PARAMS, backend="chunked")
     assert enumerated

@@ -163,16 +163,16 @@ def test_a_cache_or_an_injector_keeps_recording_per_tile(option):
 
 def test_a_backend_error_mid_nest_releases_the_tile(monkeypatch):
     calls = {"n": 0}
-    gather = OOCFile.gather
+    load_box = OOCFile.load_box
 
-    def failing(self, addresses):
+    def failing(self, amap, base, region):
         calls["n"] += 1
         if calls["n"] == 5:
             raise OSError("disk went away")
-        return gather(self, addresses)
+        return load_box(self, amap, base, region)
 
     with _executor("adi", "col", "memory") as ex:
-        monkeypatch.setattr(OOCFile, "gather", failing)
+        monkeypatch.setattr(OOCFile, "load_box", failing)
         with pytest.raises(OSError, match="disk went away"):
             ex.run()
         assert calls["n"] == 5
